@@ -1,43 +1,13 @@
-"""Hot integer kernels for the finite-group coset oracle.
+"""Hot integer kernels for the finite-group coset oracle, in numpy.
 
-Two interchangeable lanes compute batch determinants, generator
-permutations and orbit labels over F_p: a numba @njit lane and a pure
-numpy lane.  The env flag LOCALZETA_NO_NUMBA=1 selects the numpy fallback;
-an explicit lane argument overrides the default (used by the tests and the
-benchmark to compare both).
+Batch determinants, enumeration of invertible matrices, generator
+permutations and orbit labels over F_p.  Matrices are identified with
+their row-major base-p packed int64 keys.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    if os.environ.get("LOCALZETA_NO_NUMBA"):
-        raise ImportError("numba disabled by LOCALZETA_NO_NUMBA")
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    njit = None
-    HAS_NUMBA = False
-
-
-def default_lane() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def resolve_lane(lane: str | None) -> str:
-    if lane is None:
-        return default_lane()
-    if lane not in ("numba", "numpy"):
-        raise ValueError(f"unknown lane {lane!r}")
-    if lane == "numba" and not HAS_NUMBA:
-        raise ValueError("numba lane requested but numba is unavailable")
-    return lane
-
-
-_POWERS16 = None
 
 
 def _powers16(p: int) -> np.ndarray:
@@ -56,11 +26,7 @@ def unpack_keys(keys: np.ndarray, p: int) -> np.ndarray:
     return digits.reshape(-1, 4, 4).astype(np.uint8)
 
 
-# ---------------------------------------------------------------------------
-# numpy lane
-# ---------------------------------------------------------------------------
-
-def _det_mod_numpy(mats: np.ndarray, p: int) -> np.ndarray:
+def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
     """Batch determinant mod p via the two-row Laplace expansion."""
     m = mats.astype(np.int64)
     a, b, c, d = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
@@ -77,7 +43,7 @@ def _det_mod_numpy(mats: np.ndarray, p: int) -> np.ndarray:
     return det % p
 
 
-def _enumerate_numpy(p: int) -> np.ndarray:
+def enumerate_invertible_keys(p: int) -> np.ndarray:
     """Keys of all invertible 4x4 matrices mod p, ascending."""
     total = p ** 16
     chunk = 1 << 20
@@ -85,13 +51,14 @@ def _enumerate_numpy(p: int) -> np.ndarray:
     for start in range(0, total, chunk):
         keys = np.arange(start, min(start + chunk, total), dtype=np.int64)
         mats = unpack_keys(keys, p)
-        dets = _det_mod_numpy(mats, p)
+        dets = det_mod_batch(mats, p)
         kept.append(keys[dets != 0])
     return np.concatenate(kept)
 
 
-def _perm_numpy(mats: np.ndarray, keys: np.ndarray, gen: np.ndarray,
-                p: int, left: bool) -> np.ndarray:
+def generator_permutation(mats: np.ndarray, keys: np.ndarray, gen: np.ndarray,
+                          p: int, left: bool) -> np.ndarray:
+    """Ids of gen @ m (left) or m @ gen (right) for every enumerated m."""
     g = gen.astype(np.int64)
     m = mats.astype(np.int64)
     prod = (np.einsum("ij,njk->nik", g, m) if left
@@ -103,8 +70,12 @@ def _perm_numpy(mats: np.ndarray, keys: np.ndarray, gen: np.ndarray,
     return idx.astype(np.int64)
 
 
-def _labels_numpy(perms: list[np.ndarray], n: int) -> np.ndarray:
-    """Min-id orbit labels by monotone label propagation to a fixpoint."""
+def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
+    """Labels constant on orbits of the group generated by the permutations.
+
+    Each label is the minimal element id of its orbit, reached by monotone
+    label propagation to a fixpoint.
+    """
     labels = np.arange(n, dtype=np.int64)
     while True:
         before = labels.copy()
@@ -115,168 +86,3 @@ def _labels_numpy(perms: list[np.ndarray], n: int) -> np.ndarray:
         labels = labels[labels]
         if np.array_equal(labels, before):
             return labels
-
-
-# ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _det_mod_numba(mats, p):  # pragma: no cover - exercised via wrapper
-        n = mats.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            m = mats[t]
-            p01 = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            p02 = m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0]
-            p03 = m[0, 0] * m[1, 3] - m[0, 3] * m[1, 0]
-            p12 = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-            p13 = m[0, 1] * m[1, 3] - m[0, 3] * m[1, 1]
-            p23 = m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]
-            q01 = m[2, 0] * m[3, 1] - m[2, 1] * m[3, 0]
-            q02 = m[2, 0] * m[3, 2] - m[2, 2] * m[3, 0]
-            q03 = m[2, 0] * m[3, 3] - m[2, 3] * m[3, 0]
-            q12 = m[2, 1] * m[3, 2] - m[2, 2] * m[3, 1]
-            q13 = m[2, 1] * m[3, 3] - m[2, 3] * m[3, 1]
-            q23 = m[2, 2] * m[3, 3] - m[2, 3] * m[3, 2]
-            det = (p01 * q23 - p02 * q13 + p03 * q12
-                   + p12 * q03 - p13 * q02 + p23 * q01)
-            out[t] = det % p
-        return out
-
-    @njit(cache=True)
-    def _enumerate_numba(p):  # pragma: no cover - exercised via wrapper
-        total = 1
-        for _ in range(16):
-            total *= p
-        kept = np.empty(total, dtype=np.int64)
-        m = np.empty((4, 4), dtype=np.int64)
-        count = 0
-        for key in range(total):
-            k = key
-            for i in range(4):
-                for j in range(4):
-                    m[i, j] = k % p
-                    k //= p
-            p01 = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            p02 = m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0]
-            p03 = m[0, 0] * m[1, 3] - m[0, 3] * m[1, 0]
-            p12 = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-            p13 = m[0, 1] * m[1, 3] - m[0, 3] * m[1, 1]
-            p23 = m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]
-            q01 = m[2, 0] * m[3, 1] - m[2, 1] * m[3, 0]
-            q02 = m[2, 0] * m[3, 2] - m[2, 2] * m[3, 0]
-            q03 = m[2, 0] * m[3, 3] - m[2, 3] * m[3, 0]
-            q12 = m[2, 1] * m[3, 2] - m[2, 2] * m[3, 1]
-            q13 = m[2, 1] * m[3, 3] - m[2, 3] * m[3, 1]
-            q23 = m[2, 2] * m[3, 3] - m[2, 3] * m[3, 2]
-            det = (p01 * q23 - p02 * q13 + p03 * q12
-                   + p12 * q03 - p13 * q02 + p23 * q01) % p
-            if det != 0:
-                kept[count] = key
-                count += 1
-        return kept[:count]
-
-    @njit(cache=True)
-    def _perm_numba(mats, keys, gen, p, left):  # pragma: no cover
-        n = mats.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        prod = np.empty((4, 4), dtype=np.int64)
-        for t in range(n):
-            m = mats[t]
-            for i in range(4):
-                for j in range(4):
-                    acc = 0
-                    if left:
-                        for k in range(4):
-                            acc += gen[i, k] * m[k, j]
-                    else:
-                        for k in range(4):
-                            acc += m[i, k] * gen[k, j]
-                    prod[i, j] = acc % p
-            key = 0
-            mult = 1
-            for i in range(4):
-                for j in range(4):
-                    key += prod[i, j] * mult
-                    mult *= p
-            lo = np.searchsorted(keys, key)
-            if lo >= keys.shape[0] or keys[lo] != key:
-                out[t] = -1
-            else:
-                out[t] = lo
-        return out
-
-    @njit(cache=True)
-    def _labels_numba(perm_matrix):  # pragma: no cover - via wrapper
-        n = perm_matrix.shape[1]
-        parent = np.arange(n, dtype=np.int64)
-        for g in range(perm_matrix.shape[0]):
-            for i in range(n):
-                x = i
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                y = perm_matrix[g, i]
-                while parent[y] != y:
-                    parent[y] = parent[parent[y]]
-                    y = parent[y]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            x = i
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            labels[i] = x
-        # roots are always the minimum of their class because unions keep
-        # the smaller id as parent
-        return labels
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
-
-def det_mod_batch(mats: np.ndarray, p: int, lane: str | None = None) -> np.ndarray:
-    lane = resolve_lane(lane)
-    if lane == "numba":
-        return _det_mod_numba(mats.astype(np.int64), p)
-    return _det_mod_numpy(mats, p)
-
-
-def enumerate_invertible_keys(p: int, lane: str | None = None) -> np.ndarray:
-    lane = resolve_lane(lane)
-    if lane == "numba":
-        return _enumerate_numba(p)
-    return _enumerate_numpy(p)
-
-
-def generator_permutation(mats: np.ndarray, keys: np.ndarray, gen: np.ndarray,
-                          p: int, left: bool, lane: str | None = None) -> np.ndarray:
-    lane = resolve_lane(lane)
-    if lane == "numba":
-        perm = _perm_numba(mats.astype(np.int64), keys.astype(np.int64),
-                           gen.astype(np.int64), p, left)
-        if (perm < 0).any():
-            raise RuntimeError("generator product left the enumerated group")
-        return perm
-    return _perm_numpy(mats, keys, gen, p, left)
-
-
-def orbit_labels(perms: list[np.ndarray], n: int,
-                 lane: str | None = None) -> np.ndarray:
-    """Labels constant on orbits of the group generated by the permutations.
-
-    Labels are the minimal element id of each orbit under both lanes.
-    """
-    lane = resolve_lane(lane)
-    if lane == "numba":
-        stack = np.stack([p.astype(np.int64) for p in perms])
-        return _labels_numba(stack)
-    return _labels_numpy(perms, n)

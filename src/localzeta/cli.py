@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 1 at least one mismatch, 2 invalid input.
 Instance reports are emitted one JSON object per line so sweeps stream.
 The env var LOCALZETA_WORKERS > 1 runs sweep instances in a process pool;
-report ordering stays by instance index either way.
+report ordering stays by instance index either way.  A value that is not an
+integer >= 1 is an input error.
 """
 
 from __future__ import annotations
@@ -209,9 +210,16 @@ def _run_sweep_instance(payload) -> dict:
 
 
 def _cmd_sweep(args, out) -> int:
+    raw = os.environ.get("LOCALZETA_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0  # reported below, like any count under 1
+    if workers < 1:
+        raise _InputError(
+            f"LOCALZETA_WORKERS must be an integer >= 1, got {raw!r}")
     plan = _sweep_plan(args.seed, args.order, args.repeat)
     payloads = [(obj, args.corrupt_y) for obj in plan]
-    workers = int(os.environ.get("LOCALZETA_WORKERS", "1"))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -234,10 +234,10 @@ class GroupEnumeration:
         return self.mats[idx]
 
 
-def enumerate_gl4(p: int, lane: Optional[str] = None) -> GroupEnumeration:
+def enumerate_gl4(p: int) -> GroupEnumeration:
     """Enumerate GL4(F_p).  Heavy for p = 3 (24 million matrices)."""
     _check_p(p)
-    keys = _kernels.enumerate_invertible_keys(p, lane=lane)
+    keys = _kernels.enumerate_invertible_keys(p)
     return GroupEnumeration(p, keys)
 
 
@@ -264,7 +264,6 @@ def filter_p4(enum: GroupEnumeration) -> np.ndarray:
 class CosetReport:
     p: int
     method: str
-    lane: Optional[str]
     class_count: int
     sizes: list[int]
     flag_orbit_sizes: Optional[list[int]]
@@ -279,7 +278,6 @@ class CosetReport:
         out = {
             "p": self.p,
             "method": self.method,
-            "lane": self.lane,
             "classes": self.class_count,
             "sizes": self.sizes,
             "reps": self.reps,
@@ -294,23 +292,23 @@ class CosetReport:
         return out
 
 
-def _partition_full(p: int, lane: Optional[str]) -> CosetReport:
+def _partition_full(p: int) -> CosetReport:
     if p != 2:
         raise Infeasible(
             f"full enumeration partition is limited to p = 2 "
             f"(GL4(F_{p}) has {gl4_order(p)} elements); use method='quotient'")
     t0 = time.perf_counter()
-    enum = enumerate_gl4(p, lane=lane)
+    enum = enumerate_gl4(p)
     n = len(enum)
     perms = []
     for g in p4_generators(p):
         perms.append(_kernels.generator_permutation(
-            enum.mats, enum.keys, g, p, left=True, lane=lane))
+            enum.mats, enum.keys, g, p, left=True))
     right_gens = gsp4_generators(p)
     for g in right_gens:
         perms.append(_kernels.generator_permutation(
-            enum.mats, enum.keys, g, p, left=False, lane=lane))
-    labels = _kernels.orbit_labels(perms, n, lane=lane)
+            enum.mats, enum.keys, g, p, left=False))
+    labels = _kernels.orbit_labels(perms, n)
     # closure check after fixpoint: every generator preserves the classes
     for perm in perms:
         if not np.array_equal(labels[perm], labels):
@@ -324,12 +322,12 @@ def _partition_full(p: int, lane: Optional[str]) -> CosetReport:
     reps = [enum.mat_of(int(r)).astype(int).tolist() for r in roots]
     elapsed = time.perf_counter() - t0
     return CosetReport(
-        p=p, method="full", lane=_kernels.resolve_lane(lane),
+        p=p, method="full",
         class_count=len(roots), sizes=counts.astype(int).tolist(),
         flag_orbit_sizes=None, reps=reps,
         identity_class=class_index[int(labels[id_identity])],
         t1_class=class_index[int(labels[id_t1])],
-        t1_distinct=labels[id_identity] != labels[id_t1],
+        t1_distinct=bool(labels[id_identity] != labels[id_t1]),
         elapsed_s=elapsed,
         extras={"group_order": n},
     )
@@ -368,7 +366,7 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
     return line, covector
 
 
-def _partition_quotient(p: int, lane: Optional[str]) -> CosetReport:
+def _partition_quotient(p: int) -> CosetReport:
     t0 = time.perf_counter()
     lines = _all_lines(p)
     covectors = _all_lines(p)  # hyperplanes are lines in the dual space
@@ -388,7 +386,7 @@ def _partition_quotient(p: int, lane: Optional[str]) -> CosetReport:
             nphi = _canon_vector(np.asarray(phi, dtype=np.int64) @ b % p, p)
             perm[i] = index[(nv, nphi)]
         actions.append(perm)
-    labels = _kernels.orbit_labels(actions, len(flags), lane="numpy")
+    labels = _kernels.orbit_labels(actions, len(flags))
     for perm in actions:
         if not np.array_equal(labels[perm], labels):
             raise RuntimeError("flag orbit labels not stable under a generator")
@@ -410,7 +408,7 @@ def _partition_quotient(p: int, lane: Optional[str]) -> CosetReport:
             reps.append([list(f) for f in flags[int(r)]])
     elapsed = time.perf_counter() - t0
     return CosetReport(
-        p=p, method="quotient", lane=_kernels.resolve_lane(lane),
+        p=p, method="quotient",
         class_count=len(roots), sizes=sizes, flag_orbit_sizes=flag_sizes,
         reps=reps,
         identity_class=class_index[lab_e], t1_class=class_index[lab_t],
@@ -419,12 +417,11 @@ def _partition_quotient(p: int, lane: Optional[str]) -> CosetReport:
     )
 
 
-def double_coset_partition(p: int, method: str = "full",
-                           lane: Optional[str] = None) -> CosetReport:
+def double_coset_partition(p: int, method: str = "full") -> CosetReport:
     """Partition GL4(F_p) under g ~ a g b with a in P4, b in GSp4."""
     _check_p(p)
     if method == "full":
-        return _partition_full(p, lane)
+        return _partition_full(p)
     if method == "quotient":
-        return _partition_quotient(p, lane)
+        return _partition_quotient(p)
     raise InvalidArgument(f"unknown method {method!r}")

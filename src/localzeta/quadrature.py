@@ -56,6 +56,4 @@ def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
 
 def quad_from_one_to_inf(f, **kw) -> complex:
     """Integral over (1, inf) by shifting to the origin."""
-    if kw.pop("vectorized", False):
-        return quad_zero_to_inf(lambda t: f(1.0 + t), vectorized=True, **kw)
     return quad_zero_to_inf(lambda t: f(1.0 + t), **kw)

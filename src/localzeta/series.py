@@ -161,9 +161,6 @@ class Series:
                 out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
         return Series(out, self.q)
 
-    def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs[: order + 1], self.q, order)
-
     def __eq__(self, other):
         return (isinstance(other, Series) and self.q == other.q
                 and self.coeffs == other.coeffs)
@@ -289,7 +286,3 @@ class RatFn:
 
     def to_json(self):
         return {"numer": self.numer.to_json(), "denom": self.denom.to_json()}
-
-
-def ratfn_to_series(f: RatFn, order: int = DEFAULT_ORDER) -> Series:
-    return f.to_series(order)

@@ -100,12 +100,33 @@ def test_dims_command():
     assert report["checked"] == 70
 
 
-def test_cosets_command_quotient():
-    proc = run_cli("cosets", "--p", "2", "--method", "quotient", check=True)
+COSETS_KEYS = {"p", "method", "classes", "sizes", "reps", "identity_class",
+               "t1_class", "t1_distinct", "elapsed_s"}
+
+
+def _cosets_report(*args, extra_keys):
+    proc = run_cli("cosets", "--p", "2", *args)
+    assert proc.returncode == 0, proc.stderr
     (report,) = _lines(proc)
+    assert set(report) == COSETS_KEYS | extra_keys
     assert report["classes"] == 2
     assert sorted(report["sizes"]) == [2880, 17280]
     assert report["t1_distinct"] is True
+    return report
+
+
+def test_cosets_command_quotient():
+    report = _cosets_report(
+        "--method", "quotient",
+        extra_keys={"flag_orbit_sizes", "flags", "p4_order"})
+    assert report["method"] == "quotient"
+
+
+def test_cosets_command_full():
+    # the documented default route
+    report = _cosets_report(extra_keys={"group_order"})
+    assert report["method"] == "full"
+    assert report["group_order"] == 20160
 
 
 def test_cosets_bad_p():
@@ -170,6 +191,18 @@ def test_sweep_workers_env(tmp_path):
     assert proc.returncode == 0
     serial = run_cli("sweep", "--seed", "11", check=True)
     assert proc.stdout == serial.stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_sweep_bad_workers_env_exit_2(value):
+    env = dict(os.environ, LOCALZETA_WORKERS=value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "localzeta", "sweep", "--seed", "11"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "LOCALZETA_WORKERS" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_out_flag_writes_file(tmp_path):

@@ -1,11 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from localzeta import _kernels, cosets
 from localzeta.errors import Infeasible, Unsupported
-
-
-LANES = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
 
 
 def test_order_formulas_derived():
@@ -22,16 +21,15 @@ def test_order_formulas_derived():
     assert cosets.gsp4_order(3) == 2 * cosets.sp4_order(3) == 103680
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_enumeration_p2(lane):
-    enum = cosets.enumerate_gl4(2, lane=lane)
+def test_enumeration_p2():
+    enum = cosets.enumerate_gl4(2)
     assert len(enum) == 20160
     eye = np.eye(4, dtype=np.int64)
     idx = enum.id_of(eye)
     assert np.array_equal(enum.mat_of(idx), eye)
     # identity is idempotent under the product action
     perm = _kernels.generator_permutation(enum.mats, enum.keys, eye, 2,
-                                          left=True, lane=lane)
+                                          left=True)
     assert np.array_equal(perm, np.arange(len(enum)))
 
 
@@ -49,7 +47,7 @@ def test_full_method_p3_infeasible():
 
 @pytest.fixture(scope="module")
 def enum2():
-    return cosets.enumerate_gl4(2, lane="numpy")
+    return cosets.enumerate_gl4(2)
 
 
 def test_filter_gsp4(enum2):
@@ -87,28 +85,17 @@ def test_generator_sets_generate_p3():
     assert cosets.generated_subgroup_order(cosets.gsp4_generators(3), 3) == 103680
 
 
-@pytest.mark.parametrize("lane", LANES)
-def test_partition_p2_full(lane):
-    report = cosets.double_coset_partition(2, method="full", lane=lane)
+def test_partition_p2_full():
+    report = cosets.double_coset_partition(2, method="full")
     assert report.class_count == 2
     assert sum(report.sizes) == 20160
     assert report.t1_distinct
     assert report.identity_class != report.t1_class
 
 
-def test_lanes_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    a = cosets.double_coset_partition(2, method="full", lane="numpy")
-    b = cosets.double_coset_partition(2, method="full", lane="numba")
-    assert a.sizes == b.sizes
-    assert a.reps == b.reps
-    assert (a.identity_class, a.t1_class) == (b.identity_class, b.t1_class)
-
-
 def test_partition_against_direct_product_oracle(enum2):
     """Compute P4 g GSp4 for g in {1, t1} literally and compare."""
-    report = cosets.double_coset_partition(2, method="full", lane="numpy")
+    report = cosets.double_coset_partition(2, method="full")
     A = enum2.mats[cosets.filter_p4(enum2)].astype(np.int64)
     B = enum2.mats[cosets.filter_gsp4(enum2)].astype(np.int64)
 
@@ -141,7 +128,7 @@ def test_partition_quotient(p):
 
 
 def test_quotient_matches_full_at_p2():
-    full = cosets.double_coset_partition(2, method="full", lane="numpy")
+    full = cosets.double_coset_partition(2, method="full")
     quot = cosets.double_coset_partition(2, method="quotient")
     assert sorted(full.sizes) == sorted(quot.sizes)
     assert (full.sizes[full.identity_class]
@@ -151,7 +138,7 @@ def test_quotient_matches_full_at_p2():
 def test_flag_invariant_is_coset_invariant():
     # multiplying by random P4 elements on the left fixes the flag
     rng = np.random.default_rng(7)
-    enum = cosets.enumerate_gl4(2, lane="numpy")
+    enum = cosets.enumerate_gl4(2)
     p4_ids = cosets.filter_p4(enum)
     g = enum.mat_of(12345).astype(np.int64)
     base = cosets.flag_of_coset(g, 2)
@@ -161,9 +148,10 @@ def test_flag_invariant_is_coset_invariant():
 
 
 def test_report_json():
-    report = cosets.double_coset_partition(2, method="quotient")
-    obj = report.to_json()
-    assert obj["classes"] == 2
-    assert obj["t1_distinct"] is True
-    assert obj["p"] == 2
-    assert len(obj["reps"]) == 2
+    for method in ("full", "quotient"):
+        report = cosets.double_coset_partition(2, method=method)
+        obj = json.loads(json.dumps(report.to_json()))
+        assert obj["classes"] == 2
+        assert obj["t1_distinct"] is True
+        assert obj["p"] == 2
+        assert len(obj["reps"]) == 2

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from localzeta import (DivisionByNonUnit, InvalidArgument, Poly, QScalar,
-                       RatFn, Series, poly_series, ratfn_to_series,
-                       series_div, series_equal)
+                       RatFn, Series, poly_series, series_div,
+                       series_equal)
 
 from conftest import nonzero_fraction, rq
 
@@ -19,6 +19,8 @@ def test_geometric_series():
     num = _series([1], q, order=5)
     den = _series([1, -1], q, order=5)
     assert series_div(num, den) == _series([1] * 6, q)
+    f = RatFn(Poly([1], 3), Poly([1, -1], 3))
+    assert f.to_series(3) == _series([1, 1, 1, 1], 3)
 
 
 def test_exact_cancellation():
@@ -167,9 +169,3 @@ def test_series_json():
     s = Series([QScalar(1, Fraction(1, 2), q)], q, order=1)
     assert s.to_json() == [{"rat": "1", "sqrt": "1/2"},
                            {"rat": "0", "sqrt": "0"}]
-
-
-def test_ratfn_to_series_alias():
-    q = 3
-    f = RatFn(Poly([1], q), Poly([1, -1], q))
-    assert ratfn_to_series(f, 3) == _series([1, 1, 1, 1], q)
