@@ -12,7 +12,7 @@ from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   induced_invariant_dim, newform_space_dim, newform_value)
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
-                     poly_series, series_div, series_equal)
+                     series_div, series_equal)
 from .zeta import (LocalInstance, VerificationReport, hq_substituted,
                    lfactor_chi_restriction, lfactor_gsp4_gl2_case2,
                    lfactor_triple_case2, random_local_instance,

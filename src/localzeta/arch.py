@@ -64,10 +64,6 @@ class ArchSpec:
         return self.l1 - 2 * self.l if self.l <= self.l1 else -self.l1
 
     @property
-    def r_param(self) -> complex:
-        return complex(self.ir) / 1j
-
-    @property
     def gate(self) -> complex:
         return 6 * complex(self.s) + 2 * self.l + self.l2 - complex(self.q_exp) - 1
 

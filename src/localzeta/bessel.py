@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import InvalidArgument, InvalidBesselDatum
 from .scalars import QScalar
-from .series import Poly, Series, poly_series, series_div
+from .series import Poly, RatFn, Series
 
 INERT, RAMIFIED, SPLIT = -1, 0, 1
 
@@ -160,6 +160,4 @@ def bessel_coeffs(p: SatakeParams, d: BesselDatum, order: int) -> Series:
     """Coefficients B(h(l,0)) for l = 0..order; B(h(0,0)) = 1."""
     if p.q != d.q:
         raise InvalidArgument("Satake parameters and Bessel datum q mismatch")
-    H = sugano_H(d, p.q)
-    Q = sugano_Q(p)
-    return series_div(poly_series(H, order), poly_series(Q, order))
+    return RatFn(sugano_H(d, p.q), sugano_Q(p)).to_series(order)

@@ -40,6 +40,12 @@ class _InputError(Exception):
     pass
 
 
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    """Reject a command-line count below low before any work starts."""
+    if value < low:
+        raise _InputError(f"{flag} must be >= {low}, got {value}")
+
+
 def _emit(obj, out) -> None:
     out.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -79,15 +85,17 @@ def _cmd_bessel(args, out) -> int:
         order = args.order if args.order is not None else data.get("order", DEFAULT_ORDER)
         satake = SatakeParams.from_json(data["satake"], q)
         datum = BesselDatum.from_json(data["bessel"], q)
+        series = bessel_coeffs(satake, datum, order)
     except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(str(exc))
-    series = bessel_coeffs(satake, datum, order)
     _emit({"q": q, "order": order,
            "coefficients": series.to_json()}, out)
     return EXIT_OK
 
 
 def _cmd_dims(args, out) -> int:
+    _require_at_least("--max-n", args.max_n, 0)
+    _require_at_least("--max-r", args.max_r, 0)
     mismatches = 0
     checked = 0
     for n in range(args.max_n + 1):
@@ -210,6 +218,8 @@ def _run_sweep_instance(payload) -> dict:
 
 
 def _cmd_sweep(args, out) -> int:
+    _require_at_least("--order", args.order, 0)
+    _require_at_least("--repeat", args.repeat, 1)
     raw = os.environ.get("LOCALZETA_WORKERS", "1")
     try:
         workers = int(raw)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import InvalidArgument, QuadratureError
 
 _C = np.pi / 2.0
 _CUTOFF = 6.5  # |sinh argument| cap; nodes beyond carry ~1e-200 weights
@@ -27,14 +27,17 @@ def _nodes(h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
-                     min_level: int = 3, vectorized: bool = False) -> complex:
+                     vectorized: bool = False) -> complex:
     """Integral of f over (0, inf) for decaying f.
 
     f takes a positive float (or an ndarray when vectorized=True) and must
-    return finite values, with 0.0 past its decay range.
+    return finite values, with 0.0 past its decay range.  Sums start at
+    step 1/4 and are compared from step 1/8 on.
     """
+    if max_level < 3:
+        raise InvalidArgument("max_level must be >= 3, the first compared level")
     prev = None
-    for level in range(1, max_level + 1):
+    for level in range(2, max_level + 1):
         h = 1.0 / 2**level
         t, w = _nodes(h)
         if vectorized:
@@ -44,7 +47,7 @@ def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")
         total = complex(np.sum(w * vals))
-        if prev is not None and level >= min_level:
+        if prev is not None:
             err = abs(total - prev)
             if err <= target * max(abs(total), 1e-300):
                 return total

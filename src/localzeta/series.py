@@ -123,13 +123,8 @@ class Series:
 
     __slots__ = ("coeffs", "q")
 
-    def __init__(self, coeffs, q: int, order: Optional[int] = None):
+    def __init__(self, coeffs, q: int):
         cs = _promote(coeffs, q)
-        if order is not None:
-            if order < 0:
-                raise InvalidArgument("order must be >= 0")
-            zero = QScalar.zero(q)
-            cs = (cs + [zero] * (order + 1 - len(cs)))[: order + 1]
         if not cs:
             raise InvalidArgument("a series needs at least the constant term")
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -141,25 +136,6 @@ class Series:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.q)
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)], self.q)
-
-    def __mul__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        zero = QScalar.zero(self.q)
-        out = [zero] * (n + 1)
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
-        return Series(out, self.q)
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.q == other.q
@@ -195,26 +171,27 @@ class SeriesComparison:
         }
 
 
-def poly_series(p: Poly, order: int) -> Series:
-    return Series(list(p.coeffs), p.q, order)
+def series_div(num: Poly, den: Poly, order: int) -> Series:
+    """Taylor coefficients 0..order of num/den at T = 0.
 
-
-def series_div(num: Series, den: Series) -> Series:
-    """The unique series s with s*den = num, up to min(order).
-
-    Only the constant term of den is ever inverted; in this package it is
-    always 1.
+    Both operands stay unpadded: coefficient k is read from num only while
+    k <= deg(num), and den contributes only its stored coefficients, so the
+    inner loop runs to min(k, deg(den)).  Only the constant term of den is
+    ever inverted; in this package it is always 1.
     """
-    n = min(num.order, den.order)
-    d0 = den.coeffs[0]
+    if order < 0:
+        raise InvalidArgument("order must be >= 0")
+    d0 = den.constant()
     if d0.norm() == 0:
         raise DivisionByNonUnit("series division by non-invertible constant term")
     d0inv = d0.inverse()
+    zero = QScalar.zero(num.q)
+    a, d = num.coeffs, den.coeffs
     out: list[QScalar] = []
-    for k in range(n + 1):
-        acc = num.coeffs[k]
-        for j in range(1, k + 1):
-            acc = acc - den.coeffs[j] * out[k - j]
+    for k in range(order + 1):
+        acc = a[k] if k < len(a) else zero
+        for j in range(1, min(k, den.degree) + 1):
+            acc = acc - d[j] * out[k - j]
         out.append(acc * d0inv)
     return Series(out, num.q)
 
@@ -274,8 +251,7 @@ class RatFn:
 
     def to_series(self, order: int = DEFAULT_ORDER) -> Series:
         """Taylor expansion at T = 0."""
-        return series_div(poly_series(self.numer, order),
-                          poly_series(self.denom, order))
+        return series_div(self.numer, self.denom, order)
 
     def eval_at(self, t: QScalar) -> QScalar:
         """Evaluate at a scalar point; the denominator must be invertible there."""

@@ -27,7 +27,7 @@ from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local, newform_value)
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
-                     poly_series, series_equal)
+                     series_equal)
 
 
 class LocalInstance:

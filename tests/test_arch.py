@@ -95,6 +95,11 @@ def test_whittaker_bessel_k_identity():
         assert abs(got - expected) / abs(expected) < 1e-10
 
 
+def test_quadrature_needs_a_compared_level():
+    with pytest.raises(InvalidArgument):
+        quad_zero_to_inf(lambda t: np.exp(-t), vectorized=True, max_level=2)
+
+
 def test_whittaker_asymptotics():
     # W ~ e^{-x/2} x^kappa (1 + O(1/x))
     kappa, mu = 0.3, 0.7

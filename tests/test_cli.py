@@ -93,6 +93,35 @@ def test_bessel_table(tmp_path):
     assert table["coefficients"][1] == {"rat": "0", "sqrt": "3/8"}
 
 
+def _assert_input_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_bessel_negative_order_exit_2(tmp_path):
+    path = tmp_path / "bessel.json"
+    path.write_text(json.dumps({
+        "q": 4,
+        "satake": WORKED_CASE2["satake"],
+        "bessel": WORKED_CASE2["bessel"],
+    }))
+    _assert_input_error(run_cli("bessel", "--params", str(path),
+                                "--order", "-1"))
+
+
+@pytest.mark.parametrize("args", [
+    ("sweep", "--order", "-1"),
+    # counts that would check nothing must not report a pass
+    ("sweep", "--repeat", "0"),
+    ("dims", "--max-r", "-1"),
+    ("dims", "--max-n", "-1"),
+])
+def test_out_of_range_count_exit_2(args):
+    _assert_input_error(run_cli(*args))
+
+
 def test_dims_command():
     proc = run_cli("dims", check=True)
     (report,) = _lines(proc)

@@ -4,30 +4,35 @@ from fractions import Fraction
 import pytest
 
 from localzeta import (DivisionByNonUnit, InvalidArgument, Poly, QScalar,
-                       RatFn, Series, poly_series, series_div,
-                       series_equal)
+                       RatFn, Series, series_div, series_equal)
 
 from conftest import nonzero_fraction, rq
 
 
-def _series(vals, q, order=None):
-    return Series([Fraction(v) for v in vals], q, order)
+def _series(vals, q):
+    return Series([Fraction(v) for v in vals], q)
+
+
+def _truncated(p: Poly, order: int) -> Poly:
+    """p mod T^(order+1), the part a series of that order determines."""
+    return Poly(p.coeffs[: order + 1], p.q)
+
+
+def _multiplied_back(s: Series, den: Poly) -> Poly:
+    return _truncated(Poly(s.coeffs, s.q) * den, s.order)
 
 
 def test_geometric_series():
     q = 5
-    num = _series([1], q, order=5)
-    den = _series([1, -1], q, order=5)
-    assert series_div(num, den) == _series([1] * 6, q)
+    assert series_div(Poly([1], q), Poly([1, -1], q), 5) == _series([1] * 6, q)
     f = RatFn(Poly([1], 3), Poly([1, -1], 3))
     assert f.to_series(3) == _series([1, 1, 1, 1], 3)
 
 
 def test_exact_cancellation():
     q = 5
-    num = _series([1, 0, -1], q, order=3)
-    den = _series([1, -1], q, order=3)
-    assert series_div(num, den) == _series([1, 1, 0, 0], q)
+    s = series_div(Poly([1, 0, -1], q), Poly([1, -1], q), 3)
+    assert s == _series([1, 1, 0, 0], q)
 
 
 def test_sqrt_division_derived():
@@ -35,18 +40,59 @@ def test_sqrt_division_derived():
     q = 2
     one = QScalar.one(q)
     root = QScalar.root_q(q)
-    num = Series([one], q, order=2)
-    den = Series([one, -root], q, order=2)
-    s = series_div(num, den)
+    num = Poly([one], q)
+    den = Poly([one, -root], q)
+    s = series_div(num, den, 2)
     assert s.coeffs == (one, root, rq(2, q))
-    assert s * den == num
+    assert _multiplied_back(s, den) == num
 
 
 def test_division_by_non_unit():
     q = 4
-    bad = Series([QScalar(2, 1, q), QScalar.one(q)], q)  # norm-zero constant
+    bad = Poly([QScalar(2, 1, q), QScalar.one(q)], q)  # norm-zero constant
     with pytest.raises(DivisionByNonUnit):
-        series_div(Series([QScalar.one(q)], q, order=1), bad)
+        series_div(Poly.one(q), bad, 1)
+    with pytest.raises(DivisionByNonUnit):
+        series_div(Poly.one(q), Poly.zero(q), 1)
+
+
+def test_series_div_order_zero():
+    q = 5
+    s = series_div(Poly([3, 5], q), Poly([1, 7], q), 0)
+    assert s == _series([3], q)
+    assert RatFn(Poly([3, 5], q), Poly([1, 7], q)).to_series(0) == s
+
+
+def test_series_div_order_below_degrees():
+    # (1 + T^4) / (1 - T + T^3) to order 2 never reaches T^3 or T^4
+    q = 5
+    num = Poly([1, 0, 0, 0, 1], q)
+    den = Poly([1, -1, 0, 1], q)
+    short = series_div(num, den, 2)
+    assert short == _series([1, 1, 1], q)
+    longer = series_div(num, den, 8)
+    assert short.coeffs == longer.coeffs[:3]
+    assert _multiplied_back(longer, den) == num
+
+
+def test_series_div_interior_zero_denominator():
+    # (1 + T) / (1 - x T^2) = sum_k x^floor(k/2) T^k, with x irrational
+    q = 2
+    x = QScalar(Fraction(1, 3), Fraction(1, 2), q)
+    den = Poly([1, 0, -x], q)
+    s = series_div(Poly([1, 1], q), den, 7)
+    assert s.coeffs == tuple(x ** (k // 2) for k in range(8))
+    odd = series_div(Poly.one(q), den, 7)
+    assert all(odd.coeffs[k].is_zero() for k in range(1, 8, 2))
+
+
+def test_negative_order_rejected():
+    q = 3
+    f = RatFn(Poly([1], q), Poly([1, -1], q))
+    with pytest.raises(InvalidArgument):
+        f.to_series(-1)
+    with pytest.raises(InvalidArgument):
+        series_div(f.numer, f.denom, -1)
 
 
 def _geometric_double_pole(c, order):
@@ -122,7 +168,7 @@ def test_ratfn_series_multiplies_back(q):
         f = _random_poly(rng, q, rng.randint(1, 4), unit_constant=True)
         g = _random_poly(rng, q, rng.randint(0, 4))
         s = RatFn(g, f).to_series(order)
-        assert s * poly_series(f, order) == poly_series(g, order)
+        assert _multiplied_back(s, f) == _truncated(g, order)
 
 
 def test_series_div_inverts_mul():
@@ -130,9 +176,9 @@ def test_series_div_inverts_mul():
     q = 7
     order = 9
     for _ in range(20):
-        u = Series([1] + [nonzero_fraction(rng) for _ in range(order)], q)
-        v = Series([nonzero_fraction(rng) for _ in range(order + 1)], q)
-        assert series_div(u * v, u) == v
+        u = Poly([1] + [nonzero_fraction(rng) for _ in range(order)], q)
+        v = Poly([nonzero_fraction(rng) for _ in range(order + 1)], q)
+        assert series_div(u * v, u, order) == Series(v.coeffs, q)
 
 
 def test_poly_trimming_and_degree():
@@ -166,6 +212,6 @@ def test_ratfn_requires_unit_denominator():
 
 def test_series_json():
     q = 2
-    s = Series([QScalar(1, Fraction(1, 2), q)], q, order=1)
+    s = series_div(Poly([QScalar(1, Fraction(1, 2), q)], q), Poly.one(q), 1)
     assert s.to_json() == [{"rat": "1", "sqrt": "1/2"},
                            {"rat": "0", "sqrt": "0"}]
