@@ -18,17 +18,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .cgamma import complex_gamma, digamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
-                     QuadratureError, UnsupportedParameters)
+                     UnsupportedParameters)
 from .quadrature import _nodes, quad_from_one_to_inf, quad_zero_to_inf
 
 _TOL = 1e-12
-_EXP_FLOOR = -745.0
+_EXP_FLOOR = -708.0  # about the smallest normal double, e^-708.4
+_EXP_CEIL = 709.78  # just below the log of the largest double, 709.7827
 
 
 @dataclass(frozen=True)
@@ -96,79 +96,67 @@ class ArchSpec:
 # Whittaker function
 # ---------------------------------------------------------------------------
 
-def _whittaker_regime(kappa: complex, mu: complex) -> Optional[str]:
+def _whittaker_params(kappa: complex,
+                      mu: complex) -> tuple[complex, complex, str]:
+    """(kappa, mu, regime) with Re mu >= 0, by W_{kappa,mu} = W_{kappa,-mu}
+    (DLMF 13.14.31); raises UnsupportedParameters outside both regimes."""
     kappa, mu = complex(kappa), complex(mu)
+    if mu.real < 0:
+        mu = -mu
     if (abs(kappa.imag) <= _TOL and abs(mu.imag) <= _TOL
             and abs(2 * kappa.real - round(2 * kappa.real)) <= _TOL
             and abs(mu.real - (kappa.real - 0.5)) <= _TOL):
-        return "closed"
+        return kappa, mu, "closed"
     if (mu - kappa + 0.5).real > 0:
-        return "integral"
-    return None
+        return kappa, mu, "integral"
+    raise UnsupportedParameters(
+        f"(kappa, mu) = ({kappa}, {mu}) lies in neither supported regime")
 
 
 def _guarded_exp(expo: np.ndarray) -> np.ndarray:
+    if np.any(expo.real > _EXP_CEIL):
+        raise InvalidArgument("Whittaker value exceeds the double range")
     safe = np.where(expo.real < _EXP_FLOOR, _EXP_FLOOR, expo)
     return np.where(expo.real < _EXP_FLOOR, 0.0, np.exp(safe))
 
 
-def _whittaker_integral_batch(kappa: complex, mu: complex, xs: np.ndarray,
-                              target: float = 1e-12, max_level: int = 11,
-                              weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """W_{kappa,mu} on an array of positive x, by the t-integral.
-
-    Uses W = e^(-x/2) x^(1/2-mu) / Gamma(mu-kappa+1/2)
-              * int_0^inf e^-t t^(mu-kappa-1/2) (x+t)^(mu+kappa-1/2) dt,
-    evaluated as a log-sum-exp so that huge intermediate powers never
-    overflow.  Convergence is judged in a weighted sup norm: a caller
-    integrating W against a known factor passes |factor| as weights so that
-    x values with negligible contribution cannot stall the refinement.
-    """
-    c1 = mu - kappa - 0.5
-    c2 = mu + kappa - 0.5
-    log_gamma = cmath.log(complex_gamma(mu - kappa + 0.5))
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0, dtype=complex)
-    if weights is None:
-        weights = np.ones_like(xs)
-    logx = np.log(xs)
-    base = -xs / 2.0 + (0.5 - mu) * logx - log_gamma
-
-    prev = None
-    for level in range(2, max_level + 1):
-        h = 1.0 / 2**level
-        t, w = _nodes(h)
-        expo = (-t[None, :] + c1 * np.log(t)[None, :]
-                + c2 * np.log(xs[:, None] + t[None, :]))
-        m = expo.real.max(axis=1)
-        scaled = np.sum(w[None, :] * _guarded_exp(expo - m[:, None]), axis=1)
-        logw = base + m + np.log(scaled)
-        vals = _guarded_exp(logw)
-        if prev is not None:
-            scale = (weights * np.abs(vals)).max()
-            if scale < 1e-300:
-                return vals
-            err = (weights * np.abs(vals - prev)).max() / scale
-            if err <= target:
-                return vals
-        prev = vals
-    raise QuadratureError("Whittaker integral did not converge")
-
-
 def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
-                      weights: Optional[np.ndarray] = None) -> np.ndarray:
-    regime = _whittaker_regime(kappa, mu)
+                      log_factor=0.0) -> np.ndarray:
+    """W_{kappa,mu}(x) * exp(log_factor) on an array of positive x.
+
+    The caller's factor joins W's exponent before the one exp, so W and the
+    factor may each leave the double range where their product does not; a
+    product that does raises InvalidArgument.  In the integral regime the
+    values are accurate relative to the batch's largest x * |W * factor|,
+    which is each x's contribution to a DE sum over x.
+    """
+    kappa, mu, regime = _whittaker_params(kappa, mu)
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0):
-        raise InvalidArgument("Whittaker argument must be positive")
+    if not np.all((xs > 0) & np.isfinite(xs)):
+        raise InvalidArgument("Whittaker argument must be positive and finite")
+    logx = np.log(xs)
     if regime == "closed":
         # W_{l/2,(l-1)/2}(x) = e^(-x/2) x^(l/2)
-        return _guarded_exp(-xs / 2.0 + complex(kappa) * np.log(xs))
-    if regime == "integral":
-        return _whittaker_integral_batch(kappa, mu, xs, weights=weights)
-    raise UnsupportedParameters(
-        f"(kappa, mu) = ({kappa}, {mu}) lies in neither supported regime")
+        return _guarded_exp(-xs / 2.0 + kappa * logx + log_factor)
+    if xs.size == 0:
+        return np.zeros(0, dtype=complex)
+    # x * W * factor = x^(3/2-mu) e^(-x/2) factor / Gamma(mu-kappa+1/2)
+    #   * int_0^inf e^-t t^(mu-kappa-1/2) (x+t)^(mu+kappa-1/2) dt,
+    # one row per x.  Shifting the exponent by its largest value on the
+    # level-2 nodes puts the largest contribution near 1, so the batch
+    # converges relative to it and no row is computed in the subnormals.
+    row = (-xs / 2.0 + (1.5 - mu) * logx + log_factor
+           - cmath.log(complex_gamma(mu - kappa + 0.5)))[:, None]
+
+    def expo(t):
+        return (row - t + (mu - kappa - 0.5) * np.log(t)
+                + (mu + kappa - 0.5) * np.log(xs[:, None] + t))
+
+    shift = expo(_nodes(0.25)[0]).real.max()
+    total = quad_zero_to_inf(lambda t: _guarded_exp(expo(t) - shift),
+                             target=1e-12, max_level=11, vectorized=True)
+    with np.errstate(divide="ignore"):  # log(0) = -inf for rows that underflow
+        return _guarded_exp(shift - logx + np.log(total))
 
 
 def whittaker_W(kappa: complex, mu: complex, x: float) -> complex:
@@ -198,33 +186,25 @@ def mellin_whittaker_check(kappa: complex, mu: complex, sigma: complex,
     """Quadrature of int_0^inf W_{kappa,mu}(x) e^(-x/2) x^(sigma-1) dx
     against Gamma(sigma+1/2+mu) Gamma(sigma+1/2-mu) / Gamma(sigma-kappa+1).
     """
-    kappa, mu, sigma = complex(kappa), complex(mu), complex(sigma)
-    regime = _whittaker_regime(kappa, mu)
-    if regime is None:
-        raise UnsupportedParameters("Whittaker parameters unsupported")
+    kappa, m, regime = _whittaker_params(kappa, mu)
+    mu, sigma = complex(mu), complex(sigma)
     if regime == "integral":
-        if (sigma + 0.5 + mu).real <= 0 or (sigma + 0.5 - mu).real <= 0:
+        if (sigma + 0.5 + m).real <= 0 or (sigma + 0.5 - m).real <= 0:
             raise InvalidArgument("Re(sigma + 1/2 +- mu) > 0 required")
     else:
         if (sigma + kappa).real <= 0:
             raise InvalidArgument("Re(sigma + kappa) > 0 required")
 
-    def f(xs):
-        # the node weight is proportional to x, so |x^sigma e^(-x/2)| tracks
-        # each node's actual contribution to the outer sum
-        proxy = np.exp(np.maximum(
-            -xs / 2.0 + sigma.real * np.log(xs), _EXP_FLOOR))
-        w = whittaker_w_array(kappa, mu, xs, weights=proxy)
-        extra = _guarded_exp(-xs / 2.0 + (sigma - 1) * np.log(xs))
-        return w * extra
-
-    integral = quad_zero_to_inf(f, target=target, vectorized=True)
-    if abs(mu - (kappa - 0.5)) < 1e-10:
+    integral = quad_zero_to_inf(
+        lambda xs: whittaker_w_array(
+            kappa, m, xs, log_factor=-xs / 2.0 + (sigma - 1) * np.log(xs)),
+        target=target, vectorized=True)
+    if abs(m - (kappa - 0.5)) < 1e-10:
         # the Gamma(sigma+1/2-mu)/Gamma(sigma-kappa+1) ratio cancels exactly
-        gamma_value = complex_gamma(sigma + 0.5 + mu)
+        gamma_value = complex_gamma(sigma + 0.5 + m)
     else:
-        gamma_value = (complex_gamma(sigma + 0.5 + mu)
-                       * complex_gamma(sigma + 0.5 - mu)
+        gamma_value = (complex_gamma(sigma + 0.5 + m)
+                       * complex_gamma(sigma + 0.5 - m)
                        / complex_gamma(sigma - kappa + 1.0))
     rel = abs(integral - gamma_value) / abs(gamma_value)
     return MellinReport(kappa, mu, sigma, integral, gamma_value, rel)
@@ -249,39 +229,19 @@ def arch_zeta_quadrature(spec: ArchSpec, inner_target: float = 1e-12,
     s, q = complex(spec.s), complex(spec.q_exp)
     kappa = spec.l1 / 2.0
     mu = complex(spec.ir) / 2.0
-    regime = _whittaker_regime(kappa, mu)
-    if regime is None:
-        raise UnsupportedParameters("Whittaker parameters unsupported")
+    _whittaker_params(kappa, mu)  # fails before any quadrature if unsupported
     u_pow = -3 * s - 1.5 + q / 2 - spec.l - spec.l2
     lam_pow = 3 * s - 1.5 + spec.l - q / 2
     sqrt_d = math.sqrt(spec.D)
 
     def inner(u: float) -> complex:
         c = 4 * math.pi * sqrt_d * u
-        logc = math.log(c)
 
-        if regime == "closed":
-            def g(lams):
-                # W(x) e^(-x/2) = e^(-x) x^(l1/2) with x = c*lambda
-                loglam = np.log(lams)
-                x = np.minimum(c * lams, 1e308)
-                expo = (-x + (lam_pow - 1) * loglam
-                        + kappa * (logc + loglam))
-                return _guarded_exp(expo)
-        else:
-            def g(lams):
-                x = c * lams
-                out = np.zeros(len(lams), dtype=complex)
-                keep = x < 2000.0  # beyond this W(x) e^(-x/2) underflows
-                if keep.any():
-                    proxy = np.exp(np.maximum(
-                        -x[keep] / 2.0 + lam_pow.real * np.log(lams[keep]),
-                        _EXP_FLOOR))
-                    w = whittaker_w_array(kappa, mu, x[keep], weights=proxy)
-                    expo = (-x[keep] / 2.0
-                            + (lam_pow - 1) * np.log(lams[keep]))
-                    out[keep] = w * _guarded_exp(expo)
-                return out
+        def g(lams):
+            # x stays below the double range; W(x) e^(-x/2) is 0 long before
+            x = c * np.minimum(lams, 1e300 / c)
+            return whittaker_w_array(kappa, mu, x, log_factor=(
+                -x / 2.0 + (lam_pow - 1) * np.log(lams)))
 
         return quad_zero_to_inf(g, target=inner_target, vectorized=True)
 

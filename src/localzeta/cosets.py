@@ -34,11 +34,6 @@ T2 = ((1, 0, 0, 0),
       (0, 0, 1, 0),
       (0, -1, 0, 0))
 
-T3 = ((1, 0, 0, 0),
-      (0, 1, 0, 0),
-      (0, 0, 0, 1),
-      (0, 0, 1, 0))
-
 # Positions allowed to be nonzero in P4 (row, col).
 _P4_PATTERN = {(0, 0), (0, 1), (0, 2), (0, 3),
                (1, 1), (1, 2), (1, 3),

@@ -27,12 +27,16 @@ def _nodes(h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
-                     vectorized: bool = False) -> complex:
+                     vectorized: bool = False) -> complex | np.ndarray:
     """Integral of f over (0, inf) for decaying f.
 
     f takes a positive float (or an ndarray when vectorized=True) and must
-    return finite values, with 0.0 past its decay range.  Sums start at
-    step 1/4 and are compared from step 1/8 on.
+    return finite values, with 0.0 past its decay range.  A vectorized f may
+    return a batch, one integrand per row with the nodes on the last axis;
+    the result is then the array of row integrals, and the batch has
+    converged when the largest change of a row is within target of the
+    largest row total.  Sums start at step 1/4 and are compared from step
+    1/8 on.
     """
     if max_level < 3:
         raise InvalidArgument("max_level must be >= 3, the first compared level")
@@ -46,15 +50,15 @@ def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
             vals = np.array([f(x) for x in t])
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")
-        total = complex(np.sum(w * vals))
+        total = np.sum(w * vals, axis=-1)
         if prev is not None:
-            err = abs(total - prev)
-            if err <= target * max(abs(total), 1e-300):
-                return total
+            delta = np.max(np.abs(total - prev))
+            if delta <= target * max(np.max(np.abs(total)), 1e-300):
+                return complex(total) if total.ndim == 0 else total
         prev = total
     raise QuadratureError(
         f"no convergence to {target} within {max_level} levels "
-        f"(last delta {abs(total - prev):.3e})")
+        f"(last delta {delta:.3e}, between levels {level - 1} and {level})")
 
 
 def quad_from_one_to_inf(f, **kw) -> complex:

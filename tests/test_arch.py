@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from localzeta.arch import (ArchSpec, arch_zeta_closed,
                             whittaker_w_array)
 from localzeta.cgamma import complex_gamma, digamma, gamma_selftest
 from localzeta.errors import (DivergentParameters, InvalidArgument, PoleError,
-                              UnsupportedParameters)
+                              QuadratureError, UnsupportedParameters)
 from localzeta.quadrature import quad_zero_to_inf
 
 
@@ -100,6 +101,15 @@ def test_quadrature_needs_a_compared_level():
         quad_zero_to_inf(lambda t: np.exp(-t), vectorized=True, max_level=2)
 
 
+def test_quadrature_error_reports_last_delta():
+    with pytest.raises(QuadratureError) as info:
+        quad_zero_to_inf(lambda t: np.cos(50 * t) * np.exp(-t),
+                         vectorized=True, max_level=4)
+    delta = float(re.search(r"last delta (\S+),", str(info.value)).group(1))
+    assert delta > 0
+    assert "levels 3 and 4" in str(info.value)
+
+
 def test_whittaker_asymptotics():
     # W ~ e^{-x/2} x^kappa (1 + O(1/x))
     kappa, mu = 0.3, 0.7
@@ -124,6 +134,8 @@ def test_whittaker_unsupported():
         whittaker_W(2.0, 0.0, 1.0)  # mu - kappa + 1/2 = -1.5
     with pytest.raises(InvalidArgument):
         whittaker_W(0.0, 0.0, -1.0)
+    with pytest.raises(InvalidArgument):
+        whittaker_W(5.0, 5.25, 1e-80)  # about 1e380, beyond the doubles
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +168,16 @@ def test_mellin_random_admissible(rng):
         checked += 1
 
 
-def test_mellin_complex_parameters():
-    report = mellin_whittaker_check(0.2 + 0.1j, 0.6 + 0.2j, 1.1 - 0.3j)
+@pytest.mark.parametrize("kappa, mu, sigma", [
+    (0.2 + 0.1j, 0.6 + 0.2j, 1.1 - 0.3j),
+    # l1 = 10 with ir = 10.5, 12, 11+0.5i; sigma is the arch lambda power
+    # at l = 10, s = 7/6
+    (5.0, 5.25, 12.0),
+    (5.0, 6.0, 12.0),
+    (5.0, 5.5 + 0.25j, 12.0),
+], ids=["complex", "ir10.5", "ir12", "ir11+0.5i"])
+def test_mellin_integral_regime(kappa, mu, sigma):
+    report = mellin_whittaker_check(kappa, mu, sigma)
     assert report.rel_error <= 1e-8
 
 
@@ -218,6 +238,11 @@ def test_ir_sign_symmetry():
     plus = arch_zeta_closed(ArchSpec(ir=9.0, **base))
     minus = arch_zeta_closed(ArchSpec(ir=-9.0, **base))
     assert abs(plus - minus) <= 1e-13 * abs(plus)
+    # and so is the quadrature, through W_{kappa,mu} = W_{kappa,-mu}
+    quad_minus = arch_zeta_quadrature(ArchSpec(ir=-9.0, **base))
+    quad_plus = arch_zeta_quadrature(ArchSpec(ir=9.0, **base))
+    assert abs(quad_minus - quad_plus) <= 1e-6 * abs(quad_plus)
+    assert abs(quad_minus - minus) <= 1e-6 * abs(minus)
 
 
 def test_a_plus_linearity():
