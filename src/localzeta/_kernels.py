@@ -76,13 +76,16 @@ def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
     Each label is the minimal element id of its orbit, reached by monotone
     label propagation to a fixpoint.
     """
-    labels = np.arange(n, dtype=np.int64)
-    while True:
+    labels, before = np.arange(n, dtype=np.int64), None
+    while not np.array_equal(labels, before):
         before = labels.copy()
         for perm in perms:
             np.minimum(labels, labels[perm], out=labels)
             np.minimum.at(labels, perm, labels)
         # shorten chains: label of label
         labels = labels[labels]
-        if np.array_equal(labels, before):
-            return labels
+    # closure check after the fixpoint: every generator preserves the classes
+    for perm in perms:
+        if not np.array_equal(labels[perm], labels):
+            raise RuntimeError("orbit labels not stable under a generator")
+    return labels

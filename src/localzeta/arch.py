@@ -24,7 +24,7 @@ import numpy as np
 from .cgamma import complex_gamma, digamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
                      UnsupportedParameters)
-from .quadrature import _nodes, quad_from_one_to_inf, quad_zero_to_inf
+from .quadrature import _nodes, quad_zero_to_inf
 
 _TOL = 1e-12
 _EXP_FLOOR = -708.0  # about the smallest normal double, e^-708.4
@@ -154,7 +154,7 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
 
     shift = expo(_nodes(0.25)[0]).real.max()
     total = quad_zero_to_inf(lambda t: _guarded_exp(expo(t) - shift),
-                             target=1e-12, max_level=11, vectorized=True)
+                             target=1e-12, max_level=11)
     with np.errstate(divide="ignore"):  # log(0) = -inf for rows that underflow
         return _guarded_exp(shift - logx + np.log(total))
 
@@ -181,8 +181,8 @@ class MellinReport:
                 "rel_error": self.rel_error}
 
 
-def mellin_whittaker_check(kappa: complex, mu: complex, sigma: complex,
-                           target: float = 1e-11) -> MellinReport:
+def mellin_whittaker_check(kappa: complex, mu: complex,
+                           sigma: complex) -> MellinReport:
     """Quadrature of int_0^inf W_{kappa,mu}(x) e^(-x/2) x^(sigma-1) dx
     against Gamma(sigma+1/2+mu) Gamma(sigma+1/2-mu) / Gamma(sigma-kappa+1).
     """
@@ -198,7 +198,7 @@ def mellin_whittaker_check(kappa: complex, mu: complex, sigma: complex,
     integral = quad_zero_to_inf(
         lambda xs: whittaker_w_array(
             kappa, m, xs, log_factor=-xs / 2.0 + (sigma - 1) * np.log(xs)),
-        target=target, vectorized=True)
+        target=1e-11)
     if abs(m - (kappa - 0.5)) < 1e-10:
         # the Gamma(sigma+1/2-mu)/Gamma(sigma-kappa+1) ratio cancels exactly
         gamma_value = complex_gamma(sigma + 0.5 + m)
@@ -221,8 +221,7 @@ def _prefactor_integral(spec: ArchSpec) -> complex:
             * cmath.exp((q / 2) * math.log(4 * math.pi)))
 
 
-def arch_zeta_quadrature(spec: ArchSpec, inner_target: float = 1e-12,
-                         outer_target: float = 5e-11) -> complex:
+def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     """Nested adaptive quadrature of the double integral."""
     if spec.gate.real <= 0:
         raise DivergentParameters("convergence gate violated")
@@ -243,7 +242,7 @@ def arch_zeta_quadrature(spec: ArchSpec, inner_target: float = 1e-12,
             return whittaker_w_array(kappa, mu, x, log_factor=(
                 -x / 2.0 + (lam_pow - 1) * np.log(lams)))
 
-        return quad_zero_to_inf(g, target=inner_target, vectorized=True)
+        return quad_zero_to_inf(g, target=1e-12)
 
     def outer(u: float) -> complex:
         factor = cmath.exp(u_pow * math.log(u))
@@ -251,7 +250,10 @@ def arch_zeta_quadrature(spec: ArchSpec, inner_target: float = 1e-12,
             return 0.0
         return factor * inner(u)
 
-    integral = quad_from_one_to_inf(outer, target=outer_target, max_level=9)
+    # u = 1 + t maps (1, inf) to (0, inf); the inner integral runs per u
+    integral = quad_zero_to_inf(
+        lambda ts: np.array([outer(1.0 + t) for t in ts]),
+        target=5e-11, max_level=9)
     return _prefactor_integral(spec) * integral
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -120,6 +121,8 @@ def _cmd_cosets(args, out) -> int:
 
 
 def _cmd_arch_verify(args, out) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _InputError(f"--tol must be a finite number > 0, got {args.tol}")
     data = _load_json(args.spec)
     specs = data if isinstance(data, list) else [data]
     status = EXIT_OK
@@ -161,9 +164,9 @@ def _cmd_global_constant(args, out) -> int:
     data = _load_json(args.spec)
     try:
         spec = globalconst.GlobalSpec.from_json(data)
+        result = globalconst.special_value_constant(spec)
     except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(str(exc))
-    result = globalconst.special_value_constant(spec)
     _emit(result.to_json(), out)
     return EXIT_OK
 

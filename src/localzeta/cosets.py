@@ -2,14 +2,16 @@
 
 P4 is the parabolic stabilizing the flag <e1> inside <e1,e2,e4>, GSp4 is
 taken with respect to J = [[0, 1],[−1, 0]] in 2x2 blocks, and t1 swaps e1
-and e2.  Two verification routes are provided: a full union-find partition
-of GL4(F_2) under the two-sided generator action, and a quotient route that
-enumerates the P4-coset space as flags (line, hyperplane) and counts GSp4
-orbits, which also works over F_3 where GL4 has 24 million elements.
+and e2.  Two verification routes are provided: a full label-propagation
+partition of GL4(F_2) under the two-sided generator action, and a quotient
+route that enumerates the P4-coset space as flags (line, hyperplane) and
+counts GSp4 orbits, which also works over F_3 where GL4 has 24 million
+elements.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,11 +36,11 @@ T2 = ((1, 0, 0, 0),
       (0, 0, 1, 0),
       (0, -1, 0, 0))
 
-# Positions allowed to be nonzero in P4 (row, col).
-_P4_PATTERN = {(0, 0), (0, 1), (0, 2), (0, 3),
-               (1, 1), (1, 2), (1, 3),
-               (2, 2),
-               (3, 1), (3, 2), (3, 3)}
+# Positions allowed to be nonzero in P4.
+_P4_MASK = np.array([[1, 1, 1, 1],
+                     [0, 1, 1, 1],
+                     [0, 0, 1, 0],
+                     [0, 1, 1, 1]], dtype=bool)
 
 
 def gl4_order(p: int) -> int:
@@ -67,29 +69,30 @@ def _np_mat(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def p4_pattern_mask() -> np.ndarray:
-    mask = np.zeros((4, 4), dtype=bool)
-    for i, j in _P4_PATTERN:
-        mask[i, j] = True
-    return mask
+def _in_p4(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which (N,4,4) matrices are invertible mod p and match the P4 pattern."""
+    m = np.asarray(mats, dtype=np.int64) % p
+    return ((m[:, ~_P4_MASK] == 0).all(axis=1)
+            & (_kernels.det_mod_batch(m, p) != 0))
 
 
 def is_in_p4(mat: np.ndarray, p: int) -> bool:
-    mat = np.asarray(mat) % p
-    if (mat[~p4_pattern_mask()] != 0).any():
-        return False
-    return int(_kernels.det_mod_batch(mat[None, :, :], p)[0]) != 0
+    return bool(_in_p4(np.asarray(mat)[None], p)[0])
+
+
+def _similitude_factors(mats: np.ndarray, p: int) -> np.ndarray:
+    """mu with t(g) J g = mu J mod p for each (N,4,4) matrix g, 0 if g is
+    not in GSp4.  J has a 1 at (0, 2), so mu can only be that entry."""
+    m = np.asarray(mats, dtype=np.int64) % p
+    j = _np_mat(J_MAT) % p
+    w = np.einsum("nji,jk,nkl->nil", m, j, m) % p
+    mu = w[:, 0, 2]
+    return np.where((w == mu[:, None, None] * j % p).all(axis=(1, 2)), mu, 0)
 
 
 def similitude_factor(mat: np.ndarray, p: int) -> Optional[int]:
     """mu with t(g) J g = mu J mod p, or None if g is not in GSp4."""
-    g = np.asarray(mat, dtype=np.int64) % p
-    j = _np_mat(J_MAT) % p
-    w = (g.T @ j @ g) % p
-    for mu in range(1, p):
-        if np.array_equal(w, (mu * j) % p):
-            return mu
-    return None
+    return int(_similitude_factors(np.asarray(mat)[None], p)[0]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +103,7 @@ def p4_generators(p: int) -> list[np.ndarray]:
     """Transvections respecting the P4 pattern, plus diagonal units."""
     gens = []
     eye = np.eye(4, dtype=np.int64)
-    for (i, j) in sorted(_P4_PATTERN):
+    for i, j in zip(*np.nonzero(_P4_MASK)):
         if i == j:
             continue
         for lam in range(1, p):
@@ -148,8 +151,8 @@ def gsp4_generators(p: int) -> list[np.ndarray]:
         gens.append(g)
     for mu in range(2, p):
         gens.append(np.diag([1, 1, mu, mu]).astype(np.int64))
-    for g in gens:
-        assert similitude_factor(g, p) is not None
+    if not _similitude_factors(np.stack(gens), p).all():
+        raise RuntimeError("a GSp4 generator is not a similitude")
     return gens
 
 
@@ -238,21 +241,12 @@ def enumerate_gl4(p: int) -> GroupEnumeration:
 
 def filter_gsp4(enum: GroupEnumeration) -> np.ndarray:
     """Ids of all g with t(g) J g = mu J for some nonzero mu."""
-    p = enum.p
-    j = (_np_mat(J_MAT) % p).astype(np.int64)
-    m = enum.mats.astype(np.int64)
-    w = np.einsum("nji,jk,nkl->nil", m, j, m) % p
-    keep = np.zeros(len(enum), dtype=bool)
-    for mu in range(1, p):
-        keep |= (w == (mu * j) % p).all(axis=(1, 2))
-    return np.nonzero(keep)[0]
+    return np.nonzero(_similitude_factors(enum.mats, enum.p))[0]
 
 
 def filter_p4(enum: GroupEnumeration) -> np.ndarray:
     """Ids of all invertible matrices matching the P4 sparsity pattern."""
-    mask = ~p4_pattern_mask()
-    keep = (enum.mats[:, mask] == 0).all(axis=1)
-    return np.nonzero(keep)[0]
+    return np.nonzero(_in_p4(enum.mats, enum.p))[0]
 
 
 @dataclass(frozen=True)
@@ -304,13 +298,7 @@ def _partition_full(p: int) -> CosetReport:
         perms.append(_kernels.generator_permutation(
             enum.mats, enum.keys, g, p, left=False))
     labels = _kernels.orbit_labels(perms, n)
-    # closure check after fixpoint: every generator preserves the classes
-    for perm in perms:
-        if not np.array_equal(labels[perm], labels):
-            raise RuntimeError("orbit labels not stable under a generator")
     roots, counts = np.unique(labels, return_counts=True)
-    order = np.argsort(roots)
-    roots, counts = roots[order], counts[order]
     class_index = {int(r): i for i, r in enumerate(roots)}
     id_identity = enum.id_of(np.eye(4, dtype=np.int64))
     id_t1 = enum.id_of(_np_mat(T1))
@@ -332,21 +320,28 @@ def _partition_full(p: int) -> CosetReport:
 # Quotient route: P4-cosets as flags (line, hyperplane)
 # ---------------------------------------------------------------------------
 
-def _canon_vector(vec, p: int) -> tuple:
-    v = [int(x) % p for x in vec]
-    lead = next((x for x in v if x), None)
-    if lead is None:
+def _canon_rows(vecs: np.ndarray, p: int) -> np.ndarray:
+    """Each row scaled so that its first nonzero entry is 1."""
+    vecs = np.asarray(vecs, dtype=np.int64) % p
+    nonzero = vecs != 0
+    if not nonzero.any(axis=-1).all():
         raise InvalidArgument("zero vector has no canonical form")
-    scale = pow(lead, -1, p)
-    return tuple(x * scale % p for x in v)
+    lead = np.take_along_axis(vecs, nonzero.argmax(axis=-1)[..., None], -1)
+    return vecs * lead ** (p - 2) % p  # lead^(p-2) = lead^-1 mod p
 
 
-def _all_lines(p: int) -> list[tuple]:
-    out = set()
-    for key in range(1, p**4):
-        vec = [(key // p**i) % p for i in range(4)]
-        out.add(_canon_vector(vec, p))
-    return sorted(out)
+def _point_keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """Base-p keys with weights p^3, p^2, p, 1: they sort like the rows."""
+    return rows @ p ** np.arange(3, -1, -1, dtype=np.int64)
+
+
+def _point_ids(vecs: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
+    """Ids of the points spanned by the rows of vecs, given the point keys."""
+    found = _point_keys(_canon_rows(vecs, p), p)
+    idx = np.searchsorted(keys, found)
+    if idx.max(initial=0) >= len(keys) or not np.array_equal(keys[idx], found):
+        raise RuntimeError("a canonical row is not in the point table")
+    return idx
 
 
 def flag_of_coset(g: np.ndarray, p: int) -> tuple:
@@ -355,52 +350,45 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
     Two matrices lie in the same left P4-coset exactly when these flags
     agree, because P4 is the full stabilizer of (<e1>, <e1,e2,e4>).
     """
-    ginv = _mat_inv_mod(g, p)
-    line = _canon_vector(ginv[:, 0], p)
-    covector = _canon_vector(np.asarray(g, dtype=np.int64)[2, :], p)
-    return line, covector
+    g = np.asarray(g, dtype=np.int64)
+    line, covector = _canon_rows(
+        np.stack([_mat_inv_mod(g, p)[:, 0], g[2, :]]), p).tolist()
+    return tuple(line), tuple(covector)
 
 
 def _partition_quotient(p: int) -> CosetReport:
     t0 = time.perf_counter()
-    lines = _all_lines(p)
-    covectors = _all_lines(p)  # hyperplanes are lines in the dual space
-    flags = []
-    for phi in covectors:
-        for v in lines:
-            if sum(a * b for a, b in zip(phi, v)) % p == 0:
-                flags.append((v, phi))
-    index = {f: i for i, f in enumerate(flags)}
-    gens = gsp4_generators(p)
-    actions = []
-    for b in gens:
-        binv = _mat_inv_mod(b, p)
-        perm = np.empty(len(flags), dtype=np.int64)
-        for i, (v, phi) in enumerate(flags):
-            nv = _canon_vector(binv @ np.asarray(v, dtype=np.int64) % p, p)
-            nphi = _canon_vector(np.asarray(phi, dtype=np.int64) @ b % p, p)
-            perm[i] = index[(nv, nphi)]
-        actions.append(perm)
-    labels = _kernels.orbit_labels(actions, len(flags))
-    for perm in actions:
-        if not np.array_equal(labels[perm], labels):
-            raise RuntimeError("flag orbit labels not stable under a generator")
+    # the points of P^3(F_p) as canonical rows, ascending
+    vecs = np.array(list(itertools.product(range(p), repeat=4))[1:])
+    points = np.unique(_canon_rows(vecs, p), axis=0)
+    keys = _point_keys(points, p)
+    # flags (v, phi) with phi(v) = 0, ordered by phi then v; hyperplanes
+    # are points of the dual space
+    cov, line = np.nonzero(points @ points.T % p == 0)
+    n_flags = len(cov)
+    flag_id = np.full((len(points), len(points)), -1, dtype=np.int64)
+    flag_id[cov, line] = np.arange(n_flags)
+    # b in GSp4 moves (v, phi) to (b^-1 v, phi b)
+    gens = np.stack(gsp4_generators(p))
+    inv_t = np.stack([_mat_inv_mod(b, p).T for b in gens])
+    cov_img = _point_ids(points @ gens, keys, p)
+    line_img = _point_ids(points @ inv_t, keys, p)
+    actions = flag_id[cov_img[:, cov], line_img[:, line]]
+    if (actions < 0).any():
+        raise RuntimeError("a generator moved a flag off the incidence set")
+    labels = _kernels.orbit_labels(actions, n_flags)
     roots, counts = np.unique(labels, return_counts=True)
     class_index = {int(r): i for i, r in enumerate(roots)}
-    eye_flag = flag_of_coset(np.eye(4, dtype=np.int64), p)
-    t1_flag = flag_of_coset(_np_mat(T1), p)
-    lab_e = int(labels[index[eye_flag]])
-    lab_t = int(labels[index[t1_flag]])
+    eye = np.eye(4, dtype=np.int64)
+    ids = _point_ids(np.array([flag_of_coset(eye, p),
+                               flag_of_coset(_np_mat(T1), p)]), keys, p)
+    lab_e, lab_t = labels[flag_id[ids[:, 1], ids[:, 0]]].tolist()
     flag_sizes = counts.astype(int).tolist()
     sizes = [s * p4_order(p) for s in flag_sizes]
-    reps = []
-    for r in roots:
-        if int(r) == lab_e:
-            reps.append(np.eye(4, dtype=int).tolist())
-        elif int(r) == lab_t:
-            reps.append([list(row) for row in T1])
-        else:
-            reps.append([list(f) for f in flags[int(r)]])
+    # orbits show 1 or t1 (1 wins if both share one), any other its root flag
+    known = {lab_t: _np_mat(T1).tolist(), lab_e: eye.tolist()}
+    reps = [known.get(int(r), points[[line[r], cov[r]]].tolist())
+            for r in roots]
     elapsed = time.perf_counter() - t0
     return CosetReport(
         p=p, method="quotient",
@@ -408,7 +396,7 @@ def _partition_quotient(p: int) -> CosetReport:
         reps=reps,
         identity_class=class_index[lab_e], t1_class=class_index[lab_t],
         t1_distinct=lab_e != lab_t, elapsed_s=elapsed,
-        extras={"flags": len(flags), "p4_order": p4_order(p)},
+        extras={"flags": n_flags, "p4_order": p4_order(p)},
     )
 
 

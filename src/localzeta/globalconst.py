@@ -43,13 +43,21 @@ class GlobalSpec:
 
     @staticmethod
     def from_json(obj) -> "GlobalSpec":
+        """a_lambda is given directly or derived from class_data, not both;
+        with neither it is 1."""
         def dec(v):
             return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+        if "class_data" not in obj:
+            class_data, value = None, dec(obj.get("a_lambda", 1.0))
+        elif "a_lambda" in obj:
+            raise InvalidArgument("give a_lambda or class_data, not both")
+        else:
+            class_data = tuple((dec(a), dec(b)) for a, b in obj["class_data"])
+            value = a_lambda(class_data)
         return GlobalSpec(
-            l=obj["l"], D=obj["D"], a_lambda=dec(obj.get("a_lambda", 1.0)),
+            l=obj["l"], D=obj["D"], a_lambda=value,
             bad_primes=tuple((p, dec(y)) for p, y in obj.get("bad_primes", [])),
-            class_data=tuple((dec(a), dec(b)) for a, b in obj["class_data"])
-            if "class_data" in obj else None,
+            class_data=class_data,
         )
 
 

@@ -26,17 +26,16 @@ def _nodes(h: float) -> tuple[np.ndarray, np.ndarray]:
     return t[good], w[good]
 
 
-def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
-                     vectorized: bool = False) -> complex | np.ndarray:
+def quad_zero_to_inf(f, *, target: float = 1e-10,
+                     max_level: int = 10) -> complex | np.ndarray:
     """Integral of f over (0, inf) for decaying f.
 
-    f takes a positive float (or an ndarray when vectorized=True) and must
-    return finite values, with 0.0 past its decay range.  A vectorized f may
-    return a batch, one integrand per row with the nodes on the last axis;
-    the result is then the array of row integrals, and the batch has
-    converged when the largest change of a row is within target of the
-    largest row total.  Sums start at step 1/4 and are compared from step
-    1/8 on.
+    f takes an ndarray of positive nodes and must return finite values,
+    with 0.0 past its decay range.  It may return a batch, one integrand per
+    row with the nodes on the last axis; the result is then the array of row
+    integrals, and the batch has converged when the largest change of a row
+    is within target of the largest row total.  Sums start at step 1/4 and
+    are compared from step 1/8 on.
     """
     if max_level < 3:
         raise InvalidArgument("max_level must be >= 3, the first compared level")
@@ -44,10 +43,7 @@ def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
     for level in range(2, max_level + 1):
         h = 1.0 / 2**level
         t, w = _nodes(h)
-        if vectorized:
-            vals = np.asarray(f(t))
-        else:
-            vals = np.array([f(x) for x in t])
+        vals = np.asarray(f(t))
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")
         total = np.sum(w * vals, axis=-1)
@@ -60,7 +56,3 @@ def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
         f"no convergence to {target} within {max_level} levels "
         f"(last delta {delta:.3e}, between levels {level - 1} and {level})")
 
-
-def quad_from_one_to_inf(f, **kw) -> complex:
-    """Integral over (1, inf) by shifting to the origin."""
-    return quad_zero_to_inf(lambda t: f(1.0 + t), **kw)

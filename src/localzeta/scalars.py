@@ -12,9 +12,6 @@ from fractions import Fraction
 
 from .errors import InvalidArgument, InvalidInversion
 
-RationalLike = "int | str | Fraction"
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -45,10 +42,6 @@ class QScalar:
         raise AttributeError("QScalar is immutable")
 
     # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def rational(x, q: int) -> "QScalar":
-        return QScalar(_as_fraction(x), 0, q)
 
     @staticmethod
     def zero(q: int) -> "QScalar":

@@ -88,7 +88,7 @@ def test_whittaker_bessel_k_identity():
         def f(t):
             arg = z * np.cosh(np.minimum(t, 700.0))
             return np.where(arg > 700.0, 0.0, np.exp(-np.minimum(arg, 700.0)))
-        return quad_zero_to_inf(f, vectorized=True).real
+        return quad_zero_to_inf(f).real
 
     for x in (0.5, 1.0, 3.0):
         expected = math.sqrt(x / math.pi) * k0(x / 2)
@@ -98,13 +98,12 @@ def test_whittaker_bessel_k_identity():
 
 def test_quadrature_needs_a_compared_level():
     with pytest.raises(InvalidArgument):
-        quad_zero_to_inf(lambda t: np.exp(-t), vectorized=True, max_level=2)
+        quad_zero_to_inf(lambda t: np.exp(-t), max_level=2)
 
 
 def test_quadrature_error_reports_last_delta():
     with pytest.raises(QuadratureError) as info:
-        quad_zero_to_inf(lambda t: np.cos(50 * t) * np.exp(-t),
-                         vectorized=True, max_level=4)
+        quad_zero_to_inf(lambda t: np.cos(50 * t) * np.exp(-t), max_level=4)
     delta = float(re.search(r"last delta (\S+),", str(info.value)).group(1))
     assert delta > 0
     assert "levels 3 and 4" in str(info.value)

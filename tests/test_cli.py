@@ -190,6 +190,39 @@ def test_global_constant_command(tmp_path):
     assert abs(report["value"][0] - expected) < 1e-15
 
 
+def test_global_constant_class_data(tmp_path):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps(
+        {"l": 10, "D": 3, "class_data": [[1.0, 3.5], [-1.0, 1.25]]}))
+    proc = run_cli("global-constant", "--spec", str(path), check=True)
+    (report,) = _lines(proc)
+    assert report["a_lambda"] == [2.25, 0.0]
+    path.write_text(json.dumps({"l": 10, "D": 3, "a_lambda": 1.0}))
+    (base,) = _lines(run_cli("global-constant", "--spec", str(path),
+                             check=True))
+    assert report["value"][0] == pytest.approx(2.25 * base["value"][0],
+                                               rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    {"l": 2, "D": 3},  # (2l-5)! needs l >= 3
+    {"l": 10, "D": 3, "a_lambda": 1.0, "class_data": [[1.0, 3.5]]},
+    {"l": 10, "D": 3, "class_data": []},
+])
+def test_global_constant_bad_spec_exit_2(tmp_path, spec):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(run_cli("global-constant", "--spec", str(path)))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_arch_verify_bad_tol_exit_2(tmp_path, tol):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(ARCH_SPEC))
+    _assert_input_error(run_cli("arch-verify", "--spec", str(path),
+                                f"--tol={tol}"))
+
+
 def test_sweep_passes_and_is_deterministic(tmp_path):
     a = run_cli("sweep", "--seed", "11", check=True)
     b = run_cli("sweep", "--seed", "11", check=True)

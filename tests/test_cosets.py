@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from localzeta import _kernels, cosets
-from localzeta.errors import Infeasible, Unsupported
+from localzeta.errors import Infeasible, InvalidArgument, Unsupported
 
 
 def test_order_formulas_derived():
@@ -64,6 +64,13 @@ def test_filter_gsp4(enum2):
         assert np.array_equal((g.T @ jm @ g) % 2, (mu * jm) % 2)
 
 
+def test_similitude_factor_p3():
+    assert cosets.similitude_factor(np.diag([1, 1, 2, 2]), 3) == 2
+    assert cosets.similitude_factor(np.asarray(cosets.J_MAT), 3) == 1
+    assert cosets.similitude_factor(np.asarray(cosets.T1), 3) is None
+    assert cosets.similitude_factor(np.zeros((4, 4), dtype=int), 3) is None
+
+
 def test_filter_p4(enum2):
     ids = cosets.filter_p4(enum2)
     assert len(ids) == cosets.p4_order(2) == 192
@@ -72,6 +79,8 @@ def test_filter_p4(enum2):
     # t2 is in P4, t1 is not
     assert cosets.is_in_p4(np.asarray(cosets.T2), 2)
     assert not cosets.is_in_p4(np.asarray(cosets.T1), 2)
+    # the pattern alone is not enough: P4 elements are invertible
+    assert not cosets.is_in_p4(np.zeros((4, 4), dtype=int), 3)
 
 
 def test_generator_sets_generate(enum2):
@@ -125,6 +134,12 @@ def test_partition_quotient(p):
     assert report.t1_distinct
     assert sum(report.flag_orbit_sizes) == {2: 105, 3: 520}[p]
     assert sum(report.sizes) == cosets.gl4_order(p)
+    # the flag order fixes which orbit comes first: the t1 orbit holds flag 0
+    assert report.extras["flags"] == {2: 105, 3: 520}[p]
+    assert report.flag_orbit_sizes == {2: [90, 15], 3: [480, 40]}[p]
+    assert (report.identity_class, report.t1_class) == (1, 0)
+    assert report.reps == [[list(row) for row in cosets.T1],
+                           np.eye(4, dtype=int).tolist()]
 
 
 def test_quotient_matches_full_at_p2():
@@ -145,6 +160,19 @@ def test_flag_invariant_is_coset_invariant():
     for idx in rng.choice(p4_ids, size=20):
         a = enum.mat_of(int(idx)).astype(np.int64)
         assert cosets.flag_of_coset((a @ g) % 2, 2) == base
+
+
+def test_flag_of_coset_p3():
+    # t1^-1 <e1> = <e2>, and e3* t1 = e3*
+    assert cosets.flag_of_coset(np.asarray(cosets.T1), 3) == (
+        (0, 1, 0, 0), (0, 0, 1, 0))
+    # scaling g scales both vectors; the flag does not change
+    g = np.array([[2, 1, 0, 0], [0, 1, 0, 0], [0, 2, 2, 1], [0, 0, 0, 2]])
+    assert cosets.flag_of_coset(g, 3) == cosets.flag_of_coset(2 * g % 3, 3)
+    # g e1 = 2 e1, and the third row (0, 2, 2, 1) is 2 (0, 1, 1, 2) mod 3
+    assert cosets.flag_of_coset(g, 3) == ((1, 0, 0, 0), (0, 1, 1, 2))
+    with pytest.raises(InvalidArgument):
+        cosets.flag_of_coset(np.zeros((4, 4), dtype=int), 3)
 
 
 def test_report_json():

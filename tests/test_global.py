@@ -153,9 +153,24 @@ def test_result_json():
 
 def test_global_spec_from_json():
     spec = GlobalSpec.from_json({
-        "l": 10, "D": 3, "a_lambda": [1.0, -1.0],
-        "bad_primes": [[2, 0.5]], "class_data": [[1.0, 2.0], [-1.0, 3.0]],
+        "l": 10, "D": 3, "a_lambda": [1.0, -1.0], "bad_primes": [[2, 0.5]],
     })
     assert spec.a_lambda == 1 - 1j
     assert spec.bad_primes == ((2, 0.5 + 0j),)
-    assert a_lambda(spec.class_data) == -1 + 0j
+    assert spec.class_data is None
+    assert GlobalSpec.from_json({"l": 10, "D": 3}).a_lambda == 1
+
+
+def test_global_spec_a_lambda_from_class_data():
+    spec = GlobalSpec.from_json({
+        "l": 10, "D": 3, "class_data": [[1.0, 2.0], [-1.0, 3.0]],
+    })
+    assert spec.class_data == ((1, 2), (-1, 3))
+    assert spec.a_lambda == a_lambda(spec.class_data) == -1 + 0j
+    assert special_value_constant(spec).a_lambda == -1 + 0j
+
+
+def test_global_spec_a_lambda_and_class_data_rejected():
+    with pytest.raises(InvalidArgument):
+        GlobalSpec.from_json({"l": 10, "D": 3, "a_lambda": 1.0,
+                              "class_data": [[1.0, 2.0]]})
