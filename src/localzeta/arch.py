@@ -49,6 +49,10 @@ class ArchSpec:
     ir: complex
 
     def __post_init__(self):
+        for name in ("l", "l1", "D"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
         if self.l < 2:
             raise InvalidArgument("weight l must be an integer >= 2")
         if self.D <= 0 or self.D % 4 not in (0, 3):

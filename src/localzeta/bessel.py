@@ -13,6 +13,9 @@ needed by the zeta-integral verification.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 from .errors import InvalidArgument, InvalidBesselDatum
 from .scalars import QScalar
 from .series import Poly, RatFn, Series
@@ -20,6 +23,7 @@ from .series import Poly, RatFn, Series
 INERT, RAMIFIED, SPLIT = -1, 0, 1
 
 
+@dataclass(frozen=True, slots=True)
 class SatakeParams:
     """The four Satake parameters of an unramified GSp(4) representation.
 
@@ -27,10 +31,11 @@ class SatakeParams:
     character value omega_pi(varpi) and is enforced at construction.
     """
 
-    __slots__ = ("gamma", "q")
+    gamma: tuple[QScalar, ...]
+    q: int
 
-    def __init__(self, gamma, q: int):
-        gamma = tuple(gamma)
+    def __post_init__(self):
+        gamma, q = tuple(self.gamma), self.q
         if len(gamma) != 4:
             raise InvalidArgument("exactly four Satake parameters required")
         for g in gamma:
@@ -42,10 +47,6 @@ class SatakeParams:
             raise InvalidArgument(
                 "pairing constraint gamma1*gamma3 = gamma2*gamma4 violated")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SatakeParams is immutable")
 
     @property
     def omega_pi(self) -> QScalar:
@@ -60,25 +61,31 @@ class SatakeParams:
         return SatakeParams([QScalar.from_json(g, q) for g in obj["gamma"]], q)
 
 
+@dataclass(frozen=True, slots=True)
 class BesselDatum:
     """Quadratic-extension case plus unramified Hecke-character values.
 
     legendre is -1 (inert), 0 (ramified) or +1 (split).  lambda_varpi is
     Lambda(varpi); the split case also needs Lambda(varpi_L) and
     Lambda(varpi varpi_L^{-1}) with product lambda_varpi, the ramified case
-    needs Lambda(varpi_L) with square lambda_varpi.
+    needs Lambda(varpi_L) with square lambda_varpi.  q defaults to that of
+    lambda_varpi.
     """
 
-    __slots__ = ("legendre", "lambda_varpi", "lambda_varpiL",
-                 "lambda_varpi_conj", "q")
+    legendre: int
+    lambda_varpi: QScalar
+    lambda_varpiL: Optional[QScalar] = None
+    lambda_varpi_conj: Optional[QScalar] = None
+    q: Optional[int] = None
 
-    def __init__(self, legendre: int, lambda_varpi: QScalar,
-                 lambda_varpiL=None, lambda_varpi_conj=None, q=None):
+    def __post_init__(self):
+        legendre, lambda_varpi = self.legendre, self.lambda_varpi
+        lambda_varpiL, lambda_varpi_conj = self.lambda_varpiL, self.lambda_varpi_conj
         if legendre not in (INERT, RAMIFIED, SPLIT):
             raise InvalidBesselDatum(f"legendre symbol must be -1, 0 or 1, got {legendre}")
-        if q is None:
-            q = lambda_varpi.q
-        if not isinstance(lambda_varpi, QScalar) or lambda_varpi.q != q:
+        if self.q is None:
+            object.__setattr__(self, "q", lambda_varpi.q)
+        if not isinstance(lambda_varpi, QScalar) or lambda_varpi.q != self.q:
             raise InvalidBesselDatum("lambda_varpi must be a QScalar with matching q")
         if legendre == RAMIFIED:
             if lambda_varpiL is None:
@@ -95,14 +102,6 @@ class BesselDatum:
                     "split case requires Lambda(varpi) = "
                     "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)")
         # inert: lambda_varpiL / lambda_varpi_conj are unused
-        object.__setattr__(self, "legendre", legendre)
-        object.__setattr__(self, "lambda_varpi", lambda_varpi)
-        object.__setattr__(self, "lambda_varpiL", lambda_varpiL)
-        object.__setattr__(self, "lambda_varpi_conj", lambda_varpi_conj)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BesselDatum is immutable")
 
     def to_json(self):
         out = {"legendre": self.legendre, "lambda_varpi": self.lambda_varpi.to_json()}
@@ -148,12 +147,8 @@ def sugano_H(d: BesselDatum, q: int) -> Poly:
 
 def sugano_Q(p: SatakeParams) -> Poly:
     """Q(y) = prod_{i=1}^{4} (1 - gamma^(i) q^(-3/2) y), degree exactly 4."""
-    q = p.q
-    qm32 = QScalar.q_half_power(-3, q)
-    acc = Poly.one(q)
-    for g in p.gamma:
-        acc = acc * Poly([QScalar.one(q), -(g * qm32)], q)
-    return acc
+    qm32 = QScalar.q_half_power(-3, p.q)
+    return Poly.euler([g * qm32 for g in p.gamma], p.q)
 
 
 def bessel_coeffs(p: SatakeParams, d: BesselDatum, order: int) -> Series:

@@ -54,7 +54,10 @@ def _emit(obj, out) -> None:
 def _open_out(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def _cmd_global_constant(args, out) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_plan(seed: int, order: int, repeat: int) -> list[dict]:
+def _sweep_plan(seed: int, order: int, repeat: int) -> list[zeta.LocalInstance]:
     import random
     rng = random.Random(seed)
     plan = []
@@ -183,17 +186,17 @@ def _sweep_plan(seed: int, order: int, repeat: int) -> list[dict]:
     for i in range(20 * repeat):
         inst = zeta.random_local_instance(
             rng, RAMIFIED_OTHER, legendres[i % 3], order=order)
-        plan.append(inst.to_json())
+        plan.append(inst)
     for legendre, flag in ((-1, False), (0, False), (0, True), (1, False)):
         for _ in range(10 * repeat):
             inst = zeta.random_local_instance(
                 rng, RAMIFIED_PS_UNRAM_ALPHA, legendre,
                 beta_chi_unramified=flag, order=order)
-            plan.append(inst.to_json())
+            plan.append(inst)
     for i in range(10 * repeat):
         inst = zeta.random_local_instance(
             rng, STEINBERG_UNRAMIFIED, legendres[i % 3], order=order)
-        plan.append(inst.to_json())
+        plan.append(inst)
     return plan
 
 
@@ -205,8 +208,7 @@ def _corrupted_y_factor(inst):
 
 
 def _run_sweep_instance(payload) -> dict:
-    obj, corrupt = payload
-    inst = zeta.LocalInstance.from_json(obj)
+    inst, corrupt = payload
     fn = _corrupted_y_factor if corrupt else None
     report = zeta.verify_local(inst, y_factor_fn=fn)
     result = {"case": report.case, "passed": report.passed}
@@ -232,7 +234,7 @@ def _cmd_sweep(args, out) -> int:
         raise _InputError(
             f"LOCALZETA_WORKERS must be an integer >= 1, got {raw!r}")
     plan = _sweep_plan(args.seed, args.order, args.repeat)
-    payloads = [(obj, args.corrupt_y) for obj in plan]
+    payloads = [(inst, args.corrupt_y) for inst in plan]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -314,8 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out, close = _open_out(getattr(args, "out", None))
+    out, close = sys.stdout, False
     try:
+        out, close = _open_out(getattr(args, "out", None))
         return args.func(args, out)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

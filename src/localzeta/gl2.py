@@ -8,6 +8,9 @@ GL(2) inputs the zeta-integral computation needs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 from .errors import InvalidArgument
 from .scalars import QScalar
 
@@ -22,20 +25,28 @@ KINDS = (UNRAMIFIED_PS, RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED,
          RAMIFIED_OTHER)
 
 
+@dataclass(frozen=True, slots=True)
 class Gl2Local:
     """Tagged local GL(2) representation datum.
 
     Stored character values are the values at the uniformizer; they are
     well-defined nonzero numbers even when the character itself is
-    ramified (beta in the RamifiedPSUnramAlpha case).
+    ramified (beta in the RamifiedPSUnramAlpha case).  omega_tau_varpi and
+    conductor_exp are derived from the kind where it fixes them.
     """
 
-    __slots__ = ("kind", "q", "alpha_varpi", "beta_varpi", "omega_varpi",
-                 "omega_tau_varpi", "conductor_exp", "beta_chi_unramified")
+    kind: str
+    q: int
+    alpha_varpi: Optional[QScalar] = None
+    beta_varpi: Optional[QScalar] = None
+    omega_varpi: Optional[QScalar] = None
+    omega_tau_varpi: Optional[QScalar] = None
+    conductor_exp: Optional[int] = None
+    beta_chi_unramified: bool = False
 
-    def __init__(self, kind: str, q: int, alpha_varpi=None, beta_varpi=None,
-                 omega_varpi=None, omega_tau_varpi=None, conductor_exp=None,
-                 beta_chi_unramified=False):
+    def __post_init__(self):
+        kind, q = self.kind, self.q
+        omega_tau_varpi, conductor_exp = self.omega_tau_varpi, self.conductor_exp
         if kind not in KINDS:
             raise InvalidArgument(f"unknown GL2 kind: {kind!r}")
 
@@ -49,11 +60,10 @@ class Gl2Local:
             return value
 
         if kind in (UNRAMIFIED_PS, RAMIFIED_PS_UNRAM_ALPHA):
-            alpha_varpi = need(alpha_varpi, "alpha_varpi")
-            beta_varpi = need(beta_varpi, "beta_varpi")
-            derived_omega_tau = alpha_varpi * beta_varpi
+            derived_omega_tau = (need(self.alpha_varpi, "alpha_varpi")
+                                 * need(self.beta_varpi, "beta_varpi"))
         elif kind == STEINBERG_UNRAMIFIED:
-            omega_varpi = need(omega_varpi, "omega_varpi")
+            omega_varpi = need(self.omega_varpi, "omega_varpi")
             derived_omega_tau = omega_varpi * omega_varpi
         else:
             derived_omega_tau = need(omega_tau_varpi, "omega_tau_varpi")
@@ -61,8 +71,11 @@ class Gl2Local:
         if omega_tau_varpi is not None and omega_tau_varpi != derived_omega_tau:
             raise InvalidArgument(
                 "omega_tau_varpi inconsistent with the representation kind")
-        omega_tau_varpi = derived_omega_tau
 
+        if conductor_exp is not None and (not isinstance(conductor_exp, int)
+                                          or isinstance(conductor_exp, bool)):
+            raise InvalidArgument(
+                f"conductor exponent must be an integer, got {conductor_exp!r}")
         if kind == UNRAMIFIED_PS:
             derived_n = 0
         elif kind == STEINBERG_UNRAMIFIED:
@@ -77,17 +90,10 @@ class Gl2Local:
                              and derived_n < 1):
             raise InvalidArgument(f"invalid conductor exponent {derived_n} for {kind}")
 
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha_varpi", alpha_varpi)
-        object.__setattr__(self, "beta_varpi", beta_varpi)
-        object.__setattr__(self, "omega_varpi", omega_varpi)
-        object.__setattr__(self, "omega_tau_varpi", omega_tau_varpi)
+        object.__setattr__(self, "omega_tau_varpi", derived_omega_tau)
         object.__setattr__(self, "conductor_exp", derived_n)
-        object.__setattr__(self, "beta_chi_unramified", bool(beta_chi_unramified))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Gl2Local is immutable")
+        object.__setattr__(self, "beta_chi_unramified",
+                           bool(self.beta_chi_unramified))
 
     def to_json(self):
         out = {"kind": self.kind, "n": self.conductor_exp}

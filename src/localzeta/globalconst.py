@@ -47,6 +47,8 @@ class GlobalSpec:
         with neither it is 1."""
         def dec(v):
             return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+        if not isinstance(obj, dict):
+            raise InvalidArgument("a global spec must be a JSON object")
         if "class_data" not in obj:
             class_data, value = None, dec(obj.get("a_lambda", 1.0))
         elif "a_lambda" in obj:

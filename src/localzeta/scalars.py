@@ -8,7 +8,9 @@ square, so identities verified here hold for every specialization.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import InvalidArgument, InvalidInversion
 
@@ -20,6 +22,7 @@ def _as_fraction(x) -> Fraction:
     raise InvalidArgument(f"not a rational value: {x!r}")
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class QScalar:
     """Element rat + sqrt * √q of the ring Q[x]/(x^2 - q).
 
@@ -27,19 +30,20 @@ class QScalar:
     them to rational elements of the same ring.
     """
 
-    __slots__ = ("rat", "sqrt", "q")
+    rat: Fraction
+    sqrt: Fraction = 0
+    q: Optional[int] = None
 
-    def __init__(self, rat, sqrt=0, q=None):
+    def __post_init__(self):
+        q = self.q
         if q is None:
             raise InvalidArgument("QScalar requires the ambient cardinality q")
         if not isinstance(q, int) or q < 2:
             raise InvalidArgument(f"q must be an integer >= 2, got {q!r}")
-        object.__setattr__(self, "rat", _as_fraction(rat))
-        object.__setattr__(self, "sqrt", _as_fraction(sqrt))
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QScalar is immutable")
+        if not isinstance(self.rat, Fraction):
+            object.__setattr__(self, "rat", _as_fraction(self.rat))
+        if not isinstance(self.sqrt, Fraction):
+            object.__setattr__(self, "sqrt", _as_fraction(self.sqrt))
 
     # -- constructors ------------------------------------------------
 
@@ -115,9 +119,6 @@ class QScalar:
     def norm(self) -> Fraction:
         """rat^2 - q * sqrt^2; nonzero exactly for the invertible elements."""
         return self.rat * self.rat - self.q * self.sqrt * self.sqrt
-
-    def conjugate(self) -> "QScalar":
-        return QScalar(self.rat, -self.sqrt, self.q)
 
     def inverse(self) -> "QScalar":
         n = self.norm()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional
 
 from .errors import DivisionByNonUnit, InvalidArgument
@@ -32,20 +33,18 @@ def _promote(values: Iterable, q: int) -> list[QScalar]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Polynomial with QScalar coefficients, trailing zeros trimmed."""
 
-    __slots__ = ("coeffs", "q")
+    coeffs: tuple[QScalar, ...]
+    q: int
 
-    def __init__(self, coeffs, q: int):
-        cs = _promote(coeffs, q)
+    def __post_init__(self):
+        cs = _promote(self.coeffs, self.q)
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @staticmethod
     def one(q: int) -> "Poly":
@@ -55,6 +54,13 @@ class Poly:
     def zero(q: int) -> "Poly":
         return Poly([], q)
 
+    @staticmethod
+    def euler(cs: Iterable[QScalar], q: int, step: int = 1) -> "Poly":
+        """prod_c (1 - c T^step), the inverse of an Euler-product L-factor."""
+        gap = [0] * (step - 1)
+        factors = [Poly([1, *gap, -c], q) for c in cs] or [Poly.one(q)]
+        return reduce(Poly.__mul__, factors)
+
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
@@ -63,22 +69,7 @@ class Poly:
     def constant(self) -> QScalar:
         return self.coeffs[0] if self.coeffs else QScalar.zero(self.q)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = QScalar.zero(self.q)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)], self.q)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs], self.q)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QScalar)):
-            return self.scale(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return Poly.zero(self.q)
         out = [QScalar.zero(self.q)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -86,13 +77,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out, self.q)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Poly":
-        if not isinstance(c, QScalar):
-            c = QScalar(Fraction(c), 0, self.q)
-        return Poly([a * c for a in self.coeffs], self.q)
 
     def substitute_scaled(self, c: QScalar) -> "Poly":
         """p(y) -> p(c*T): multiply the k-th coefficient by c^k."""
@@ -104,48 +88,23 @@ class Poly:
             acc = acc * t + a
         return acc
 
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and self.q == other.q
-                and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.coeffs, self.q))
-
-    def __repr__(self):
-        return f"Poly({[str(c) for c in self.coeffs]}, q={self.q})"
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-
+@dataclass(frozen=True, slots=True)
 class Series:
     """Power series truncated at a fixed order (inclusive)."""
 
-    __slots__ = ("coeffs", "q")
+    coeffs: tuple[QScalar, ...]
+    q: int
 
-    def __init__(self, coeffs, q: int):
-        cs = _promote(coeffs, q)
+    def __post_init__(self):
+        cs = _promote(self.coeffs, self.q)
         if not cs:
             raise InvalidArgument("a series needs at least the constant term")
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return (isinstance(other, Series) and self.q == other.q
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.q))
-
-    def __repr__(self):
-        return f"Series({[str(c) for c in self.coeffs]}, q={self.q})"
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
@@ -205,6 +164,7 @@ def series_equal(a: Series, b: Series) -> SeriesComparison:
     return SeriesComparison(True)
 
 
+@dataclass(frozen=True, slots=True)
 class RatFn:
     """Quotient of polynomials; the denominator constant term must be 1.
 
@@ -213,18 +173,14 @@ class RatFn:
     expansion into series.
     """
 
-    __slots__ = ("numer", "denom")
+    numer: Poly
+    denom: Poly
 
-    def __init__(self, numer: Poly, denom: Poly):
-        if numer.q != denom.q:
+    def __post_init__(self):
+        if self.numer.q != self.denom.q:
             raise InvalidArgument("numerator and denominator q mismatch")
-        if not denom.constant().is_one():
+        if not self.denom.constant().is_one():
             raise InvalidArgument("denominator constant term must be 1")
-        object.__setattr__(self, "numer", numer)
-        object.__setattr__(self, "denom", denom)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFn is immutable")
 
     @property
     def q(self) -> int:
@@ -256,9 +212,3 @@ class RatFn:
     def eval_at(self, t: QScalar) -> QScalar:
         """Evaluate at a scalar point; the denominator must be invertible there."""
         return self.numer.eval(t) * self.denom.eval(t).inverse()
-
-    def __repr__(self):
-        return f"RatFn({self.numer!r} / {self.denom!r})"
-
-    def to_json(self):
-        return {"numer": self.numer.to_json(), "denom": self.denom.to_json()}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .bessel import (INERT, RAMIFIED, SPLIT, BesselDatum, SatakeParams,
+from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
                      bessel_coeffs, sugano_H, sugano_Q)
 from .errors import InvalidArgument, UnsupportedCase
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
@@ -30,6 +30,7 @@ from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_equal)
 
 
+@dataclass(frozen=True, slots=True)
 class LocalInstance:
     """All local data entering one verification run.
 
@@ -37,25 +38,24 @@ class LocalInstance:
     compatibility Lambda(varpi) = omega_pi(varpi).
     """
 
-    __slots__ = ("satake", "bessel", "rep", "order", "q")
+    satake: SatakeParams
+    bessel: BesselDatum
+    rep: Gl2Local
+    order: int = DEFAULT_ORDER
 
-    def __init__(self, satake: SatakeParams, bessel: BesselDatum,
-                 rep: Gl2Local, order: int = DEFAULT_ORDER):
-        if not (satake.q == bessel.q == rep.q):
+    def __post_init__(self):
+        satake, bessel = self.satake, self.bessel
+        if not (satake.q == bessel.q == self.rep.q):
             raise InvalidArgument("components disagree on the residue cardinality")
-        if order < 0:
+        if self.order < 0:
             raise InvalidArgument("order must be >= 0")
         if bessel.lambda_varpi != satake.omega_pi:
             raise InvalidArgument(
                 "Bessel-model compatibility requires Lambda(varpi) = omega_pi(varpi)")
-        object.__setattr__(self, "satake", satake)
-        object.__setattr__(self, "bessel", bessel)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "q", satake.q)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LocalInstance is immutable")
+    @property
+    def q(self) -> int:
+        return self.satake.q
 
     def to_json(self):
         return {
@@ -126,13 +126,9 @@ def lfactor_gsp4_gl2_case2(satake: SatakeParams, rep: Gl2Local) -> RatFn:
     """
     if rep.kind != RAMIFIED_PS_UNRAM_ALPHA:
         raise UnsupportedCase("degree-8 pairing factor is used in Case 2 only")
-    q = satake.q
-    qm1 = QScalar.q_half_power(-1, q)
-    acc = Poly.one(q)
-    for g in satake.gamma:
-        acc = acc * Poly([QScalar.one(q),
-                          -((g * rep.alpha_varpi).inverse() * qm1)], q)
-    return RatFn.inverse_poly(acc)
+    qm1 = QScalar.q_half_power(-1, satake.q)
+    return RatFn.inverse_poly(Poly.euler(
+        [(g * rep.alpha_varpi).inverse() * qm1 for g in satake.gamma], satake.q))
 
 
 def lfactor_chi_restriction(satake: SatakeParams, rep: Gl2Local) -> RatFn:
@@ -140,7 +136,7 @@ def lfactor_chi_restriction(satake: SatakeParams, rep: Gl2Local) -> RatFn:
     q = satake.q
     x = (satake.omega_pi * rep.omega_tau_varpi).inverse() \
         * QScalar.q_half_power(-2, q)
-    return RatFn.inverse_poly(Poly([QScalar.one(q), QScalar.zero(q), -x], q))
+    return RatFn.inverse_poly(Poly.euler([x], q, step=2))
 
 
 def lfactor_triple_case2(rep: Gl2Local, bessel: BesselDatum,
@@ -149,23 +145,21 @@ def lfactor_triple_case2(rep: Gl2Local, bessel: BesselDatum,
     if rep.kind != RAMIFIED_PS_UNRAM_ALPHA:
         raise UnsupportedCase("triple-product factor implemented for Case 2 only")
     q = satake.q
-    one = QScalar.one(q)
     qm2 = QScalar.q_half_power(-2, q)
     opa_inv = (satake.omega_pi * rep.alpha_varpi).inverse()
     if bessel.legendre == INERT:
         x = bessel.lambda_varpi * opa_inv * opa_inv * qm2 * qm2
-        return RatFn.inverse_poly(Poly([one, QScalar.zero(q), -x], q))
+        return RatFn.inverse_poly(Poly.euler([x], q, step=2))
     if bessel.legendre == RAMIFIED:
-        first = Poly([one, -(bessel.lambda_varpiL * opa_inv * qm2)], q)
-        if not rep.beta_chi_unramified:
-            return RatFn.inverse_poly(first)
-        opb_inv = (satake.omega_pi * rep.beta_varpi).inverse()
-        second = Poly([one, -(bessel.lambda_varpiL * opb_inv * qm2)], q)
-        return RatFn.inverse_poly(first * second)
+        cs = [bessel.lambda_varpiL * opa_inv * qm2]
+        if rep.beta_chi_unramified:
+            opb_inv = (satake.omega_pi * rep.beta_varpi).inverse()
+            cs.append(bessel.lambda_varpiL * opb_inv * qm2)
+        return RatFn.inverse_poly(Poly.euler(cs, q))
     # split
-    first = Poly([one, -(bessel.lambda_varpiL * opa_inv * qm2)], q)
-    second = Poly([one, -(bessel.lambda_varpi_conj * opa_inv * qm2)], q)
-    return RatFn.inverse_poly(first * second)
+    return RatFn.inverse_poly(Poly.euler(
+        [lam * opa_inv * qm2
+         for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q))
 
 
 def y_factor(inst: LocalInstance) -> RatFn:
@@ -183,11 +177,9 @@ def y_factor(inst: LocalInstance) -> RatFn:
         return l_chi
     # Case 2
     if inst.bessel.legendre == RAMIFIED and rep.beta_chi_unramified:
-        q = inst.q
         opb_inv = (inst.satake.omega_pi * rep.beta_varpi).inverse()
-        extra = Poly([QScalar.one(q),
-                      -(inst.bessel.lambda_varpiL * opb_inv
-                        * QScalar.q_half_power(-2, q))], q)
+        extra = Poly.euler([inst.bessel.lambda_varpiL * opb_inv
+                            * QScalar.q_half_power(-2, inst.q)], inst.q)
         return RatFn(l_chi.numer, l_chi.denom * extra)
     return l_chi
 
@@ -289,38 +281,30 @@ def unramified_closed(satake: SatakeParams, rep: Gl2Local,
     if rep.kind != UNRAMIFIED_PS:
         raise UnsupportedCase("unramified_closed needs the unramified principal series")
     q = satake.q
-    one = QScalar.one(q)
-    zero = QScalar.zero(q)
     taus = (rep.alpha_varpi, rep.beta_varpi)
     qm1 = QScalar.q_half_power(-1, q)
     qm2 = QScalar.q_half_power(-2, q)
 
     # Degree-8 denominator of L(3s+1/2, pi~ x tau~): contragredient
     # parameters gamma^-1, tau_j^-1 at q^(-1/2) T.
-    pairing = Poly.one(q)
-    for g in satake.gamma:
-        for t in taus:
-            pairing = pairing * Poly([one, -((g * t).inverse() * qm1)], q)
+    pairing = Poly.euler(
+        [(g * t).inverse() * qm1 for g in satake.gamma for t in taus], q)
 
     chi = (satake.omega_pi * rep.omega_tau_varpi).inverse()
-    l_chi_poly = Poly([one, zero, -(chi * qm2)], q)
+    l_chi_poly = Poly.euler([chi * qm2], q, step=2)
 
     # Triple factor tau x AI(Lambda) x chi, from the AI(Lambda) parameters.
-    triple = Poly.one(q)
     if bessel.legendre == INERT:
         # per tau_j one factor 1 - Lambda(varpi) (chi tau_j)^2 q^-2 T^2
-        for t in taus:
-            c = bessel.lambda_varpi * (chi * t) ** 2 * qm2 * qm2
-            triple = triple * Poly([one, zero, -c], q)
+        triple = Poly.euler(
+            [bessel.lambda_varpi * (chi * t) ** 2 * qm2 * qm2 for t in taus],
+            q, step=2)
     elif bessel.legendre == RAMIFIED:
-        for t in taus:
-            c = bessel.lambda_varpiL * chi * t * qm2
-            triple = triple * Poly([one, -c], q)
+        triple = Poly.euler([bessel.lambda_varpiL * chi * t * qm2 for t in taus], q)
     else:
-        for t in taus:
-            for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj):
-                c = lam * chi * t * qm2
-                triple = triple * Poly([one, -c], q)
+        triple = Poly.euler(
+            [lam * chi * t * qm2 for t in taus
+             for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q)
 
     return RatFn(l_chi_poly * triple, pairing)
 

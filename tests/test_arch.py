@@ -271,6 +271,14 @@ def test_holomorphy_sanity():
         assert abs(fd - analytic) / abs(analytic) <= 1e-4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("l", 10.5), ("l1", 10.0), ("D", 4.0), ("l1", True)])
+def test_arch_spec_requires_integer_weights(field, value):
+    kw = dict(DISCRETE_SERIES_SPECS[0], **{field: value})
+    with pytest.raises(InvalidArgument, match=field):
+        ArchSpec(**kw)
+
+
 def test_arch_spec_json():
     spec = ArchSpec(l=10, l1=10, D=4, q_exp=0.0, a_plus=2 - 1j, s=7 / 6, ir=9.0)
     back = ArchSpec.from_json(spec.to_json())

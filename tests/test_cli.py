@@ -215,6 +215,29 @@ def test_global_constant_bad_spec_exit_2(tmp_path, spec):
     _assert_input_error(run_cli("global-constant", "--spec", str(path)))
 
 
+@pytest.mark.parametrize("spec", [[], "abc"])
+def test_global_constant_non_object_spec_exit_2(tmp_path, spec):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(run_cli("global-constant", "--spec", str(path)))
+
+
+@pytest.mark.parametrize("field, value", [("l", 10.5), ("l1", 10.5), ("D", 4.0)])
+def test_arch_verify_non_integer_weight_exit_2(tmp_path, field, value):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, **{field: value})))
+    _assert_input_error(run_cli("arch-verify", "--spec", str(path)))
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_verify_nonarch_non_integer_conductor_exit_2(tmp_path, n):
+    path = tmp_path / "case1.json"
+    obj = dict(WORKED_CASE2, rep={"kind": "RamifiedOther",
+                                  "omega_tau": {"rat": "1"}, "n": n})
+    path.write_text(json.dumps(obj))
+    _assert_input_error(run_cli("verify-nonarch", "--params", str(path)))
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_arch_verify_bad_tol_exit_2(tmp_path, tol):
     path = tmp_path / "arch.json"
@@ -272,6 +295,11 @@ def test_out_flag_writes_file(tmp_path):
     run_cli("dims", "--out", str(out), check=True)
     report = json.loads(out.read_text())
     assert report["all_match"] is True
+
+
+def test_out_flag_unwritable_path_exit_2(tmp_path):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        _assert_input_error(run_cli("dims", "--out", str(path)))
 
 
 def test_unknown_command_rejected():

@@ -111,6 +111,9 @@ def test_kind_validation():
         Gl2Local(RAMIFIED_OTHER, q, omega_tau_varpi=rq(1, q), conductor_exp=0)
     with pytest.raises(InvalidArgument):
         Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=rq(0, q), beta_varpi=rq(1, q))
+    for n in (2.5, 1.0, True):  # conductor exponents are ints only
+        with pytest.raises(InvalidArgument):
+            Gl2Local(RAMIFIED_OTHER, q, omega_tau_varpi=rq(1, q), conductor_exp=n)
     with pytest.raises(InvalidArgument):
         # omega_tau given but inconsistent with alpha*beta
         Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=rq(2, q), beta_varpi=rq(3, q),
