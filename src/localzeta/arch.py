@@ -23,7 +23,7 @@ import numpy as np
 
 from .cgamma import complex_gamma, digamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
-                     UnsupportedParameters)
+                     UnsupportedParameters, require_int)
 from .quadrature import _nodes, quad_zero_to_inf
 
 _TOL = 1e-12
@@ -50,9 +50,7 @@ class ArchSpec:
 
     def __post_init__(self):
         for name in ("l", "l1", "D"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+            require_int(name, getattr(self, name))
         if self.l < 2:
             raise InvalidArgument("weight l must be an integer >= 2")
         if self.D <= 0 or self.D % 4 not in (0, 3):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-input check."""
 
 
 class LocalZetaError(Exception):
@@ -47,3 +47,9 @@ class QuadratureError(LocalZetaError, ArithmeticError):
 
 class DivergentParameters(LocalZetaError, ValueError):
     """Archimedean parameters violating the convergence condition."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise InvalidArgument unless value is an int (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")

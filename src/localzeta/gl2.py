@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, require_int
 from .scalars import QScalar
 
 # Representation kinds.
@@ -72,10 +72,8 @@ class Gl2Local:
             raise InvalidArgument(
                 "omega_tau_varpi inconsistent with the representation kind")
 
-        if conductor_exp is not None and (not isinstance(conductor_exp, int)
-                                          or isinstance(conductor_exp, bool)):
-            raise InvalidArgument(
-                f"conductor exponent must be an integer, got {conductor_exp!r}")
+        if conductor_exp is not None:
+            require_int("conductor exponent", conductor_exp)
         if kind == UNRAMIFIED_PS:
             derived_n = 0
         elif kind == STEINBERG_UNRAMIFIED:

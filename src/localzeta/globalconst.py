@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cgamma import complex_gamma
-from .errors import InvalidArgument, PoleError
+from .errors import InvalidArgument, PoleError, require_int
 from .scalars import QScalar
 from .zeta import LocalInstance, y_factor
 
@@ -33,6 +33,8 @@ class GlobalSpec:
     class_data: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("l", "D"):
+            require_int(name, getattr(self, name))
         if self.D <= 0 or self.D % 4 not in (0, 3):
             raise InvalidArgument("D must be positive and = 0, 3 mod 4")
         object.__setattr__(self, "bad_primes", tuple(

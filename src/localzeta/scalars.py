@@ -4,15 +4,21 @@ Every scalar appearing in the non-archimedean formulas is of the form
 a + b*sqrt(q) with rational a, b, where q is the residue field cardinality.
 The square root is treated as a formal symbol even when q is a perfect
 square, so identities verified here hold for every specialization.
+
+A scalar is stored as four ints a, b, d, q standing for (a + b*sqrt(q)) / d,
+in the canonical form d > 0 and gcd(a, b, d) = 1 (zero is (0, 0, 1)).  Equal
+values therefore have equal fields, so equality and hashing compare ints,
+and each ring operation is integer arithmetic plus one gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import gcd
 
 from .errors import InvalidArgument, InvalidInversion
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -22,28 +28,40 @@ def _as_fraction(x) -> Fraction:
     raise InvalidArgument(f"not a rational value: {x!r}")
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+def _check_q(q) -> None:
+    if q is None:
+        raise InvalidArgument("QScalar requires the ambient cardinality q")
+    if not isinstance(q, int) or q < 2:
+        raise InvalidArgument(f"q must be an integer >= 2, got {q!r}")
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class QScalar:
-    """Element rat + sqrt * √q of the ring Q[x]/(x^2 - q).
+    """Element rat + sqrt * √q of the ring Q[x]/(x^2 - q), as (a + b√q)/d.
 
     Values are immutable; arithmetic with plain ints/Fractions promotes
     them to rational elements of the same ring.
     """
 
-    rat: Fraction
-    sqrt: Fraction = 0
-    q: Optional[int] = None
+    a: int
+    b: int
+    d: int
+    q: int
 
-    def __post_init__(self):
-        q = self.q
-        if q is None:
-            raise InvalidArgument("QScalar requires the ambient cardinality q")
-        if not isinstance(q, int) or q < 2:
-            raise InvalidArgument(f"q must be an integer >= 2, got {q!r}")
-        if not isinstance(self.rat, Fraction):
-            object.__setattr__(self, "rat", _as_fraction(self.rat))
-        if not isinstance(self.sqrt, Fraction):
-            object.__setattr__(self, "sqrt", _as_fraction(self.sqrt))
+    def __init__(self, rat, sqrt=0, q=None):
+        _check_q(q)
+        if rat.__class__ is int and sqrt.__class__ is int:
+            a, b, d = rat, sqrt, 1
+        else:
+            rat, sqrt = _as_fraction(rat), _as_fraction(sqrt)
+            # over the lcm of the reduced denominators, gcd(a, b, d) is 1
+            r, s = rat.denominator, sqrt.denominator
+            d = r // gcd(r, s) * s
+            a, b = rat.numerator * (d // r), sqrt.numerator * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+        _set_q(self, q)
 
     # -- constructors ------------------------------------------------
 
@@ -62,9 +80,21 @@ class QScalar:
     @staticmethod
     def q_half_power(n: int, q: int) -> "QScalar":
         """q^(n/2) for any integer n (n may be negative)."""
-        if n % 2 == 0:
-            return QScalar(Fraction(q) ** (n // 2), 0, q)
-        return QScalar(0, Fraction(q) ** ((n - 1) // 2), q)
+        _check_q(q)
+        k = n // 2
+        p = q ** abs(k)
+        num, d = (p, 1) if k >= 0 else (1, p)
+        return _reduced(num, 0, d, q) if n % 2 == 0 else _reduced(0, num, d, q)
+
+    # -- views -------------------------------------------------------
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def sqrt(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- helpers -----------------------------------------------------
 
@@ -80,22 +110,28 @@ class QScalar:
 
     # -- ring operations ---------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QScalar(self.rat + o.rat, self.sqrt + o.sqrt, self.q)
+    def __add__(self, o):
+        if o.__class__ is not QScalar or o.q != self.q:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        d, e = self.d, o.d
+        return _reduced(self.a * e + o.a * d, self.b * e + o.b * d, d * e,
+                        self.q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QScalar(-self.rat, -self.sqrt, self.q)
+        return _reduced(-self.a, -self.b, self.d, self.q)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QScalar(self.rat - o.rat, self.sqrt - o.sqrt, self.q)
+    def __sub__(self, o):
+        if o.__class__ is not QScalar or o.q != self.q:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        d, e = self.d, o.d
+        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e,
+                        self.q)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -103,28 +139,31 @@ class QScalar:
             return NotImplemented
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b sqrt(q))(c + d sqrt(q)) = (ac + bdq) + (ad + bc) sqrt(q)
-        return QScalar(
-            self.rat * o.rat + self.sqrt * o.sqrt * self.q,
-            self.rat * o.sqrt + self.sqrt * o.rat,
-            self.q,
-        )
+    def __mul__(self, o):
+        if o.__class__ is not QScalar or o.q != self.q:
+            o = self._coerce(o)
+            if o is None:
+                return NotImplemented
+        # (a + b sqrt(q))(c + e sqrt(q)) = (ac + beq) + (ae + bc) sqrt(q)
+        a, b, c, e, q = self.a, self.b, o.a, o.b, self.q
+        return _reduced(a * c + b * e * q, a * e + b * c, self.d * o.d, q)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """rat^2 - q * sqrt^2; nonzero exactly for the invertible elements."""
-        return self.rat * self.rat - self.q * self.sqrt * self.sqrt
+        return Fraction(self.a * self.a - self.q * self.b * self.b,
+                        self.d * self.d)
 
     def inverse(self) -> "QScalar":
-        n = self.norm()
+        # d / (a + b sqrt(q)) = d (a - b sqrt(q)) / (a^2 - q b^2)
+        a, b, d, q = self.a, self.b, self.d, self.q
+        n = a * a - q * b * b
         if n == 0:
             raise InvalidInversion(f"{self!r} has vanishing norm")
-        return QScalar(self.rat / n, -self.sqrt / n, self.q)
+        if n < 0:
+            d, n = -d, -n
+        return _reduced(a * d, -b * d, n, q)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -156,22 +195,23 @@ class QScalar:
     # -- predicates and conversions ----------------------------------
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.sqrt == 0
+        return self.a == 0 and self.b == 0
 
     def is_one(self) -> bool:
-        return self.rat == 1 and self.sqrt == 0
+        return self.a == self.d == 1 and self.b == 0
 
     def is_rational(self) -> bool:
-        return self.sqrt == 0
+        return self.b == 0
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, QScalar) else other
         if not isinstance(o, QScalar):
             return NotImplemented
-        return self.q == o.q and self.rat == o.rat and self.sqrt == o.sqrt
+        return (self.a == o.a and self.b == o.b and self.d == o.d
+                and self.q == o.q)
 
     def __hash__(self):
-        return hash((self.rat, self.sqrt, self.q))
+        return hash((self.a, self.b, self.d, self.q))
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.sqrt) * float(self.q) ** 0.5
@@ -180,9 +220,9 @@ class QScalar:
         return f"QScalar({self.rat}, {self.sqrt}, q={self.q})"
 
     def __str__(self):
-        if self.sqrt == 0:
+        if self.b == 0:
             return str(self.rat)
-        if self.rat == 0:
+        if self.a == 0:
             return f"{self.sqrt}*sqrt({self.q})"
         return f"{self.rat} + {self.sqrt}*sqrt({self.q})"
 
@@ -194,11 +234,29 @@ class QScalar:
     @staticmethod
     def from_json(obj, q: int) -> "QScalar":
         if isinstance(obj, (int, str)):
-            return QScalar(_as_fraction(obj), 0, q)
+            return QScalar(obj, 0, q)
         if not isinstance(obj, dict):
             raise InvalidArgument(f"cannot decode QScalar from {obj!r}")
-        return QScalar(
-            _as_fraction(obj.get("rat", 0)),
-            _as_fraction(obj.get("sqrt", 0)),
-            q,
-        )
+        return QScalar(obj.get("rat", 0), obj.get("sqrt", 0), q)
+
+
+# Internal results skip __init__: _reduced writes them, in canonical form,
+# straight into the frozen slots.
+_set_a, _set_b, _set_d, _set_q = (
+    QScalar.a.__set__, QScalar.b.__set__, QScalar.d.__set__, QScalar.q.__set__)
+_alloc = object.__new__
+
+
+def _reduced(a: int, b: int, d: int, q: int) -> QScalar:
+    """(a + b sqrt(q)) / d in canonical form; d must be > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _alloc(QScalar)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    _set_q(x, q)
+    return x

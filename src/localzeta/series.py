@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional
 
-from .errors import DivisionByNonUnit, InvalidArgument
+from .errors import DivisionByNonUnit, InvalidArgument, require_int
 from .scalars import QScalar
 
 DEFAULT_ORDER = 12
@@ -134,10 +134,11 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     """Taylor coefficients 0..order of num/den at T = 0.
 
     Both operands stay unpadded: coefficient k is read from num only while
-    k <= deg(num), and den contributes only its stored coefficients, so the
-    inner loop runs to min(k, deg(den)).  Only the constant term of den is
-    ever inverted; in this package it is always 1.
+    k <= deg(num), and the inner loop runs over the nonzero coefficients
+    d[j], 1 <= j <= min(k, deg(den)), only.  Only the constant term of den
+    is ever inverted; in this package it is always 1.
     """
+    require_int("order", order)
     if order < 0:
         raise InvalidArgument("order must be >= 0")
     d0 = den.constant()
@@ -145,12 +146,15 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
         raise DivisionByNonUnit("series division by non-invertible constant term")
     d0inv = d0.inverse()
     zero = QScalar.zero(num.q)
-    a, d = num.coeffs, den.coeffs
+    a = num.coeffs
+    terms = [(j, c) for j, c in enumerate(den.coeffs[1:], 1) if not c.is_zero()]
     out: list[QScalar] = []
     for k in range(order + 1):
         acc = a[k] if k < len(a) else zero
-        for j in range(1, min(k, den.degree) + 1):
-            acc = acc - d[j] * out[k - j]
+        for j, c in terms:
+            if j > k:
+                break
+            acc = acc - c * out[k - j]
         out.append(acc * d0inv)
     return Series(out, num.q)
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
                      bessel_coeffs, sugano_H, sugano_Q)
-from .errors import InvalidArgument, UnsupportedCase
+from .errors import InvalidArgument, UnsupportedCase, require_int
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local, newform_value)
 from .scalars import QScalar
@@ -47,6 +47,7 @@ class LocalInstance:
         satake, bessel = self.satake, self.bessel
         if not (satake.q == bessel.q == self.rep.q):
             raise InvalidArgument("components disagree on the residue cardinality")
+        require_int("order", self.order)
         if self.order < 0:
             raise InvalidArgument("order must be >= 0")
         if bessel.lambda_varpi != satake.omega_pi:
@@ -91,7 +92,8 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
     coeffs = []
     weight = QScalar.one(q)
     for l in range(inst.order + 1):
-        coeffs.append(B.coeffs[l] * weight * newform_value(rep, l))
+        w = newform_value(rep, l)
+        coeffs.append(w if w.is_zero() else B.coeffs[l] * weight * w)
         weight = weight * w_unit
     return Series(coeffs, q)
 

@@ -111,6 +111,20 @@ def test_bessel_negative_order_exit_2(tmp_path):
                                 "--order", "-1"))
 
 
+@pytest.mark.parametrize("order", [True, 2.5])
+def test_bessel_non_integer_order_exit_2(tmp_path, order):
+    path = tmp_path / "bessel.json"
+    path.write_text(json.dumps({
+        "q": 4,
+        "order": order,
+        "satake": WORKED_CASE2["satake"],
+        "bessel": WORKED_CASE2["bessel"],
+    }))
+    proc = run_cli("bessel", "--params", str(path))
+    _assert_input_error(proc)
+    assert "order must be an integer" in proc.stderr
+
+
 @pytest.mark.parametrize("args", [
     ("sweep", "--order", "-1"),
     # counts that would check nothing must not report a pass
@@ -236,6 +250,24 @@ def test_verify_nonarch_non_integer_conductor_exit_2(tmp_path, n):
                                   "omega_tau": {"rat": "1"}, "n": n})
     path.write_text(json.dumps(obj))
     _assert_input_error(run_cli("verify-nonarch", "--params", str(path)))
+
+
+@pytest.mark.parametrize("order", [True, 2.5])
+def test_verify_nonarch_non_integer_order_exit_2(tmp_path, order):
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(dict(WORKED_CASE2, order=order)))
+    proc = run_cli("verify-nonarch", "--params", str(path))
+    _assert_input_error(proc)
+    assert "order must be an integer" in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [("l", 10.5), ("l", True), ("D", 3.0)])
+def test_global_constant_non_integer_exit_2(tmp_path, field, value):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps(dict({"l": 10, "D": 3}, **{field: value})))
+    proc = run_cli("global-constant", "--spec", str(path))
+    _assert_input_error(proc)
+    assert f"{field} must be an integer" in proc.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

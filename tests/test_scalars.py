@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -134,3 +135,145 @@ def test_bad_inputs():
         QScalar(1.5, 0, q=4)
     with pytest.raises(InvalidArgument):
         rq(1, 5) ** Fraction(1, 2)
+
+
+# -- differential test against a (Fraction, Fraction) reference ----------
+#
+# The reference keeps an element as its two rational coordinates (rat,
+# sqrt) and implements the ring operations from their definitions; the
+# scalar under test keeps (a + b sqrt(q)) / d as ints in canonical form.
+
+DIFF_QS = [2, 3, 4, 5, 9, 16, 27]
+
+
+def ref_mul(x, y, q):
+    return (x[0] * y[0] + q * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x, q):
+    n = x[0] * x[0] - q * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def ref_pow(x, k, q):
+    if k < 0:
+        x, k = ref_inverse(x, q), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x, q)
+    return out
+
+
+def ref_half_power(n, q):
+    if n % 2 == 0:
+        return (Fraction(q) ** (n // 2), Fraction(0))
+    return (Fraction(0), Fraction(q) ** ((n - 1) // 2))
+
+
+def canonical(x):
+    """(a, b, d) of rat + sqrt * sqrt(q), from the reference coordinates."""
+    d = math.lcm(x[0].denominator, x[1].denominator)
+    return (int(x[0] * d), int(x[1] * d), d)
+
+
+def assert_matches(got, want, q):
+    assert (got.rat, got.sqrt, got.q) == (want[0], want[1], q)
+    assert (got.a, got.b, got.d) == canonical(want)
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert got == QScalar(want[0], want[1], q)
+    assert hash(got) == hash(QScalar(want[0], want[1], q))
+
+
+def _random_rational(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        return Fraction(0)
+    if kind < 0.3:
+        return Fraction(rng.randint(-20, 20))
+    if kind < 0.85:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+    # large numerators and denominators, as in long series
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+
+def _pair(rng):
+    return (_random_rational(rng), _random_rational(rng))
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_ring_operations_match_fraction_reference(q):
+    rng = random.Random(7000 + q)
+    for _ in range(200):
+        x, y = _pair(rng), _pair(rng)
+        sx, sy = QScalar(*x, q), QScalar(*y, q)
+        assert_matches(sx, x, q)
+        assert_matches(sx + sy, (x[0] + y[0], x[1] + y[1]), q)
+        assert_matches(sx - sy, (x[0] - y[0], x[1] - y[1]), q)
+        assert_matches(-sx, (-x[0], -x[1]), q)
+        assert_matches(sx * sy, ref_mul(x, y, q), q)
+        if sy.norm() != 0:
+            assert sy.norm() == y[0] ** 2 - q * y[1] ** 2
+            assert_matches(sy.inverse(), ref_inverse(y, q), q)
+            assert_matches(sx / sy, ref_mul(x, ref_inverse(y, q), q), q)
+            k = rng.randint(-6, 6)
+            assert_matches(sy ** k, ref_pow(y, k, q), q)
+        else:
+            with pytest.raises(InvalidInversion):
+                sy.inverse()
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_mixed_operands_match_fraction_reference(q):
+    rng = random.Random(8000 + q)
+    for _ in range(100):
+        x = _pair(rng)
+        sx = QScalar(*x, q)
+        c = rng.choice([rng.randint(-9, 9),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+        assert_matches(sx + c, (x[0] + c, x[1]), q)
+        assert_matches(c + sx, (x[0] + c, x[1]), q)
+        assert_matches(sx - c, (x[0] - c, x[1]), q)
+        assert_matches(c - sx, (c - x[0], -x[1]), q)
+        assert_matches(sx * c, (x[0] * c, x[1] * c), q)
+        assert_matches(c * sx, (x[0] * c, x[1] * c), q)
+        if c != 0:
+            assert_matches(sx / c, (x[0] / c, x[1] / c), q)
+        if sx.norm() != 0:
+            assert_matches(c / sx, ref_mul((Fraction(c), Fraction(0)),
+                                           ref_inverse(x, q), q), q)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_q_half_power_matches_fraction_reference(q):
+    for n in range(-9, 10):
+        assert_matches(QScalar.q_half_power(n, q), ref_half_power(n, q), q)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_canonical_form(q):
+    rng = random.Random(9000 + q)
+    zero = QScalar.zero(q)
+    assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+    for _ in range(100):
+        x, y = QScalar(*_pair(rng), q), QScalar(*_pair(rng), q)
+        diff = x - x
+        assert (diff.a, diff.b, diff.d) == (0, 0, 1)
+        assert (0 * x).is_zero() and (0 * x) == zero
+        # one value reached by different routes has one representation
+        for u, v in ((x * y, y * x), ((x + y) - y, x), (x + x, 2 * x)):
+            assert (u.a, u.b, u.d, u.q) == (v.a, v.b, v.d, v.q)
+            assert hash(u) == hash(v)
+
+
+@pytest.mark.parametrize("q", DIFF_QS)
+def test_json_roundtrip_large_denominators(q):
+    rng = random.Random(10000 + q)
+    for _ in range(50):
+        x = QScalar(Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)),
+                    Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)),
+                    q)
+        for value in (x, x ** 7, x * QScalar.q_half_power(-61, q)):
+            back = QScalar.from_json(value.to_json(), q)
+            assert back == value
+            assert hash(back) == hash(value)
+            assert (back.a, back.b, back.d) == (value.a, value.b, value.d)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        lfactor_triple_case2, random_local_instance,
                        unramified_closed, verify_local, y_factor,
                        zeta_closed_rhs, zeta_series_lhs)
+from localzeta import cli
 from localzeta.zeta import _y_scale
 
 from conftest import embed, rq
@@ -268,3 +271,18 @@ def test_order_truncation():
     inst = worked_case2_instance(order=3)
     assert zeta_series_lhs(inst).order == 3
     assert hq_substituted(inst).order == 3
+
+
+# sha256 of the 70 reports of the seed-0, order-24 sweep plan, each as
+# sorted-key JSON, joined by newlines: it pins every series coefficient the
+# non-archimedean routes produce, not only the pass/fail lines of `sweep`
+SWEEP_PLAN_0_24_SHA256 = (
+    "43466fd1439fdd85f26faee023f08ef7ac9a0f4fe6892098eb8dbe8f18a905c9")
+
+
+def test_sweep_plan_reports_are_unchanged():
+    plan = cli._sweep_plan(0, 24, 1)
+    assert len(plan) == 70
+    text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
+                     for inst in plan)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PLAN_0_24_SHA256
