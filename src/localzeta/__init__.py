@@ -13,11 +13,10 @@ from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_div, series_equal)
-from .zeta import (LocalInstance, VerificationReport, hq_substituted,
-                   lfactor_chi_restriction, lfactor_gsp4_gl2_case2,
-                   lfactor_triple_case2, random_local_instance,
-                   unramified_closed, verify_local, y_factor,
-                   zeta_closed_rhs, zeta_series_lhs)
+from .zeta import (LocalInstance, VerificationReport, euler_chi,
+                   euler_pairing, euler_triple, hq_substituted,
+                   random_local_instance, unramified_closed, verify_local,
+                   y_factor, zeta_closed_rhs, zeta_series_lhs)
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cgamma import complex_gamma, digamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
-                     UnsupportedParameters, require_int)
+                     UnsupportedParameters, require_complex, require_int)
 from .quadrature import _nodes, quad_zero_to_inf
 
 _TOL = 1e-12
@@ -79,19 +79,16 @@ class ArchSpec:
 
     @staticmethod
     def from_json(obj) -> "ArchSpec":
-        def dec(v):
-            if isinstance(v, (list, tuple)):
-                return complex(v[0], v[1])
-            return complex(v)
         if "ir" in obj:
-            ir = dec(obj["ir"])
+            ir = require_complex("ir", obj["ir"])
         elif "r" in obj:
-            ir = 1j * dec(obj["r"])
+            ir = 1j * require_complex("r", obj["r"])
         else:
             raise InvalidArgument("spec needs 'ir' or 'r'")
         return ArchSpec(l=obj["l"], l1=obj["l1"], D=obj["D"],
-                        q_exp=dec(obj.get("q_exp", 0.0)),
-                        a_plus=dec(obj["a_plus"]), s=dec(obj["s"]), ir=ir)
+                        q_exp=require_complex("q_exp", obj.get("q_exp", 0.0)),
+                        a_plus=require_complex("a_plus", obj["a_plus"]),
+                        s=require_complex("s", obj["s"]), ir=ir)
 
 
 # ---------------------------------------------------------------------------

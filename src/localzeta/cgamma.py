@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError
+from .errors import InvalidArgument, PoleError
 
 # Lanczos g = 7, n = 9 coefficient set; relative accuracy ~1e-13 on the
 # right half-plane.
@@ -24,18 +24,21 @@ _LANCZOS = (
 _POLE_TOL = 1e-12
 
 
-def _near_nonpositive_integer(z: complex) -> bool:
-    if abs(z.imag) > _POLE_TOL:
-        return False
+def _checked(z, name: str) -> complex:
+    """z as a complex; InvalidArgument if it is not finite, PoleError if it
+    is at or near a nonpositive integer."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidArgument(f"{name} needs a finite argument, got z = {z}")
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= _POLE_TOL
+    if abs(z.imag) <= _POLE_TOL and r <= 0 and abs(z.real - r) <= _POLE_TOL:
+        raise PoleError(f"{name} pole at or near z = {z}")
+    return z
 
 
 def complex_gamma(z: complex) -> complex:
     """Gamma(z) for complex z, reflection formula for Re(z) < 0.5."""
-    z = complex(z)
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"Gamma pole at or near z = {z}")
+    z = _checked(z, "Gamma")
     if z.real < 0.5:
         return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
     z -= 1.0
@@ -55,9 +58,7 @@ _BERNOULLI = (
 
 def digamma(z: complex) -> complex:
     """psi(z) by upward recurrence into the asymptotic regime."""
-    z = complex(z)
-    if _near_nonpositive_integer(z):
-        raise PoleError(f"digamma pole at or near z = {z}")
+    z = _checked(z, "digamma")
     acc = 0.0 + 0.0j
     while z.real < 12.0:
         acc -= 1.0 / z

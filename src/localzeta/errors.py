@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the integer-input check."""
+"""Exception types shared across the package, and the input-value checks."""
+
+import cmath
 
 
 class LocalZetaError(Exception):
@@ -53,3 +55,19 @@ def require_int(name: str, value) -> None:
     """Raise InvalidArgument unless value is an int (a bool is not one)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
+def require_complex(name: str, value) -> complex:
+    """Decode a JSON complex value: a finite number or a list [re, im] of
+    exactly two.  Anything else raises InvalidArgument (a bool is not a
+    number)."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        try:
+            z = complex(*parts)
+            if cmath.isfinite(z):
+                return z
+        except OverflowError:  # an int too large for a float
+            pass
+    raise InvalidArgument(
+        f"{name} must be a finite number or [re, im], got {value!r}")

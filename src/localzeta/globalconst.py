@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cgamma import complex_gamma
-from .errors import InvalidArgument, PoleError, require_int
+from .errors import InvalidArgument, PoleError, require_complex, require_int
 from .scalars import QScalar
 from .zeta import LocalInstance, y_factor
 
@@ -47,20 +47,22 @@ class GlobalSpec:
     def from_json(obj) -> "GlobalSpec":
         """a_lambda is given directly or derived from class_data, not both;
         with neither it is 1."""
-        def dec(v):
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
         if not isinstance(obj, dict):
             raise InvalidArgument("a global spec must be a JSON object")
         if "class_data" not in obj:
-            class_data, value = None, dec(obj.get("a_lambda", 1.0))
+            class_data = None
+            value = require_complex("a_lambda", obj.get("a_lambda", 1.0))
         elif "a_lambda" in obj:
             raise InvalidArgument("give a_lambda or class_data, not both")
         else:
-            class_data = tuple((dec(a), dec(b)) for a, b in obj["class_data"])
+            class_data = tuple(
+                (require_complex("class_data", a), require_complex("class_data", b))
+                for a, b in obj["class_data"])
             value = a_lambda(class_data)
         return GlobalSpec(
             l=obj["l"], D=obj["D"], a_lambda=value,
-            bad_primes=tuple((p, dec(y)) for p, y in obj.get("bad_primes", [])),
+            bad_primes=tuple((p, require_complex("bad_primes", y))
+                             for p, y in obj.get("bad_primes", [])),
             class_data=class_data,
         )
 

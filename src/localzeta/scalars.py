@@ -24,7 +24,10 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise InvalidArgument(f"zero denominator in {x!r}") from None
     raise InvalidArgument(f"not a rational value: {x!r}")
 
 

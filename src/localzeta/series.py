@@ -133,18 +133,18 @@ class SeriesComparison:
 def series_div(num: Poly, den: Poly, order: int) -> Series:
     """Taylor coefficients 0..order of num/den at T = 0.
 
+    den must have constant term 1, as every RatFn denominator has, so no
+    coefficient is ever divided; any other den raises DivisionByNonUnit.
     Both operands stay unpadded: coefficient k is read from num only while
     k <= deg(num), and the inner loop runs over the nonzero coefficients
-    d[j], 1 <= j <= min(k, deg(den)), only.  Only the constant term of den
-    is ever inverted; in this package it is always 1.
+    d[j], 1 <= j <= min(k, deg(den)), only.
     """
     require_int("order", order)
     if order < 0:
         raise InvalidArgument("order must be >= 0")
-    d0 = den.constant()
-    if d0.norm() == 0:
-        raise DivisionByNonUnit("series division by non-invertible constant term")
-    d0inv = d0.inverse()
+    if not den.constant().is_one():
+        raise DivisionByNonUnit(
+            "series division needs a denominator with constant term 1")
     zero = QScalar.zero(num.q)
     a = num.coeffs
     terms = [(j, c) for j, c in enumerate(den.coeffs[1:], 1) if not c.is_zero()]
@@ -155,7 +155,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
             if j > k:
                 break
             acc = acc - c * out[k - j]
-        out.append(acc * d0inv)
+        out.append(acc)
     return Series(out, num.q)
 
 
@@ -189,25 +189,6 @@ class RatFn:
     @property
     def q(self) -> int:
         return self.numer.q
-
-    @staticmethod
-    def one(q: int) -> "RatFn":
-        return RatFn(Poly.one(q), Poly.one(q))
-
-    @staticmethod
-    def inverse_poly(p: Poly) -> "RatFn":
-        """1 / p, the shape of every L-factor."""
-        return RatFn(Poly.one(p.q), p)
-
-    def __mul__(self, other: "RatFn") -> "RatFn":
-        return RatFn(self.numer * other.numer, self.denom * other.denom)
-
-    def __truediv__(self, other: "RatFn") -> "RatFn":
-        if not other.numer.constant().is_one():
-            raise InvalidArgument(
-                "can only divide by a rational function with unit "
-                "numerator constant term")
-        return RatFn(self.numer * other.denom, self.denom * other.numer)
 
     def to_series(self, order: int = DEFAULT_ORDER) -> Series:
         """Taylor expansion at T = 0."""

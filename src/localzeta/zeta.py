@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
                      bessel_coeffs, sugano_H, sugano_Q)
@@ -121,47 +121,44 @@ def hq_substituted(inst: LocalInstance) -> Series:
     return RatFn(H, Q).to_series(inst.order)
 
 
-def lfactor_gsp4_gl2_case2(satake: SatakeParams, rep: Gl2Local) -> RatFn:
-    """L(3s+1/2, contragredient pi x contragredient tau) in T, Case 2.
-
-    Inverse is prod_i (1 - (gamma^(i) alpha)^{-1}(varpi) q^(-1/2) T).
-    """
-    if rep.kind != RAMIFIED_PS_UNRAM_ALPHA:
-        raise UnsupportedCase("degree-8 pairing factor is used in Case 2 only")
+def euler_pairing(satake: SatakeParams, taus: Sequence[QScalar]) -> Poly:
+    """Inverse of L(3s+1/2, pi~ x tau~) in T, over the unramified values t
+    of tau: prod_{gamma, t} (1 - (gamma t)^{-1}(varpi) q^(-1/2) T)."""
     qm1 = QScalar.q_half_power(-1, satake.q)
-    return RatFn.inverse_poly(Poly.euler(
-        [(g * rep.alpha_varpi).inverse() * qm1 for g in satake.gamma], satake.q))
+    return Poly.euler(
+        [(g * t).inverse() * qm1 for g in satake.gamma for t in taus], satake.q)
 
 
-def lfactor_chi_restriction(satake: SatakeParams, rep: Gl2Local) -> RatFn:
-    """L(6s+1, chi restricted to F^x) = (1 - (omega_pi omega_tau)^{-1} q^-1 T^2)^-1."""
-    q = satake.q
+def euler_chi(satake: SatakeParams, rep: Gl2Local) -> Poly:
+    """Inverse of L(6s+1, chi|F^x): 1 - (omega_pi omega_tau)^{-1} q^-1 T^2."""
     x = (satake.omega_pi * rep.omega_tau_varpi).inverse() \
-        * QScalar.q_half_power(-2, q)
-    return RatFn.inverse_poly(Poly.euler([x], q, step=2))
+        * QScalar.q_half_power(-2, satake.q)
+    return Poly.euler([x], satake.q, step=2)
 
 
-def lfactor_triple_case2(rep: Gl2Local, bessel: BesselDatum,
-                         satake: SatakeParams) -> RatFn:
-    """L(3s+1, tau x AI(Lambda) x chi|_{F^x}) in T, Case 2, per Legendre case."""
-    if rep.kind != RAMIFIED_PS_UNRAM_ALPHA:
-        raise UnsupportedCase("triple-product factor implemented for Case 2 only")
-    q = satake.q
+def euler_triple(bessel: BesselDatum, units: Sequence[QScalar], q: int) -> Poly:
+    """Inverse of L(3s+1, tau x AI(Lambda) x chi|F^x) in T, over the
+    unramified values u of tau x chi at varpi, per Legendre case."""
     qm2 = QScalar.q_half_power(-2, q)
-    opa_inv = (satake.omega_pi * rep.alpha_varpi).inverse()
     if bessel.legendre == INERT:
-        x = bessel.lambda_varpi * opa_inv * opa_inv * qm2 * qm2
-        return RatFn.inverse_poly(Poly.euler([x], q, step=2))
+        return Poly.euler(
+            [bessel.lambda_varpi * u * u * qm2 * qm2 for u in units], q, step=2)
     if bessel.legendre == RAMIFIED:
-        cs = [bessel.lambda_varpiL * opa_inv * qm2]
-        if rep.beta_chi_unramified:
-            opb_inv = (satake.omega_pi * rep.beta_varpi).inverse()
-            cs.append(bessel.lambda_varpiL * opb_inv * qm2)
-        return RatFn.inverse_poly(Poly.euler(cs, q))
-    # split
-    return RatFn.inverse_poly(Poly.euler(
-        [lam * opa_inv * qm2
-         for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q))
+        return Poly.euler([bessel.lambda_varpiL * u * qm2 for u in units], q)
+    return Poly.euler(
+        [lam * u * qm2 for u in units
+         for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q)
+
+
+def _beta_units(inst: LocalInstance) -> list[QScalar]:
+    """[(omega_pi beta)^{-1}] where Case 2 over a ramified extension has
+    beta chi unramified, else [].  This triple factor enters the closed
+    form and Y(s) both, and cancels."""
+    rep = inst.rep
+    if (rep.kind == RAMIFIED_PS_UNRAM_ALPHA and rep.beta_chi_unramified
+            and inst.bessel.legendre == RAMIFIED):
+        return [(inst.satake.omega_pi * rep.beta_varpi).inverse()]
+    return []
 
 
 def y_factor(inst: LocalInstance) -> RatFn:
@@ -171,25 +168,22 @@ def y_factor(inst: LocalInstance) -> RatFn:
     it is represented as 1 here so that the asserted cancellation in
     zeta_closed_rhs is implemented exactly as stated.
     """
-    rep = inst.rep
-    if rep.kind == UNRAMIFIED_PS:
-        return RatFn.one(inst.q)
-    l_chi = lfactor_chi_restriction(inst.satake, rep)
-    if rep.kind in (STEINBERG_UNRAMIFIED, RAMIFIED_OTHER):
-        return l_chi
-    # Case 2
-    if inst.bessel.legendre == RAMIFIED and rep.beta_chi_unramified:
-        opb_inv = (inst.satake.omega_pi * rep.beta_varpi).inverse()
-        extra = Poly.euler([inst.bessel.lambda_varpiL * opb_inv
-                            * QScalar.q_half_power(-2, inst.q)], inst.q)
-        return RatFn(l_chi.numer, l_chi.denom * extra)
-    return l_chi
+    one = Poly.one(inst.q)
+    if inst.rep.kind == UNRAMIFIED_PS:
+        return RatFn(one, one)
+    return RatFn(one, euler_chi(inst.satake, inst.rep)
+                 * euler_triple(inst.bessel, _beta_units(inst), inst.q))
 
 
 def zeta_closed_rhs(inst: LocalInstance,
                     y_factor_fn: Optional[Callable] = None) -> RatFn:
-    """Closed form L(3s+1/2)/(L(6s+1) L(3s+1, triple)) * Y(s), Cases 1-2."""
-    rep = inst.rep
+    """Closed form L(3s+1/2)/(L(6s+1) L(3s+1, triple)) * Y(s), Cases 1-2.
+
+    Case 1 takes the pairing and triple factors as 1.  Case 2 takes them
+    at tau's unramified value alpha, the triple factor also at the
+    _beta_units value, which Y(s) cancels.
+    """
+    rep, satake = inst.rep, inst.satake
     if rep.kind == STEINBERG_UNRAMIFIED:
         raise UnsupportedCase(
             "no explicit triple factor for the Steinberg case; "
@@ -197,14 +191,13 @@ def zeta_closed_rhs(inst: LocalInstance,
     if rep.kind == UNRAMIFIED_PS:
         raise UnsupportedCase("use unramified_closed for the unramified case")
     yf = (y_factor_fn or y_factor)(inst)
-    l_chi = lfactor_chi_restriction(inst.satake, rep)
-    if rep.kind == RAMIFIED_OTHER:
-        numerator = RatFn.one(inst.q)
-        triple = RatFn.one(inst.q)
-    else:
-        numerator = lfactor_gsp4_gl2_case2(inst.satake, rep)
-        triple = lfactor_triple_case2(rep, inst.bessel, inst.satake)
-    return numerator / l_chi / triple * yf
+    taus, units = [], []
+    if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
+        taus = [rep.alpha_varpi]
+        units = [(satake.omega_pi * rep.alpha_varpi).inverse(), *_beta_units(inst)]
+    chi = euler_chi(satake, rep)
+    triple = euler_triple(inst.bessel, units, inst.q)
+    return RatFn(chi * triple * yf.numer, euler_pairing(satake, taus) * yf.denom)
 
 
 @dataclass(frozen=True)
@@ -282,33 +275,10 @@ def unramified_closed(satake: SatakeParams, rep: Gl2Local,
     """
     if rep.kind != UNRAMIFIED_PS:
         raise UnsupportedCase("unramified_closed needs the unramified principal series")
-    q = satake.q
     taus = (rep.alpha_varpi, rep.beta_varpi)
-    qm1 = QScalar.q_half_power(-1, q)
-    qm2 = QScalar.q_half_power(-2, q)
-
-    # Degree-8 denominator of L(3s+1/2, pi~ x tau~): contragredient
-    # parameters gamma^-1, tau_j^-1 at q^(-1/2) T.
-    pairing = Poly.euler(
-        [(g * t).inverse() * qm1 for g in satake.gamma for t in taus], q)
-
     chi = (satake.omega_pi * rep.omega_tau_varpi).inverse()
-    l_chi_poly = Poly.euler([chi * qm2], q, step=2)
-
-    # Triple factor tau x AI(Lambda) x chi, from the AI(Lambda) parameters.
-    if bessel.legendre == INERT:
-        # per tau_j one factor 1 - Lambda(varpi) (chi tau_j)^2 q^-2 T^2
-        triple = Poly.euler(
-            [bessel.lambda_varpi * (chi * t) ** 2 * qm2 * qm2 for t in taus],
-            q, step=2)
-    elif bessel.legendre == RAMIFIED:
-        triple = Poly.euler([bessel.lambda_varpiL * chi * t * qm2 for t in taus], q)
-    else:
-        triple = Poly.euler(
-            [lam * chi * t * qm2 for t in taus
-             for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q)
-
-    return RatFn(l_chi_poly * triple, pairing)
+    triple = euler_triple(bessel, [chi * t for t in taus], satake.q)
+    return RatFn(euler_chi(satake, rep) * triple, euler_pairing(satake, taus))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def test_gamma_poles():
             complex_gamma(z)
 
 
+@pytest.mark.parametrize("fn", [complex_gamma, digamma])
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
+                               complex(1.0, math.inf)])
+def test_gamma_non_finite_argument(fn, z):
+    with pytest.raises(InvalidArgument, match="finite"):
+        fn(z)
+
+
 def test_gamma_selftest_report():
     report = gamma_selftest()
     assert report["recurrence_max_rel_err"] <= 1e-10

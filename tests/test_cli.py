@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,53 @@ def test_global_constant_non_integer_exit_2(tmp_path, field, value):
     proc = run_cli("global-constant", "--spec", str(path))
     _assert_input_error(proc)
     assert f"{field} must be an integer" in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s", [1.2]), ("s", [1.2, 0, 5]), ("s", math.nan), ("s", "1.2"),
+    ("a_plus", True), ("ir", [9.0, math.inf]), ("q_exp", 10**400)])
+def test_arch_verify_bad_complex_exit_2(tmp_path, field, value):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, **{field: value})))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    _assert_input_error(proc)
+    assert f"{field} must be a finite number" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    {"l": 10, "D": 3, "a_lambda": [1]},
+    {"l": 10, "D": 3, "bad_primes": [[2, math.nan]]},
+    {"l": 10, "D": 3, "class_data": [[1.0, [3.5, 0, 1]]]},
+])
+def test_global_constant_bad_complex_exit_2(tmp_path, spec):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("global-constant", "--spec", str(path))
+    _assert_input_error(proc)
+    assert "must be a finite number" in proc.stderr
+
+
+def test_arch_verify_non_finite_gamma_argument_error_row(tmp_path):
+    # s is finite, but 6s overflows to inf before Gamma is evaluated
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, s=1e308)))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "finite" in row["error"]
+
+
+@pytest.mark.parametrize("command", ["verify-nonarch", "bessel"])
+@pytest.mark.parametrize("scalar", [{"rat": "1/0"}, {"rat": "2", "sqrt": "1/0"}])
+def test_zero_denominator_scalar_exit_2(tmp_path, command, scalar):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(dict(WORKED_CASE2, bessel={
+        "legendre": -1, "lambda_varpi": scalar})))
+    proc = run_cli(command, "--params", str(path))
+    _assert_input_error(proc)
+    assert "zero denominator" in proc.stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

@@ -56,6 +56,13 @@ def test_division_by_non_unit():
         series_div(Poly.one(q), Poly.zero(q), 1)
 
 
+def test_series_div_needs_constant_term_one():
+    # 2 is a unit, but series_div divides no coefficient
+    q = 5
+    with pytest.raises(DivisionByNonUnit):
+        series_div(Poly.one(q), Poly([2, 1], q), 3)
+
+
 def test_series_div_order_zero():
     q = 5
     s = series_div(Poly([3, 5], q), Poly([1, 7], q), 0)

@@ -9,11 +9,11 @@ from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED,
                        UNRAMIFIED_PS, BesselDatum, Gl2Local, InvalidArgument,
                        LocalInstance, Poly, QScalar, SatakeParams,
-                       UnsupportedCase, bessel_coeffs, hq_substituted,
-                       lfactor_chi_restriction, lfactor_gsp4_gl2_case2,
-                       lfactor_triple_case2, random_local_instance,
-                       unramified_closed, verify_local, y_factor,
-                       zeta_closed_rhs, zeta_series_lhs)
+                       UnsupportedCase, bessel_coeffs, euler_chi,
+                       euler_pairing, euler_triple, hq_substituted,
+                       random_local_instance, unramified_closed,
+                       verify_local, y_factor, zeta_closed_rhs,
+                       zeta_series_lhs)
 from localzeta import cli
 from localzeta.zeta import _y_scale
 
@@ -80,9 +80,9 @@ def test_worked_case2_three_way_match():
 def test_worked_case2_lfactors():
     inst = worked_case2_instance()
     # degree-4 pairing factor specializes to (1 - T/4)^2 (1 - T/2)^2
-    pair = lfactor_gsp4_gl2_case2(inst.satake, inst.rep)
-    assert pair.numer == Poly([1], Q4)
-    assert pair.denom.degree == 4
+    pair = euler_pairing(inst.satake, [inst.rep.alpha_varpi])
+    assert pair.constant() == QScalar.one(Q4)
+    assert pair.degree == 4
     # multiply the linear factors over plain Fractions
     poly = [Fraction(1)]
     for root in (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)):
@@ -91,19 +91,20 @@ def test_worked_case2_lfactors():
             nxt[i] += a
             nxt[i + 1] -= a * root
         poly = nxt
-    assert [embed(c) for c in pair.denom.coeffs] == poly
+    assert [embed(c) for c in pair.coeffs] == poly
 
     # chi restriction: (1 - T^2/24)^{-1}
-    chi = lfactor_chi_restriction(inst.satake, inst.rep)
-    assert [embed(c) for c in chi.denom.coeffs] == [1, 0, Fraction(-1, 24)]
+    chi = euler_chi(inst.satake, inst.rep)
+    assert [embed(c) for c in chi.coeffs] == [1, 0, Fraction(-1, 24)]
 
     # inert triple factor: 1 - Lambda (omega_pi alpha)^-2 q^-2 T^2 = 1 - T^2/32
-    triple = lfactor_triple_case2(inst.rep, inst.bessel, inst.satake)
-    assert [embed(c) for c in triple.denom.coeffs] == [1, 0, Fraction(-1, 32)]
+    unit = (inst.satake.omega_pi * inst.rep.alpha_varpi).inverse()
+    triple = euler_triple(inst.bessel, [unit], Q4)
+    assert [embed(c) for c in triple.coeffs] == [1, 0, Fraction(-1, 32)]
 
     # Y(s) for the inert row of the table is L(6s+1, chi|F^x)
     yf = y_factor(inst)
-    assert yf.numer == chi.numer and yf.denom == chi.denom
+    assert yf.numer == Poly.one(Q4) and yf.denom == chi
 
     # the substitution scale is y = q^{-3s+1}(omega_pi alpha)^{-1} = 2T
     assert embed(_y_scale(inst)) == 2
@@ -196,7 +197,7 @@ def test_unsupported_cases():
     with pytest.raises(UnsupportedCase):
         zeta_closed_rhs(steinberg)
     with pytest.raises(UnsupportedCase):
-        lfactor_gsp4_gl2_case2(steinberg.satake, steinberg.rep)
+        unramified_closed(steinberg.satake, steinberg.rep, steinberg.bessel)
     case1 = random_local_instance(rng, RAMIFIED_OTHER, INERT)
     with pytest.raises(UnsupportedCase):
         hq_substituted(case1)
@@ -234,13 +235,15 @@ def test_unramified_closed_shape_and_split_specialization():
     # with the printed Case-2 triple factor at the same parameter values
     rep2 = Gl2Local(RAMIFIED_PS_UNRAM_ALPHA, q, alpha_varpi=alpha,
                     beta_varpi=beta, conductor_exp=1)
-    case2 = lfactor_triple_case2(rep2, datum, satake).denom
+    case2 = euler_triple(datum, [(omega_pi * alpha).inverse()], q)
     qm2 = QScalar.q_half_power(-2, q)
     opb_inv = (omega_pi * beta).inverse()
     other = (Poly([QScalar.one(q), -(lamL * opb_inv * qm2)], q)
              * Poly([QScalar.one(q), -(lamC * opb_inv * qm2)], q))
-    chi_poly = lfactor_chi_restriction(satake, rep).denom
+    chi_poly = euler_chi(satake, rep)
     assert closed.numer == chi_poly * case2 * other
+    case2_rhs = zeta_closed_rhs(LocalInstance(satake, datum, rep2))
+    assert case2_rhs.numer == chi_poly * case2
 
 
 def test_unramified_inert_triple_is_even():
@@ -249,7 +252,7 @@ def test_unramified_inert_triple_is_even():
     rng = random.Random(2)
     inst = random_local_instance(rng, UNRAMIFIED_PS, INERT, q=q)
     closed = unramified_closed(inst.satake, inst.rep, inst.bessel)
-    chi_poly = lfactor_chi_restriction(inst.satake, inst.rep).denom
+    chi_poly = euler_chi(inst.satake, inst.rep)
     # numer = chi_poly * triple with triple even of degree 4
     assert closed.numer.degree == chi_poly.degree + 4
     for c in closed.numer.coeffs:
