@@ -115,13 +115,13 @@ def _whittaker_params(kappa: complex,
 def _guarded_exp(expo: np.ndarray) -> np.ndarray:
     if np.any(expo.real > _EXP_CEIL):
         raise InvalidArgument("Whittaker value exceeds the double range")
-    safe = np.where(expo.real < _EXP_FLOOR, _EXP_FLOOR, expo)
-    return np.where(expo.real < _EXP_FLOOR, 0.0, np.exp(safe))
+    return np.exp(expo, where=expo.real >= _EXP_FLOOR, out=np.zeros_like(expo))
 
 
 def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
                       log_factor=0.0) -> np.ndarray:
-    """W_{kappa,mu}(x) * exp(log_factor) on an array of positive x.
+    """W_{kappa,mu}(x) * exp(log_factor) on an array of positive x, of any
+    shape; log_factor broadcasts against it.
 
     The caller's factor joins W's exponent before the one exp, so W and the
     factor may each leave the double range where their product does not; a
@@ -138,24 +138,25 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
         # W_{l/2,(l-1)/2}(x) = e^(-x/2) x^(l/2)
         return _guarded_exp(-xs / 2.0 + kappa * logx + log_factor)
     if xs.size == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(xs.shape, dtype=complex)
     # x * W * factor = x^(3/2-mu) e^(-x/2) factor / Gamma(mu-kappa+1/2)
     #   * int_0^inf e^-t t^(mu-kappa-1/2) (x+t)^(mu+kappa-1/2) dt,
     # one row per x.  Shifting the exponent by its largest value on the
     # level-2 nodes puts the largest contribution near 1, so the batch
     # converges relative to it and no row is computed in the subnormals.
     row = (-xs / 2.0 + (1.5 - mu) * logx + log_factor
-           - cmath.log(complex_gamma(mu - kappa + 0.5)))[:, None]
+           - cmath.log(complex_gamma(mu - kappa + 0.5))).reshape(-1, 1)
+    col = xs.reshape(-1, 1)
 
     def expo(t):
         return (row - t + (mu - kappa - 0.5) * np.log(t)
-                + (mu + kappa - 0.5) * np.log(xs[:, None] + t))
+                + (mu + kappa - 0.5) * np.log(col + t))
 
-    shift = expo(_nodes(0.25)[0]).real.max()
+    shift = expo(_nodes(2)[0]).real.max()
     total = quad_zero_to_inf(lambda t: _guarded_exp(expo(t) - shift),
                              target=1e-12, max_level=11)
     with np.errstate(divide="ignore"):  # log(0) = -inf for rows that underflow
-        return _guarded_exp(shift - logx + np.log(total))
+        return _guarded_exp(shift - logx + np.log(total).reshape(xs.shape))
 
 
 def whittaker_W(kappa: complex, mu: complex, x: float) -> complex:
@@ -221,7 +222,14 @@ def _prefactor_integral(spec: ArchSpec) -> complex:
 
 
 def arch_zeta_quadrature(spec: ArchSpec) -> complex:
-    """Nested adaptive quadrature of the double integral."""
+    """Nested adaptive quadrature of the double integral.
+
+    The outer integral runs over u = 1 + t.  Each outer level hands all its
+    new u nodes to one batched inner integral over lambda, one row per u,
+    with u^(u_pow) inside the Whittaker exponent.  So the batch converges
+    relative to the largest contribution to the outer sum, and a row whose
+    contribution is negligible needs no relative accuracy of its own.
+    """
     if spec.gate.real <= 0:
         raise DivergentParameters("convergence gate violated")
     s, q = complex(spec.s), complex(spec.q_exp)
@@ -230,29 +238,23 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     _whittaker_params(kappa, mu)  # fails before any quadrature if unsupported
     u_pow = -3 * s - 1.5 + q / 2 - spec.l - spec.l2
     lam_pow = 3 * s - 1.5 + spec.l - q / 2
-    sqrt_d = math.sqrt(spec.D)
+    c0 = 4 * math.pi * math.sqrt(spec.D)
 
-    def inner(u: float) -> complex:
-        c = 4 * math.pi * sqrt_d * u
+    def outer(ts):
+        u = 1.0 + ts[:, None]
+        c = c0 * u
+        log_u_factor = u_pow * np.log(u)
 
-        def g(lams):
+        def inner(lams):
             # x stays below the double range; W(x) e^(-x/2) is 0 long before
             x = c * np.minimum(lams, 1e300 / c)
             return whittaker_w_array(kappa, mu, x, log_factor=(
-                -x / 2.0 + (lam_pow - 1) * np.log(lams)))
+                -x / 2.0 + (lam_pow - 1) * np.log(lams) + log_u_factor))
 
-        return quad_zero_to_inf(g, target=1e-12)
+        return quad_zero_to_inf(inner, target=1e-12)
 
-    def outer(u: float) -> complex:
-        factor = cmath.exp(u_pow * math.log(u))
-        if abs(factor) < 1e-290:
-            return 0.0
-        return factor * inner(u)
-
-    # u = 1 + t maps (1, inf) to (0, inf); the inner integral runs per u
-    integral = quad_zero_to_inf(
-        lambda ts: np.array([outer(1.0 + t) for t in ts]),
-        target=5e-11, max_level=9)
+    # u = 1 + t maps (1, inf) to (0, inf)
+    integral = quad_zero_to_inf(outer, target=5e-11, max_level=9)
     return _prefactor_integral(spec) * integral
 
 
@@ -263,6 +265,18 @@ def _gamma_args(spec: ArchSpec) -> tuple[complex, complex, complex]:
     z2 = 3 * s + spec.l - 1 - half_ir - q / 2
     z3 = 3 * s + spec.l - spec.l1 / 2.0 - 0.5 - q / 2
     return z1, z2, z3
+
+
+def _closed_quotient(num: complex, den: complex) -> complex:
+    """num / den, raising InvalidArgument where a Gamma factor has left the
+    double range: the quotient is then 0, infinite or undefined, and no
+    relative error can be taken against it."""
+    value = num / den if den else math.inf
+    if value == 0 or not cmath.isfinite(value):
+        raise InvalidArgument(
+            "the closed form leaves the double range (a Gamma factor "
+            "under- or overflows)")
+    return value
 
 
 def arch_zeta_closed(spec: ArchSpec) -> complex:
@@ -276,8 +290,8 @@ def arch_zeta_closed(spec: ArchSpec) -> complex:
               * cmath.exp((-3 * s - spec.l / 2 + q / 2) * math.log(spec.D))
               * cmath.exp((-3 * s + 1.5 - spec.l + q) * math.log(4 * math.pi))
               * complex_gamma(z1) * complex_gamma(z2))
-    value = ((1j) ** (spec.l + spec.l2) * shared
-             / (spec.gate * complex_gamma(z3)))
+    value = _closed_quotient((1j) ** (spec.l + spec.l2) * shared,
+                             spec.gate * complex_gamma(z3))
     if spec.l >= spec.l1:
         simplified = arch_zeta_closed_simplified(spec)
         if abs(value - simplified) > 1e-12 * abs(value):
@@ -293,10 +307,11 @@ def arch_zeta_closed_simplified(spec: ArchSpec) -> complex:
         raise InvalidArgument("simplified form requires l >= l1")
     s, q = complex(spec.s), complex(spec.q_exp)
     z1, z2, z3 = _gamma_args(spec)
-    return ((1j) ** (spec.l - spec.l1) * complex(spec.a_plus) / 2.0 * math.pi
-            * cmath.exp((-3 * s - spec.l / 2 + q / 2) * math.log(spec.D))
-            * cmath.exp((-3 * s + 1.5 - spec.l + q) * math.log(4 * math.pi))
-            * complex_gamma(z1) * complex_gamma(z2) / complex_gamma(z3 + 1.0))
+    return _closed_quotient(
+        (1j) ** (spec.l - spec.l1) * complex(spec.a_plus) / 2.0 * math.pi
+        * cmath.exp((-3 * s - spec.l / 2 + q / 2) * math.log(spec.D))
+        * cmath.exp((-3 * s + 1.5 - spec.l + q) * math.log(4 * math.pi))
+        * complex_gamma(z1) * complex_gamma(z2), complex_gamma(z3 + 1.0))
 
 
 def arch_zeta_closed_logderiv(spec: ArchSpec) -> complex:

@@ -37,16 +37,25 @@ def _checked(z, name: str) -> complex:
 
 
 def complex_gamma(z: complex) -> complex:
-    """Gamma(z) for complex z, reflection formula for Re(z) < 0.5."""
+    """Gamma(z) for complex z, reflection formula for Re(z) < 0.5.
+
+    Raises InvalidArgument where an intermediate leaves the double range:
+    (z + 13/2)^(z - 1/2) for Re z above about 143, and sin(pi z) for
+    |Im z| above about 226 in the reflection.
+    """
     z = _checked(z, "Gamma")
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        x += c / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    try:
+        if z.real < 0.5:
+            return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
+        w = z - 1.0
+        x = _LANCZOS[0]
+        for i, c in enumerate(_LANCZOS[1:], start=1):
+            x += c / (w + i)
+        t = w + 7.5
+        return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * x
+    except OverflowError:
+        raise InvalidArgument(
+            f"Gamma evaluation overflows the double range at z = {z}") from None
 
 
 # Bernoulli numbers B_2 .. B_14 for the digamma asymptotic series.

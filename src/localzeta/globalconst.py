@@ -37,8 +37,12 @@ class GlobalSpec:
             require_int(name, getattr(self, name))
         if self.D <= 0 or self.D % 4 not in (0, 3):
             raise InvalidArgument("D must be positive and = 0, 3 mod 4")
+        for p, _ in self.bad_primes:
+            require_int("a bad prime", p)
+            if not _is_prime(p):
+                raise InvalidArgument(f"bad prime {p} is not a prime")
         object.__setattr__(self, "bad_primes", tuple(
-            (int(p), complex(y)) for p, y in self.bad_primes))
+            (p, complex(y)) for p, y in self.bad_primes))
         if self.class_data is not None:
             object.__setattr__(self, "class_data", tuple(
                 (complex(a), complex(b)) for a, b in self.class_data))
@@ -65,6 +69,28 @@ class GlobalSpec:
                              for p, y in obj.get("bad_primes", [])),
             class_data=class_data,
         )
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first thirteen prime bases: exact below 3.3e24,
+    a strong probable-prime test beyond."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def a_lambda(class_data: Sequence[tuple]) -> complex:

@@ -9,6 +9,8 @@ integrands.  Integrands are expected to return 0.0 where they underflow.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import InvalidArgument, QuadratureError
@@ -17,13 +19,20 @@ _C = np.pi / 2.0
 _CUTOFF = 6.5  # |sinh argument| cap; nodes beyond carry ~1e-200 weights
 
 
-def _nodes(h: float) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(-int(np.ceil(_CUTOFF / h)), int(np.ceil(_CUTOFF / h)) + 1)
-    u = k * h
+@lru_cache(maxsize=None)
+def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes t and weights w of the trapezoid sum with step
+    h = 2^-level: the whole grid at level 2, and past it only the odd
+    multiples of h, the nodes the level before did not have."""
+    h = 1.0 / 2**level
+    n = int(np.ceil(_CUTOFF / h))  # doubles per level, so the grids nest
+    u = (np.arange(-n, n + 1) if level <= 2 else np.arange(1 - n, n, 2)) * h
     t = np.exp(_C * np.sinh(u))
     w = h * _C * np.cosh(u) * t
     good = np.isfinite(t) & np.isfinite(w) & (t > 0)
-    return t[good], w[good]
+    t, w = t[good], w[good]
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def quad_zero_to_inf(f, *, target: float = 1e-10,
@@ -35,24 +44,27 @@ def quad_zero_to_inf(f, *, target: float = 1e-10,
     row with the nodes on the last axis; the result is then the array of row
     integrals, and the batch has converged when the largest change of a row
     is within target of the largest row total.  Sums start at step 1/4 and
-    are compared from step 1/8 on.
+    are compared from step 1/8 on.  The refinement is nested: each level
+    halves the step, evaluates f only on the new odd nodes and adds their
+    sum to half the previous total, so no node is evaluated twice.  The
+    nodes of each level are computed once per process and cached.
     """
     if max_level < 3:
         raise InvalidArgument("max_level must be >= 3, the first compared level")
-    prev = None
+    total = None
     for level in range(2, max_level + 1):
-        h = 1.0 / 2**level
-        t, w = _nodes(h)
+        t, w = _nodes(level)
         vals = np.asarray(f(t))
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")
-        total = np.sum(w * vals, axis=-1)
-        if prev is not None:
-            delta = np.max(np.abs(total - prev))
-            if delta <= target * max(np.max(np.abs(total)), 1e-300):
-                return complex(total) if total.ndim == 0 else total
-        prev = total
+        new = np.sum(w * vals, axis=-1)
+        if total is None:
+            total = new
+            continue
+        prev, total = total, total / 2 + new
+        delta = np.max(np.abs(total - prev))
+        if delta <= target * max(np.max(np.abs(total)), 1e-300):
+            return complex(total) if total.ndim == 0 else total
     raise QuadratureError(
         f"no convergence to {target} within {max_level} levels "
         f"(last delta {delta:.3e}, between levels {level - 1} and {level})")
-

@@ -14,7 +14,7 @@ from localzeta.arch import (ArchSpec, arch_zeta_closed,
 from localzeta.cgamma import complex_gamma, digamma, gamma_selftest
 from localzeta.errors import (DivergentParameters, InvalidArgument, PoleError,
                               QuadratureError, UnsupportedParameters)
-from localzeta.quadrature import quad_zero_to_inf
+from localzeta.quadrature import _nodes, quad_zero_to_inf
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,12 @@ def test_gamma_poles():
 def test_gamma_non_finite_argument(fn, z):
     with pytest.raises(InvalidArgument, match="finite"):
         fn(z)
+
+
+@pytest.mark.parametrize("z", [160.0, 1e5 + 0j, 0.2 + 250j, -2.5 - 1e3j])
+def test_gamma_overflow_is_typed(z):
+    with pytest.raises(InvalidArgument, match="double range"):
+        complex_gamma(z)
 
 
 def test_gamma_selftest_report():
@@ -115,6 +121,56 @@ def test_quadrature_error_reports_last_delta():
     delta = float(re.search(r"last delta (\S+),", str(info.value)).group(1))
     assert delta > 0
     assert "levels 3 and 4" in str(info.value)
+
+
+def _full_grid(level):
+    # the whole trapezoid grid at step 2^-level, built afresh
+    h = 2.0**-level
+    n = math.ceil(6.5 / h)
+    u = np.arange(-n, n + 1) * h
+    t = np.exp(np.pi / 2 * np.sinh(u))
+    w = h * np.pi / 2 * np.cosh(u) * t
+    good = np.isfinite(t) & np.isfinite(w) & (t > 0)
+    return t[good], w[good]
+
+
+def test_quadrature_nested_levels_match_full_grid():
+    def f(t):
+        return np.stack([np.exp(-t) * t**0.3, np.exp(-t / 2) * np.cos(t)])
+
+    def full_sum(level):
+        t, w = _full_grid(level)
+        return np.sum(w * f(t), axis=-1)
+
+    t, w = _nodes(2)
+    total = np.sum(w * f(t), axis=-1)
+    for level in range(2, 11):
+        if level > 2:
+            t, w = _nodes(level)
+            total = total / 2 + np.sum(w * f(t), axis=-1)
+        full = full_sum(level)
+        assert np.all(np.abs(total - full) <= 1e-14 * np.abs(full)), level
+
+    sizes = []
+    result = quad_zero_to_inf(lambda t: sizes.append(t.size) or f(t),
+                              target=1e-12)
+    last = len(sizes) + 1  # levels 2 .. last ran
+    full = full_sum(last)
+    assert np.all(np.abs(result - full) <= 1e-14 * np.abs(full))
+    # every node of the last level's grid is evaluated exactly once
+    assert sum(sizes) == _full_grid(last)[0].size
+    assert np.allclose(np.sort(np.concatenate(
+        [_nodes(level)[0] for level in range(2, last + 1)])),
+        _full_grid(last)[0], rtol=1e-15, atol=0)
+
+
+def test_quadrature_nodes_cached_read_only():
+    assert _nodes(5) is _nodes(5)
+    for level in (2, 3, 7):
+        for array in _nodes(level):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def test_whittaker_asymptotics():
@@ -210,6 +266,37 @@ DISCRETE_SERIES_SPECS = [
 
 @pytest.mark.parametrize("kw", DISCRETE_SERIES_SPECS)
 def test_arch_quadrature_vs_closed(kw):
+    spec = ArchSpec(**kw)
+    closed = arch_zeta_closed(spec)
+    quad = arch_zeta_quadrature(spec)
+    assert abs(quad - closed) / abs(closed) <= 1e-6
+
+
+# closed-regime specs whose inner integrals are 1e-140 to 1e-300 for some
+# u: each row of the batch converges relative to the largest contribution
+# to the outer sum, not to its own size
+TINY_ROW_SPECS = [
+    dict(l=3, l1=5, D=7, q_exp=0.0, a_plus=1.0, s=0.147, ir=4.0),
+    dict(l=2, l1=2, D=3, q_exp=0.3 + 0.5j, a_plus=1.0, s=0.106, ir=1.0),
+    dict(l=10, l1=12, D=4, q_exp=0.4, a_plus=1.0, s=-0.745, ir=11.0),
+]
+
+
+@pytest.mark.parametrize("kw", TINY_ROW_SPECS, ids=["D7", "complex-q", "s<0"])
+def test_arch_quadrature_tiny_inner_rows(kw):
+    spec = ArchSpec(**kw)
+    closed = arch_zeta_closed(spec)
+    quad = arch_zeta_quadrature(spec)
+    assert abs(quad - closed) / abs(closed) <= 1e-6
+
+
+# |Re ir| > l1 - 1: W by its integral representation, a triple quadrature
+@pytest.mark.parametrize("kw", [
+    dict(l=4, l1=4, D=4, q_exp=0.0, a_plus=1.0, s=1.4, ir=-5.0),
+    dict(l=4, l1=4, D=3, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=4.0),
+    dict(l=10, l1=10, D=4, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=11 + 0.5j),
+], ids=["ir-5", "D3-ir4", "ir11+0.5i"])
+def test_arch_quadrature_integral_regime(kw):
     spec = ArchSpec(**kw)
     closed = arch_zeta_closed(spec)
     quad = arch_zeta_quadrature(spec)

@@ -307,6 +307,43 @@ def test_arch_verify_non_finite_gamma_argument_error_row(tmp_path):
     assert "finite" in row["error"]
 
 
+@pytest.mark.parametrize("s", [1e5, 1e10, 1e300, [1.0, 1e5]])
+def test_arch_verify_gamma_out_of_range_error_row(tmp_path, s):
+    # Gamma's evaluation overflows, or Gamma(z3) underflows to 0
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, s=s)))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "double range" in row["error"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"l": 3, "l1": 5, "D": 7, "q_exp": 0, "a_plus": 1, "s": 0.147, "ir": 4},
+    {"l": 2, "l1": 2, "D": 3, "q_exp": [0.3, 0.5], "a_plus": 1, "s": 0.106,
+     "ir": 1},
+    {"l": 10, "l1": 12, "D": 4, "q_exp": 0.4, "a_plus": 1, "s": -0.745,
+     "ir": 11},
+])
+def test_arch_verify_tiny_inner_rows_pass(tmp_path, spec):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(spec))
+    (row,) = _lines(run_cli("arch-verify", "--spec", str(path), check=True))
+    assert row["passed"] is True
+    assert row["rel_error"] <= 1e-6
+
+
+@pytest.mark.parametrize("prime", [2.5, True, "7", -3, 1, 4, 91])
+def test_global_constant_bad_prime_exit_2(tmp_path, prime):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps({"l": 10, "D": 3, "bad_primes": [[prime, 0.9]]}))
+    proc = run_cli("global-constant", "--spec", str(path))
+    _assert_input_error(proc)
+    assert "bad prime" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["verify-nonarch", "bessel"])
 @pytest.mark.parametrize("scalar", [{"rat": "1/0"}, {"rat": "2", "sqrt": "1/0"}])
 def test_zero_denominator_scalar_exit_2(tmp_path, command, scalar):
