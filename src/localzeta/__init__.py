@@ -9,7 +9,8 @@ from .errors import (DivergentParameters, DivisionByNonUnit, Infeasible,
                      UnsupportedCase, UnsupportedParameters)
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local,
-                  induced_invariant_dim, newform_space_dim, newform_value)
+                  induced_invariant_dim, newform_space_dim, newform_value,
+                  newform_values)
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_div, series_equal)

@@ -39,9 +39,11 @@ def _checked(z, name: str) -> complex:
 def complex_gamma(z: complex) -> complex:
     """Gamma(z) for complex z, reflection formula for Re(z) < 0.5.
 
-    Raises InvalidArgument where an intermediate leaves the double range:
-    (z + 13/2)^(z - 1/2) for Re z above about 143, and sin(pi z) for
-    |Im z| above about 226 in the reflection.
+    Raises InvalidArgument where the value leaves the double range (Re z
+    above about 171.6), and where sin(pi z) does in the reflection (|Im z|
+    above about 226).  The power and the exponential of the Lanczos form
+    are taken as one exp((z - 1/2) log(z + 13/2) - (z + 13/2)), which fits
+    wherever Gamma(z) does.
     """
     z = _checked(z, "Gamma")
     try:
@@ -52,7 +54,11 @@ def complex_gamma(z: complex) -> complex:
         for i, c in enumerate(_LANCZOS[1:], start=1):
             x += c / (w + i)
         t = w + 7.5
-        return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * x
+        g = cmath.exp((w + 0.5) * cmath.log(t) - t)
+        g *= math.sqrt(2.0 * math.pi) * x
+        if not cmath.isfinite(g):
+            raise OverflowError
+        return g
     except OverflowError:
         raise InvalidArgument(
             f"Gamma evaluation overflows the double range at z = {z}") from None

@@ -145,6 +145,36 @@ def newform_value(rep: Gl2Local, l: int) -> QScalar:
     return QScalar.q_half_power(-l, q) * acc
 
 
+def newform_values(rep: Gl2Local, order: int) -> list[QScalar]:
+    """[newform_value(rep, l) for l = 0..order], each power carried forward
+    from the last: one multiplication per l in Cases ii and iii, where
+    newform_value raises to the l-th power afresh."""
+    q = rep.q
+    one, zero = QScalar.one(q), QScalar.zero(q)
+    if rep.kind == RAMIFIED_OTHER:
+        return [one] + [zero] * order
+    if rep.kind == UNRAMIFIED_PS:
+        # q^(-l/2) S_l with S_l = sum_k alpha^k beta^(l-k)
+        #                       = beta S_(l-1) + alpha^l
+        alpha, beta = rep.alpha_varpi, rep.beta_varpi
+        qm1 = QScalar.q_half_power(-1, q)
+        out, s, a_pow, scale = [one], one, one, one
+        for _ in range(order):
+            a_pow = a_pow * alpha
+            s = beta * s + a_pow
+            scale = scale * qm1
+            out.append(scale * s)
+        return out
+    if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
+        ratio = rep.beta_varpi * QScalar.q_half_power(-1, q)
+    else:
+        ratio = rep.omega_varpi * QScalar.q_half_power(-2, q)
+    out = [one]
+    for _ in range(order):
+        out.append(out[-1] * ratio)
+    return out
+
+
 def newform_space_dim(n: int, r: int) -> int:
     """dim of the level-r invariant space of a conductor-n representation."""
     if n < 0 or r < 0:

@@ -6,17 +6,22 @@ variable y that gets substituted by a scalar multiple of T later on.
 Rational functions are compared by expanding both sides into truncated
 series, never by cross-multiplication, so no polynomial gcd over a ring
 with zero divisors is ever needed.
+
+Series division runs on plain ints: with E the lcm of the denominator's
+coefficient denominators and A that of the numerator's, coefficient k is
+(u_k + v_k*sqrt(q)) / (A*E^k) for integers u_k, v_k obeying an integer
+recurrence, and each coefficient is put in canonical form exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from math import lcm
 from typing import Iterable, Optional
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
-from .scalars import QScalar
+from .scalars import QScalar, _reduced
 
 DEFAULT_ORDER = 12
 
@@ -56,10 +61,23 @@ class Poly:
 
     @staticmethod
     def euler(cs: Iterable[QScalar], q: int, step: int = 1) -> "Poly":
-        """prod_c (1 - c T^step), the inverse of an Euler-product L-factor."""
-        gap = [0] * (step - 1)
-        factors = [Poly([1, *gap, -c], q) for c in cs] or [Poly.one(q)]
-        return reduce(Poly.__mul__, factors)
+        """prod_c (1 - c T^step), the inverse of an Euler-product L-factor.
+
+        Each factor multiplies one coefficient list in place, from the top
+        down, so out[i - step] is still the old value when out[i] reads
+        it; zero entries of the list are skipped.
+        """
+        zero = QScalar.zero(q)
+        out = [QScalar.one(q)]
+        for c in _promote(cs, q):
+            if c.is_zero():
+                continue
+            out += [zero] * step
+            for i in range(len(out) - 1, step - 1, -1):
+                x = out[i - step]
+                if not x.is_zero():
+                    out[i] = out[i] - c * x
+        return Poly(out, q)
 
     @property
     def degree(self) -> int:
@@ -135,28 +153,61 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
 
     den must have constant term 1, as every RatFn denominator has, so no
     coefficient is ever divided; any other den raises DivisionByNonUnit.
-    Both operands stay unpadded: coefficient k is read from num only while
-    k <= deg(num), and the inner loop runs over the nonzero coefficients
-    d[j], 1 <= j <= min(k, deg(den)), only.
+
+    The recurrence out[k] = a_k - sum_j c_j out[k-j] runs on int pairs.
+    With E the lcm of the denominators of the c_j and A that of the a_k,
+    out[k] = (u_k + v_k sqrt(q)) / (A E^k), where
+
+        u_k + v_k sqrt(q) = A E^k a_k
+                            - sum_j (E^j c_j) (u_{k-j} + v_{k-j} sqrt(q))
+
+    and every E^j c_j is an int pair, computed once.  The sum runs over the
+    nonzero c_j, 1 <= j <= min(k, deg(den)), only, and a_k is read only
+    while k <= deg(num).  The loop takes no gcd and builds no QScalar; each
+    out[k] is reduced to canonical form once.
     """
     require_int("order", order)
     if order < 0:
         raise InvalidArgument("order must be >= 0")
+    q = num.q
+    if den.q != q:
+        raise InvalidArgument(
+            f"mixed ambient cardinalities: {q} vs {den.q}")
     if not den.constant().is_one():
         raise DivisionByNonUnit(
             "series division needs a denominator with constant term 1")
-    zero = QScalar.zero(num.q)
-    a = num.coeffs
-    terms = [(j, c) for j, c in enumerate(den.coeffs[1:], 1) if not c.is_zero()]
+    E = lcm(*(c.d for c in den.coeffs))
+    A = lcm(*(c.d for c in num.coeffs))
+    # (j, u, v, v*q) of E^j c_j for the nonzero c_j, j >= 1
+    terms = []
+    Ej = 1
+    for j, c in enumerate(den.coeffs[1:], 1):
+        Ej *= E
+        if not c.is_zero():
+            s = Ej // c.d
+            terms.append((j, c.a * s, c.b * s, c.b * s * q))
+    au = [c.a * (A // c.d) for c in num.coeffs[:order + 1]]
+    av = [c.b * (A // c.d) for c in num.coeffs[:order + 1]]
+    us: list[int] = []
+    vs: list[int] = []
     out: list[QScalar] = []
+    Ek = 1  # E^k
     for k in range(order + 1):
-        acc = a[k] if k < len(a) else zero
-        for j, c in terms:
+        if k < len(au):
+            u, v = au[k] * Ek, av[k] * Ek
+        else:
+            u = v = 0
+        for j, cu, cv, cvq in terms:
             if j > k:
                 break
-            acc = acc - c * out[k - j]
-        out.append(acc)
-    return Series(out, num.q)
+            x, y = us[k - j], vs[k - j]
+            u -= cu * x + cvq * y
+            v -= cu * y + cv * x
+        us.append(u)
+        vs.append(v)
+        out.append(_reduced(u, v, A * Ek, q))
+        Ek *= E
+    return Series(out, q)
 
 
 def series_equal(a: Series, b: Series) -> SeriesComparison:

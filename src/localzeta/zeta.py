@@ -24,7 +24,8 @@ from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
                      bessel_coeffs, sugano_H, sugano_Q)
 from .errors import InvalidArgument, UnsupportedCase, require_int
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
-                  STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local, newform_value)
+                  STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local,
+                  newform_values)
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_equal)
@@ -91,9 +92,8 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
         * QScalar.q_half_power(3, q)
     coeffs = []
     weight = QScalar.one(q)
-    for l in range(inst.order + 1):
-        w = newform_value(rep, l)
-        coeffs.append(w if w.is_zero() else B.coeffs[l] * weight * w)
+    for b, w in zip(B.coeffs, newform_values(rep, inst.order)):
+        coeffs.append(w if w.is_zero() else b * weight * w)
         weight = weight * w_unit
     return Series(coeffs, q)
 

@@ -64,10 +64,18 @@ def test_gamma_non_finite_argument(fn, z):
         fn(z)
 
 
-@pytest.mark.parametrize("z", [160.0, 1e5 + 0j, 0.2 + 250j, -2.5 - 1e3j])
+@pytest.mark.parametrize("z", [172.0, 1e5 + 0j, 0.2 + 250j, -2.5 - 1e3j])
 def test_gamma_overflow_is_typed(z):
     with pytest.raises(InvalidArgument, match="double range"):
         complex_gamma(z)
+
+
+@pytest.mark.parametrize("x", [150.0, 160.0, 170.0])
+def test_gamma_near_double_limit(x):
+    # Gamma(170) is 4.3e304: the Lanczos power and exponential must not
+    # leave the double range on the way there
+    ref = math.exp(math.lgamma(x))
+    assert abs(complex_gamma(x) - ref) / ref <= 1e-12
 
 
 def test_gamma_selftest_report():

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from localzeta import (DivisionByNonUnit, InvalidArgument, Poly, QScalar,
-                       RatFn, Series, series_div, series_equal)
+from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
+                       STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, DivisionByNonUnit,
+                       Gl2Local, InvalidArgument, Poly, QScalar, RatFn, Series,
+                       newform_value, newform_values, series_div,
+                       series_equal)
 
 from conftest import nonzero_fraction, rq
 
@@ -222,3 +226,105 @@ def test_series_json():
     s = series_div(Poly([QScalar(1, Fraction(1, 2), q)], q), Poly.one(q), 1)
     assert s.to_json() == [{"rat": "1", "sqrt": "1/2"},
                            {"rat": "0", "sqrt": "0"}]
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the integer kernels against schoolbook QScalar code
+# ---------------------------------------------------------------------------
+
+def _schoolbook_div(num: Poly, den: Poly, order: int) -> list[QScalar]:
+    """out[k] = a_k - sum_j d_j out[k-j], one QScalar operation at a time."""
+    zero = QScalar.zero(num.q)
+    out = []
+    for k in range(order + 1):
+        acc = num.coeffs[k] if k < len(num.coeffs) else zero
+        for j in range(1, min(k, den.degree) + 1):
+            acc = acc - den.coeffs[j] * out[k - j]
+        out.append(acc)
+    return out
+
+
+def _random_scalar(rng, q, p_zero=0.0, p_sqrt=0.6):
+    if rng.random() < p_zero:
+        return QScalar.zero(q)
+    sqrt = nonzero_fraction(rng) if rng.random() < p_sqrt else 0
+    return QScalar(nonzero_fraction(rng), sqrt, q)
+
+
+def _fields(xs):
+    return [(x.a, x.b, x.d) for x in xs]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13])
+def test_series_div_matches_schoolbook(q):
+    rng = random.Random(1000 + q)
+    top = 60
+    for trial in range(6):
+        step = 1 + trial % 2
+        # step 2: only even powers of T, so every other d_j is zero
+        den = [QScalar.one(q)] + [
+            _random_scalar(rng, q) if j % step == 0 else QScalar.zero(q)
+            for j in range(1, rng.randint(1, 4) * step + 1)]
+        den = Poly(den, q)
+        # num runs past `top` on some trials and has interior zeros
+        num = Poly([_random_scalar(rng, q, p_zero=0.3)
+                    for _ in range(rng.choice([1, 5, top + 7]))], q)
+        want = _fields(_schoolbook_div(num, den, top))
+        for order in range(top + 1):
+            got = series_div(num, den, order)
+            assert got.order == order
+            assert _fields(got.coeffs) == want[:order + 1]
+
+
+def test_series_div_non_unit_with_sqrt_parts():
+    q = 13
+    one = QScalar.one(q)
+    for c0 in (QScalar(1, 1, q), QScalar(0, 1, q),
+               QScalar(Fraction(1, 2), 0, q)):
+        den = Poly([c0, QScalar(2, Fraction(1, 3), q), QScalar(0, 5, q)], q)
+        with pytest.raises(DivisionByNonUnit):
+            series_div(Poly([one, one], q), den, 60)
+
+
+def test_series_div_rejects_mixed_q():
+    with pytest.raises(InvalidArgument, match="mixed"):
+        series_div(Poly([1], 2), Poly([1, 1], 3), 2)
+
+
+def _reps(q, rng):
+    def draw():
+        return _random_scalar(rng, q)
+
+    return [
+        Gl2Local(RAMIFIED_OTHER, q, omega_tau_varpi=draw(), conductor_exp=2),
+        Gl2Local(RAMIFIED_PS_UNRAM_ALPHA, q, alpha_varpi=draw(),
+                 beta_varpi=draw(), conductor_exp=1),
+        Gl2Local(STEINBERG_UNRAMIFIED, q, omega_varpi=draw()),
+        Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=draw(), beta_varpi=draw()),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 4, 7])
+def test_newform_values_match_newform_value(q):
+    rng = random.Random(70 + q)
+    for rep in _reps(q, rng):
+        carried = newform_values(rep, 48)
+        assert len(carried) == 49
+        assert _fields(carried) == _fields(
+            [newform_value(rep, l) for l in range(49)])
+        assert newform_values(rep, 0) == [QScalar.one(q)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_poly_euler_matches_product_of_factors(q):
+    rng = random.Random(90 + q)
+    for step in (1, 2, 3):
+        for n in range(6):
+            cs = [_random_scalar(rng, q, p_zero=0.2) for _ in range(n)]
+            gap = [0] * (step - 1)
+            factors = [Poly([1, *gap, -c], q) for c in cs]
+            want = reduce(Poly.__mul__, factors, Poly.one(q))
+            got = Poly.euler(cs, q, step)
+            assert _fields(got.coeffs) == _fields(want.coeffs)
+    assert Poly.euler([Fraction(1, 2), 3], q) == \
+        Poly([1, Fraction(-7, 2), Fraction(3, 2)], q)

@@ -289,3 +289,16 @@ def test_sweep_plan_reports_are_unchanged():
     text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
                      for inst in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PLAN_0_24_SHA256
+
+
+# the same pin at order 48, the order `sweep` and its benchmark run at
+SWEEP_PLAN_0_48_SHA256 = (
+    "df1f36d4d810cfdf083dccb559fab93495f38dd4005d97326ac9cbbdebe53dd0")
+
+
+def test_sweep_plan_reports_are_unchanged_order_48():
+    plan = cli._sweep_plan(0, 48, 1)
+    assert len(plan) == 70
+    text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
+                     for inst in plan)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PLAN_0_48_SHA256
