@@ -1,8 +1,8 @@
 """Hot integer kernels for the finite-group coset oracle, in numpy.
 
-Batch determinants, enumeration of invertible matrices, generator
-permutations and orbit labels over F_p.  Matrices are identified with
-their row-major base-p packed int64 keys.
+Batch determinants, enumeration of invertible matrices, sorted-key
+lookup, generator permutations and orbit labels over F_p.  Matrices are
+identified with their row-major base-p packed int64 keys.
 """
 
 from __future__ import annotations
@@ -56,18 +56,20 @@ def enumerate_invertible_keys(p: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def lookup(keys: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Positions of found in the ascending keys; RuntimeError if any is
+    missing."""
+    idx = np.searchsorted(keys, found)
+    if idx.max(initial=0) >= len(keys) or not np.array_equal(keys[idx], found):
+        raise RuntimeError("a key is not in the table")
+    return idx
+
+
 def generator_permutation(mats: np.ndarray, keys: np.ndarray, gen: np.ndarray,
                           p: int, left: bool) -> np.ndarray:
     """Ids of gen @ m (left) or m @ gen (right) for every enumerated m."""
-    g = gen.astype(np.int64)
-    m = mats.astype(np.int64)
-    prod = (np.einsum("ij,njk->nik", g, m) if left
-            else np.einsum("nij,jk->nik", m, g)) % p
-    out_keys = pack_keys(prod, p)
-    idx = np.searchsorted(keys, out_keys)
-    if idx.max(initial=0) >= len(keys) or not np.array_equal(keys[idx], out_keys):
-        raise RuntimeError("generator product left the enumerated group")
-    return idx.astype(np.int64)
+    g = np.asarray(gen, dtype=np.int64)  # so products of uint8 rows are int64
+    return lookup(keys, pack_keys((g @ mats if left else mats @ g) % p, p))
 
 
 def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:

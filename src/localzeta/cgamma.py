@@ -46,10 +46,9 @@ def complex_gamma(z: complex) -> complex:
     wherever Gamma(z) does.
     """
     z = _checked(z, "Gamma")
+    reflect = z.real < 0.5
+    w = (1.0 - z if reflect else z) - 1.0  # Lanczos form of Gamma(w + 1)
     try:
-        if z.real < 0.5:
-            return math.pi / (cmath.sin(math.pi * z) * complex_gamma(1.0 - z))
-        w = z - 1.0
         x = _LANCZOS[0]
         for i, c in enumerate(_LANCZOS[1:], start=1):
             x += c / (w + i)
@@ -58,6 +57,8 @@ def complex_gamma(z: complex) -> complex:
         g *= math.sqrt(2.0 * math.pi) * x
         if not cmath.isfinite(g):
             raise OverflowError
+        if reflect:  # Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
+            return math.pi / (cmath.sin(math.pi * z) * g)
         return g
     except OverflowError:
         raise InvalidArgument(

@@ -37,6 +37,15 @@ def _load_json(path: str):
         raise _InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
+def _load_items(path: str) -> list:
+    """The JSON list at path, or its one object as a list; not empty."""
+    data = _load_json(path)
+    items = data if isinstance(data, list) else [data]
+    if not items:
+        raise _InputError(f"{path}: the list is empty, nothing to check")
+    return items
+
+
 class _InputError(Exception):
     pass
 
@@ -65,10 +74,8 @@ def _open_out(path: Optional[str]):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_nonarch(args, out) -> int:
-    data = _load_json(args.params)
-    instances = data if isinstance(data, list) else [data]
     status = EXIT_OK
-    for idx, obj in enumerate(instances):
+    for idx, obj in enumerate(_load_items(args.params)):
         try:
             if args.order is not None:
                 obj = dict(obj, order=args.order)
@@ -126,10 +133,8 @@ def _cmd_cosets(args, out) -> int:
 def _cmd_arch_verify(args, out) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _InputError(f"--tol must be a finite number > 0, got {args.tol}")
-    data = _load_json(args.spec)
-    specs = data if isinstance(data, list) else [data]
     status = EXIT_OK
-    for idx, obj in enumerate(specs):
+    for idx, obj in enumerate(_load_items(args.spec)):
         try:
             spec = arch.ArchSpec.from_json(obj)
         except (LocalZetaError, KeyError, TypeError, ValueError) as exc:

@@ -132,50 +132,24 @@ def gsp4_generators(p: int) -> list[np.ndarray]:
             h = eye.copy()
             h[2:4, 0:2] = (lam * b) % p
             gens.append(h)
-    # Levi block diag(A, t(A)^-1) for A generating GL2.
-    levi_a = []
+    # Levi block diag(A, cof(A)) for A generating GL2: cof(A) = det(A) t(A)^-1
+    # makes it a similitude with mu = det(A), and the mu generators below
+    # supply the rest of diag(A, t(A)^-1).
+    levi = []
     for lam in range(1, p):
-        a = np.eye(2, dtype=np.int64)
-        a[0, 1] = lam
-        levi_a.append(a)
-        a = np.eye(2, dtype=np.int64)
-        a[1, 0] = lam
-        levi_a.append(a)
+        levi += [(1, lam, 0, 1), (1, 0, lam, 1)]
     for u in range(2, p):
-        levi_a.append(np.diag([u, 1]).astype(np.int64))
-        levi_a.append(np.diag([1, u]).astype(np.int64))
-    for a in levi_a:
+        levi += [(u, 0, 0, 1), (1, 0, 0, u)]
+    for a, b, c, d in levi:
         g = eye.copy()
-        g[0:2, 0:2] = a % p
-        g[2:4, 2:4] = _mat_inv_mod(a.T % p, p)
+        g[0:2, 0:2] = [[a, b], [c, d]]
+        g[2:4, 2:4] = np.array([[d, -c], [-b, a]]) % p
         gens.append(g)
     for mu in range(2, p):
         gens.append(np.diag([1, 1, mu, mu]).astype(np.int64))
     if not _similitude_factors(np.stack(gens), p).all():
         raise RuntimeError("a GSp4 generator is not a similitude")
     return gens
-
-
-def _mat_inv_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod p by Gaussian elimination."""
-    n = mat.shape[0]
-    a = (np.asarray(mat, dtype=np.int64) % p).tolist()
-    inv = np.eye(n, dtype=np.int64).tolist()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if pivot is None:
-            raise InvalidArgument("matrix not invertible mod p")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = pow(int(a[col][col]), -1, p)
-        a[col] = [x * scale % p for x in a[col]]
-        inv[col] = [x * scale % p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] % p:
-                f = a[r][col] % p
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-                inv[r] = [(x - f * y) % p for x, y in zip(inv[r], inv[col])]
-    return np.asarray(inv, dtype=np.int64)
 
 
 def generated_subgroup_order(gens: list[np.ndarray], p: int,
@@ -185,10 +159,7 @@ def generated_subgroup_order(gens: list[np.ndarray], p: int,
     seen = {int(_kernels.pack_keys(np.eye(4, dtype=np.int64)[None, :, :], p)[0])}
     frontier = np.eye(4, dtype=np.int64)[None, :, :]
     while frontier.size:
-        prods = []
-        for g in gens:
-            prods.append(np.einsum("nij,jk->nik", frontier, g) % p)
-        allp = np.concatenate(prods)
+        allp = np.concatenate([frontier @ g % p for g in gens])
         keys = _kernels.pack_keys(allp, p)
         uniq, idx = np.unique(keys, return_index=True)
         fresh = [i for k, i in zip(uniq.tolist(), idx.tolist()) if k not in seen]
@@ -221,12 +192,10 @@ class GroupEnumeration:
         return len(self.keys)
 
     def id_of(self, mat) -> int:
-        key = int(_kernels.pack_keys(np.asarray(mat, dtype=np.int64)[None] % self.p,
-                                     self.p)[0])
-        idx = int(np.searchsorted(self.keys, key))
-        if idx >= len(self.keys) or self.keys[idx] != key:
-            raise InvalidArgument("matrix is not invertible mod p")
-        return idx
+        """Id of mat; RuntimeError if it is not invertible mod p."""
+        key = _kernels.pack_keys(np.asarray(mat, dtype=np.int64)[None] % self.p,
+                                 self.p)
+        return int(_kernels.lookup(self.keys, key)[0])
 
     def mat_of(self, idx: int) -> np.ndarray:
         return self.mats[idx]
@@ -281,6 +250,30 @@ class CosetReport:
         return out
 
 
+def _report(p: int, method: str, labels: np.ndarray, lab_e: int, lab_t: int,
+            rep_of, t0: float, extras: dict,
+            coset_size: Optional[int] = None) -> CosetReport:
+    """The report on the orbits that labels mark, timed from t0.
+
+    lab_e and lab_t label the points of 1 and t1; rep_of(root) is the
+    representative shown for the orbit with that root.  When each point is
+    a P4-coset of coset_size elements, sizes count elements, and the orbit
+    sizes in points are the flag orbit sizes.
+    """
+    roots, counts = np.unique(labels, return_counts=True)
+    class_index = {int(r): i for i, r in enumerate(roots)}
+    points = counts.tolist()
+    return CosetReport(
+        p=p, method=method, class_count=len(roots),
+        sizes=[s * (coset_size or 1) for s in points],
+        flag_orbit_sizes=points if coset_size else None,
+        reps=[rep_of(r) for r in roots.tolist()],
+        identity_class=class_index[lab_e], t1_class=class_index[lab_t],
+        t1_distinct=lab_e != lab_t, elapsed_s=time.perf_counter() - t0,
+        extras=extras,
+    )
+
+
 def _partition_full(p: int) -> CosetReport:
     if p != 2:
         raise Infeasible(
@@ -293,27 +286,13 @@ def _partition_full(p: int) -> CosetReport:
     for g in p4_generators(p):
         perms.append(_kernels.generator_permutation(
             enum.mats, enum.keys, g, p, left=True))
-    right_gens = gsp4_generators(p)
-    for g in right_gens:
+    for g in gsp4_generators(p):
         perms.append(_kernels.generator_permutation(
             enum.mats, enum.keys, g, p, left=False))
     labels = _kernels.orbit_labels(perms, n)
-    roots, counts = np.unique(labels, return_counts=True)
-    class_index = {int(r): i for i, r in enumerate(roots)}
-    id_identity = enum.id_of(np.eye(4, dtype=np.int64))
-    id_t1 = enum.id_of(_np_mat(T1))
-    reps = [enum.mat_of(int(r)).astype(int).tolist() for r in roots]
-    elapsed = time.perf_counter() - t0
-    return CosetReport(
-        p=p, method="full",
-        class_count=len(roots), sizes=counts.astype(int).tolist(),
-        flag_orbit_sizes=None, reps=reps,
-        identity_class=class_index[int(labels[id_identity])],
-        t1_class=class_index[int(labels[id_t1])],
-        t1_distinct=bool(labels[id_identity] != labels[id_t1]),
-        elapsed_s=elapsed,
-        extras={"group_order": n},
-    )
+    lab_e, lab_t = labels[[enum.id_of(np.eye(4)), enum.id_of(T1)]].tolist()
+    return _report(p, "full", labels, lab_e, lab_t,
+                   lambda r: enum.mat_of(r).tolist(), t0, {"group_order": n})
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +316,23 @@ def _point_keys(rows: np.ndarray, p: int) -> np.ndarray:
 
 def _point_ids(vecs: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
     """Ids of the points spanned by the rows of vecs, given the point keys."""
-    found = _point_keys(_canon_rows(vecs, p), p)
-    idx = np.searchsorted(keys, found)
-    if idx.max(initial=0) >= len(keys) or not np.array_equal(keys[idx], found):
-        raise RuntimeError("a canonical row is not in the point table")
-    return idx
+    return _kernels.lookup(keys, _point_keys(_canon_rows(vecs, p), p))
 
 
 def flag_of_coset(g: np.ndarray, p: int) -> tuple:
     """Invariant of P4 g: the flag (g^-1 <e1>, ker(e3* g)).
 
     Two matrices lie in the same left P4-coset exactly when these flags
-    agree, because P4 is the full stabilizer of (<e1>, <e1,e2,e4>).
+    agree, because P4 is the full stabilizer of (<e1>, <e1,e2,e4>).  The
+    line is spanned by the cofactors C_0j of g, which rows 1-3 of g
+    annihilate, and g sends it to det(g) e1.
     """
-    g = np.asarray(g, dtype=np.int64)
-    line, covector = _canon_rows(
-        np.stack([_mat_inv_mod(g, p)[:, 0], g[2, :]]), p).tolist()
+    minors = np.repeat(np.asarray(g, dtype=np.int64)[None] % p, 5, axis=0)
+    minors[1:, 0] = np.eye(4, dtype=np.int64)  # det(minors[1 + j]) = C_0j
+    det, *line = _kernels.det_mod_batch(minors, p).tolist()
+    if det == 0:
+        raise InvalidArgument("matrix not invertible mod p")
+    line, covector = _canon_rows(np.stack([line, minors[0, 2]]), p).tolist()
     return tuple(line), tuple(covector)
 
 
@@ -368,36 +348,26 @@ def _partition_quotient(p: int) -> CosetReport:
     n_flags = len(cov)
     flag_id = np.full((len(points), len(points)), -1, dtype=np.int64)
     flag_id[cov, line] = np.arange(n_flags)
-    # b in GSp4 moves (v, phi) to (b^-1 v, phi b)
+    # b in GSp4 moves (v, phi) to (b^-1 v, phi b); t(b^-1) = t(J) b J / mu,
+    # and the scalar does not move a point
     gens = np.stack(gsp4_generators(p))
-    inv_t = np.stack([_mat_inv_mod(b, p).T for b in gens])
+    j = _np_mat(J_MAT)
     cov_img = _point_ids(points @ gens, keys, p)
-    line_img = _point_ids(points @ inv_t, keys, p)
+    line_img = _point_ids(points @ (j.T @ gens @ j), keys, p)
     actions = flag_id[cov_img[:, cov], line_img[:, line]]
     if (actions < 0).any():
         raise RuntimeError("a generator moved a flag off the incidence set")
     labels = _kernels.orbit_labels(actions, n_flags)
-    roots, counts = np.unique(labels, return_counts=True)
-    class_index = {int(r): i for i, r in enumerate(roots)}
     eye = np.eye(4, dtype=np.int64)
     ids = _point_ids(np.array([flag_of_coset(eye, p),
                                flag_of_coset(_np_mat(T1), p)]), keys, p)
     lab_e, lab_t = labels[flag_id[ids[:, 1], ids[:, 0]]].tolist()
-    flag_sizes = counts.astype(int).tolist()
-    sizes = [s * p4_order(p) for s in flag_sizes]
     # orbits show 1 or t1 (1 wins if both share one), any other its root flag
     known = {lab_t: _np_mat(T1).tolist(), lab_e: eye.tolist()}
-    reps = [known.get(int(r), points[[line[r], cov[r]]].tolist())
-            for r in roots]
-    elapsed = time.perf_counter() - t0
-    return CosetReport(
-        p=p, method="quotient",
-        class_count=len(roots), sizes=sizes, flag_orbit_sizes=flag_sizes,
-        reps=reps,
-        identity_class=class_index[lab_e], t1_class=class_index[lab_t],
-        t1_distinct=lab_e != lab_t, elapsed_s=elapsed,
-        extras={"flags": n_flags, "p4_order": p4_order(p)},
-    )
+    return _report(p, "quotient", labels, lab_e, lab_t,
+                   lambda r: known.get(r, points[[line[r], cov[r]]].tolist()),
+                   t0, {"flags": n_flags, "p4_order": p4_order(p)},
+                   coset_size=p4_order(p))
 
 
 def double_coset_partition(p: int, method: str = "full") -> CosetReport:

@@ -237,6 +237,18 @@ def test_global_constant_non_object_spec_exit_2(tmp_path, spec):
     _assert_input_error(run_cli("global-constant", "--spec", str(path)))
 
 
+@pytest.mark.parametrize("command, flag", [("verify-nonarch", "--params"),
+                                           ("arch-verify", "--spec")])
+def test_empty_list_exit_2(tmp_path, command, flag):
+    # no instance means no check ran, which must not read as a pass
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    proc = run_cli(command, flag, str(path))
+    _assert_input_error(proc)
+    assert "empty" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("field, value", [("l", 10.5), ("l1", 10.5), ("D", 4.0)])
 def test_arch_verify_non_integer_weight_exit_2(tmp_path, field, value):
     path = tmp_path / "arch.json"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -183,3 +184,61 @@ def test_report_json():
         assert obj["t1_distinct"] is True
         assert obj["p"] == 2
         assert len(obj["reps"]) == 2
+
+
+# sha256 of to_json() without elapsed_s, as sorted-key JSON: pins the whole
+# report of each route, representatives and class order included
+REPORT_SHA256 = {
+    (2, "full"):
+        "bff8c1a454de9b17fdc511d6ebe4854de7a0ddce0360546025158ae1aa2524fb",
+    (2, "quotient"):
+        "241fbfdd0884038ed1c4469028478b217a65397a64217b9185648a4af80a5a2b",
+    (3, "quotient"):
+        "bc0c61d57a1ee386fbe9a1e2a9a8b5de9be5fef9f34ded9ee13d06341e7930c4",
+}
+
+
+@pytest.mark.parametrize("p, method", sorted(REPORT_SHA256))
+def test_report_is_unchanged(p, method):
+    obj = cosets.double_coset_partition(p, method=method).to_json()
+    del obj["elapsed_s"]
+    text = json.dumps(obj, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[p, method]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_line_action_inverts_generators(p):
+    # the quotient moves lines by t(J) b J = mu t(b^-1)
+    j = np.asarray(cosets.J_MAT)
+    for b in cosets.gsp4_generators(p):
+        mu = cosets.similitude_factor(b, p)
+        assert np.array_equal(b @ (j.T @ b @ j).T % p,
+                              mu * np.eye(4, dtype=np.int64) % p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_flag_line_is_sent_to_e1(p):
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 40:
+        g = rng.integers(0, p, size=(4, 4))
+        if _kernels.det_mod_batch(g[None], p)[0] == 0:
+            with pytest.raises(InvalidArgument):
+                cosets.flag_of_coset(g, p)
+            continue
+        line, covector = cosets.flag_of_coset(g, p)
+        image = g @ np.array(line) % p
+        assert image[0] != 0 and not image[1:].any()
+        # (e3* g)(g^-1 e1) = 0: the flag is incident
+        assert np.dot(covector, line) % p == 0
+        checked += 1
+
+
+def test_lookup(enum2):
+    keys = np.array([2, 5, 9])
+    assert _kernels.lookup(keys, np.array([9, 2, 5])).tolist() == [2, 0, 1]
+    for missing in ([1], [3], [10], [5, 7]):
+        with pytest.raises(RuntimeError):
+            _kernels.lookup(keys, np.array(missing))
+    with pytest.raises(RuntimeError):
+        enum2.id_of(np.zeros((4, 4), dtype=np.int64))
