@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgamma import complex_gamma, digamma
+from .cgamma import EXP_CEIL, EXP_FLOOR, digamma, exp_in_range, log_gamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
                      UnsupportedParameters, require_complex, require_int)
 from .quadrature import _nodes, quad_zero_to_inf
 
 _TOL = 1e-12
-_EXP_FLOOR = -708.0  # about the smallest normal double, e^-708.4
-_EXP_CEIL = 709.78  # just below the log of the largest double, 709.7827
 
 
 @dataclass(frozen=True)
@@ -55,6 +53,8 @@ class ArchSpec:
             raise InvalidArgument("weight l must be an integer >= 2")
         if self.D <= 0 or self.D % 4 not in (0, 3):
             raise InvalidArgument("D must be a positive integer = 0, 3 mod 4")
+        if self.a_plus == 0:  # the integral vanishes: nothing to compare
+            raise InvalidArgument("a_plus must be nonzero")
         if (self.l1 - self.l2) % 2 != 0:
             raise InvalidArgument("l1 and l2 must have equal parity")
         if self.gate.real <= 0:
@@ -113,9 +113,9 @@ def _whittaker_params(kappa: complex,
 
 
 def _guarded_exp(expo: np.ndarray) -> np.ndarray:
-    if np.any(expo.real > _EXP_CEIL):
+    if np.any(expo.real > EXP_CEIL):
         raise InvalidArgument("Whittaker value exceeds the double range")
-    return np.exp(expo, where=expo.real >= _EXP_FLOOR, out=np.zeros_like(expo))
+    return np.exp(expo, where=expo.real >= EXP_FLOOR, out=np.zeros_like(expo))
 
 
 def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
@@ -145,7 +145,7 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
     # level-2 nodes puts the largest contribution near 1, so the batch
     # converges relative to it and no row is computed in the subnormals.
     row = (-xs / 2.0 + (1.5 - mu) * logx + log_factor
-           - cmath.log(complex_gamma(mu - kappa + 0.5))).reshape(-1, 1)
+           - log_gamma(mu - kappa + 0.5)).reshape(-1, 1)
     col = xs.reshape(-1, 1)
 
     def expo(t):
@@ -199,13 +199,12 @@ def mellin_whittaker_check(kappa: complex, mu: complex,
         lambda xs: whittaker_w_array(
             kappa, m, xs, log_factor=-xs / 2.0 + (sigma - 1) * np.log(xs)),
         target=1e-11)
-    if abs(m - (kappa - 0.5)) < 1e-10:
-        # the Gamma(sigma+1/2-mu)/Gamma(sigma-kappa+1) ratio cancels exactly
-        gamma_value = complex_gamma(sigma + 0.5 + m)
-    else:
-        gamma_value = (complex_gamma(sigma + 0.5 + m)
-                       * complex_gamma(sigma + 0.5 - m)
-                       / complex_gamma(sigma - kappa + 1.0))
+    log_value = log_gamma(sigma + 0.5 + m)
+    if abs(m - (kappa - 0.5)) >= 1e-10:  # else the ratio cancels exactly
+        log_value += (log_gamma(sigma + 0.5 - m)
+                      - log_gamma(sigma - kappa + 1.0))
+    gamma_value = exp_in_range(log_value, "the Mellin Gamma quotient",
+                               "sigma", sigma)
     rel = abs(integral - gamma_value) / abs(gamma_value)
     return MellinReport(kappa, mu, sigma, integral, gamma_value, rel)
 
@@ -230,8 +229,6 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     relative to the largest contribution to the outer sum, and a row whose
     contribution is negligible needs no relative accuracy of its own.
     """
-    if spec.gate.real <= 0:
-        raise DivergentParameters("convergence gate violated")
     s, q = complex(spec.s), complex(spec.q_exp)
     kappa = spec.l1 / 2.0
     mu = complex(spec.ir) / 2.0
@@ -267,31 +264,24 @@ def _gamma_args(spec: ArchSpec) -> tuple[complex, complex, complex]:
     return z1, z2, z3
 
 
-def _closed_quotient(num: complex, den: complex) -> complex:
-    """num / den, raising InvalidArgument where a Gamma factor has left the
-    double range: the quotient is then 0, infinite or undefined, and no
-    relative error can be taken against it."""
-    value = num / den if den else math.inf
-    if value == 0 or not cmath.isfinite(value):
-        raise InvalidArgument(
-            "the closed form leaves the double range (a Gamma factor "
-            "under- or overflows)")
-    return value
+def _closed_form(spec: ArchSpec, i_power: int, own_log: complex) -> complex:
+    """i^i_power exp(own_log) times the factors both closed forms share,
+    a+ pi D^(-3s-l/2+q/2) (4 pi)^(-3s+3/2-l+q) Gamma(z1) Gamma(z2), summed
+    in log space and exponentiated once."""
+    s, q = complex(spec.s), complex(spec.q_exp)
+    z1, z2, _ = _gamma_args(spec)
+    return exp_in_range(
+        own_log + 0.5j * math.pi * i_power + cmath.log(spec.a_plus)
+        + math.log(math.pi) + (-3 * s - spec.l / 2 + q / 2) * math.log(spec.D)
+        + (-3 * s + 1.5 - spec.l + q) * math.log(4 * math.pi)
+        + log_gamma(z1) + log_gamma(z2), "the closed form", "s", spec.s)
 
 
 def arch_zeta_closed(spec: ArchSpec) -> complex:
     """Closed Gamma form; for l >= l1 the simplified printed variant is
     evaluated as well and both must agree to 1e-12."""
-    if spec.gate.real <= 0:
-        raise DivergentParameters("convergence gate violated")
-    s, q = complex(spec.s), complex(spec.q_exp)
-    z1, z2, z3 = _gamma_args(spec)
-    shared = (complex(spec.a_plus) * math.pi
-              * cmath.exp((-3 * s - spec.l / 2 + q / 2) * math.log(spec.D))
-              * cmath.exp((-3 * s + 1.5 - spec.l + q) * math.log(4 * math.pi))
-              * complex_gamma(z1) * complex_gamma(z2))
-    value = _closed_quotient((1j) ** (spec.l + spec.l2) * shared,
-                             spec.gate * complex_gamma(z3))
+    value = _closed_form(spec, spec.l + spec.l2, -cmath.log(spec.gate)
+                         - log_gamma(_gamma_args(spec)[2]))
     if spec.l >= spec.l1:
         simplified = arch_zeta_closed_simplified(spec)
         if abs(value - simplified) > 1e-12 * abs(value):
@@ -305,13 +295,8 @@ def arch_zeta_closed_simplified(spec: ArchSpec) -> complex:
     """The simplified variant valid for l >= l1 (where l2 = -l1)."""
     if spec.l < spec.l1:
         raise InvalidArgument("simplified form requires l >= l1")
-    s, q = complex(spec.s), complex(spec.q_exp)
-    z1, z2, z3 = _gamma_args(spec)
-    return _closed_quotient(
-        (1j) ** (spec.l - spec.l1) * complex(spec.a_plus) / 2.0 * math.pi
-        * cmath.exp((-3 * s - spec.l / 2 + q / 2) * math.log(spec.D))
-        * cmath.exp((-3 * s + 1.5 - spec.l + q) * math.log(4 * math.pi))
-        * complex_gamma(z1) * complex_gamma(z2), complex_gamma(z3 + 1.0))
+    return _closed_form(spec, spec.l - spec.l1, -math.log(2.0)
+                        - log_gamma(_gamma_args(spec)[2] + 1.0))
 
 
 def arch_zeta_closed_logderiv(spec: ArchSpec) -> complex:

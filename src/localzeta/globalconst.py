@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cgamma import complex_gamma
+from .cgamma import exp_in_range, log_gamma
 from .errors import InvalidArgument, PoleError, require_complex, require_int
 from .scalars import QScalar
 from .zeta import LocalInstance, y_factor
@@ -108,10 +108,11 @@ def y_infty(s: complex, spec: GlobalSpec) -> complex:
     denom = 6 * s + l - 1
     if abs(denom) < 1e-12:
         raise PoleError("6s + l - 1 vanishes")
-    return (complex(spec.a_lambda).conjugate() * math.pi
-            * cmath.exp((-3 * s - l / 2) * math.log(spec.D))
-            * cmath.exp((-3 * s + 1.5 - 1.5 * l) * math.log(4 * math.pi))
-            * complex_gamma(3 * s + 1.5 * l - 1.5) / denom)
+    return complex(spec.a_lambda).conjugate() * exp_in_range(
+        math.log(math.pi) + (-3 * s - l / 2) * math.log(spec.D)
+        + (-3 * s + 1.5 - 1.5 * l) * math.log(4 * math.pi)
+        + log_gamma(3 * s + 1.5 * l - 1.5) - cmath.log(denom),
+        "Y_infty", "s", s)
 
 
 def y_p_at_special_point(inst: LocalInstance, l: int) -> tuple[QScalar, complex]:

@@ -11,7 +11,7 @@ from localzeta.arch import (ArchSpec, arch_zeta_closed,
                             arch_zeta_closed_simplified, arch_zeta_quadrature,
                             mellin_whittaker_check, whittaker_W,
                             whittaker_w_array)
-from localzeta.cgamma import complex_gamma, digamma, gamma_selftest
+from localzeta.cgamma import complex_gamma, digamma, gamma_selftest, log_gamma
 from localzeta.errors import (DivergentParameters, InvalidArgument, PoleError,
                               QuadratureError, UnsupportedParameters)
 from localzeta.quadrature import _nodes, quad_zero_to_inf
@@ -64,13 +64,38 @@ def test_gamma_non_finite_argument(fn, z):
         fn(z)
 
 
-@pytest.mark.parametrize("z", [172.0, 1e5 + 0j, 0.2 + 250j, -2.5 - 1e3j,
-                               -171.5])
+@pytest.mark.parametrize("z", [172.0, 1e5 + 0j, -2.5 - 1e3j, -171.5])
 def test_gamma_overflow_is_typed(z):
-    # the message names the caller's z, not the reflected 1 - z
+    # the message names the caller's z, not the reflected 1 - z; -2.5-1e3j
+    # underflows and Gamma(-171.5) is subnormal
     with pytest.raises(InvalidArgument,
                        match=re.escape(f"double range at z = {complex(z)}")):
         complex_gamma(z)
+
+
+@pytest.mark.parametrize("z", [0.2 + 250j, -0.3 - 220j, -150.5 + 2j])
+def test_gamma_reflection_far_from_the_real_axis(z):
+    # sin(pi z) alone leaves the double range above |Im z| = 226, Gamma does not
+    mp = pytest.importorskip("mpmath")
+    ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+    assert abs(complex_gamma(z) - ref) / abs(ref) < 1e-12
+
+
+def test_log_gamma_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(3)
+    points = [complex(rng.uniform(-300, 1000), rng.uniform(-1000, 1000))
+              for _ in range(400)]
+    points += [complex(rng.uniform(-300, 1000), rng.uniform(-3, 3))
+               for _ in range(100)]
+    for z in points + [0.5, 1.0, 2.0, -0.5, 171.5, 1e3j, -1e3j, -299.5]:
+        z = complex(z)
+        ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        diff = log_gamma(z) - ref
+        # equal modulo 2 pi i
+        diff = complex(diff.real,
+                       (diff.imag + math.pi) % (2 * math.pi) - math.pi)
+        assert abs(diff) <= 1e-13 * max(1.0, abs(ref)), z
 
 
 @pytest.mark.parametrize("x", [150.0, 160.0, 170.0])
@@ -93,6 +118,15 @@ def test_digamma_against_mpmath():
     for z in (0.7, 3.2 + 1j, 11.5 - 4j, 1 + 20j):
         ref = complex(mp.digamma(mp.mpc(complex(z).real, complex(z).imag)))
         assert abs(digamma(z) - ref) / abs(ref) < 1e-11
+
+
+@pytest.mark.parametrize("z", [-1e9 + 0.5 + 0.3j, -3.7 + 0.2j, -0.5,
+                               -10.25 - 3j, 0.3 + 40j, -53 + 1e-9j])
+def test_digamma_reflection(z):
+    # Re z < 1/2 reflects; recurring up from -1e9 would take minutes
+    mp = pytest.importorskip("mpmath")
+    ref = complex(mp.digamma(mp.mpc(complex(z).real, complex(z).imag)))
+    assert abs(digamma(z) - ref) / abs(ref) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +356,28 @@ def test_closed_forms_agree_when_l_ge_l1():
         full = arch_zeta_closed(spec)
         simple = arch_zeta_closed_simplified(spec)
         assert abs(full - simple) <= 1e-12 * abs(full)
+
+
+@pytest.mark.parametrize("s", [60.0, 100.0, 1 + 120j])
+def test_closed_form_past_the_gamma_range_against_mpmath(s):
+    # the README spec: Gamma(z1) overflows at s = 60 and 100, and
+    # Gamma(z1) Gamma(z2) underflows at 1+120i, but the closed values do not
+    mp = pytest.importorskip("mpmath")
+    spec = ArchSpec(l=10, l1=10, D=4, q_exp=0.0, a_plus=3.1665e-06, s=s,
+                    ir=9.0)
+    z = mp.mpc(s.real, s.imag) if isinstance(s, complex) else mp.mpf(s)
+    z1, z2, z3 = 3 * z + 9 + 4.5, 3 * z + 9 - 4.5, 3 * z + 10 - 5 - 0.5
+    ref = complex(3.1665e-06 * mp.pi * mp.power(4, -3 * z - 5)
+                  * mp.power(4 * mp.pi, -3 * z + 1.5 - 10)
+                  * mp.gamma(z1) * mp.gamma(z2)
+                  / ((6 * z + 20 - 10 - 1) * mp.gamma(z3)))
+    got = arch_zeta_closed(spec)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_arch_spec_rejects_zero_a_plus():
+    with pytest.raises(InvalidArgument, match="a_plus"):
+        ArchSpec(l=10, l1=10, D=4, q_exp=0.0, a_plus=0.0, s=7 / 6, ir=9.0)
 
 
 def test_simplified_form_requires_l_ge_l1():

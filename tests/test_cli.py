@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+from localzeta import cli
 
 WORKED_CASE2 = {
     "q": 4,
@@ -20,8 +24,27 @@ ARCH_SPEC = {"l": 10, "l1": 10, "D": 4, "q_exp": 0.0,
 
 
 def run_cli(*args, check=False):
-    proc = subprocess.run([sys.executable, "-m", "localzeta", *args],
-                          capture_output=True, text=True)
+    """cli.main in this process; its return value, or the code of the
+    SystemExit that argparse raises on a usage error, is the return code.
+    An uncaught exception fails the test that called it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return _checked(subprocess.CompletedProcess(
+        ["localzeta", *args], code, out.getvalue(), err.getvalue()), check)
+
+
+def run_module(*args, check=False):
+    """python -m localzeta in a child process, for the tests of the process
+    itself: the module entry point, exit codes and stderr."""
+    return _checked(subprocess.run([sys.executable, "-m", "localzeta", *args],
+                                   capture_output=True, text=True), check)
+
+
+def _checked(proc, check):
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
     return proc
@@ -108,8 +131,8 @@ def test_bessel_negative_order_exit_2(tmp_path):
         "satake": WORKED_CASE2["satake"],
         "bessel": WORKED_CASE2["bessel"],
     }))
-    _assert_input_error(run_cli("bessel", "--params", str(path),
-                                "--order", "-1"))
+    _assert_input_error(run_module("bessel", "--params", str(path),
+                                   "--order", "-1"))
 
 
 @pytest.mark.parametrize("order", [True, 2.5])
@@ -179,7 +202,7 @@ def test_cosets_bad_p():
 
 
 def test_gamma_selftest_command():
-    proc = run_cli("gamma-selftest", check=True)
+    proc = run_module("gamma-selftest", check=True)
     (report,) = _lines(proc)
     assert report["passed"] is True
 
@@ -330,6 +353,37 @@ def test_arch_verify_gamma_out_of_range_error_row(tmp_path, s):
     (row,) = _lines(proc)
     assert row["passed"] is False
     assert "double range" in row["error"]
+
+
+@pytest.mark.parametrize("s", [60, 100])
+def test_arch_verify_past_the_gamma_range_passes(tmp_path, s):
+    # Gamma(3s + 13.5) overflows, the closed value (3.5e31, 1.1e115) does not
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, s=s)))
+    (row,) = _lines(run_cli("arch-verify", "--spec", str(path), check=True))
+    assert row["passed"] is True
+    assert row["rel_error"] <= 1e-6
+
+
+def test_arch_verify_unconverged_quadrature_error_row(tmp_path):
+    # the closed value is 7.1e-231+2.4e-230i, but the quadrature does not
+    # converge within its 10 levels: a typed error row, not a traceback
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, s=[1.0, 120.0])))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "no convergence" in row["error"]
+
+
+def test_arch_verify_zero_a_plus_exit_2(tmp_path):
+    # the integral vanishes identically: no relative error to take
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, a_plus=0)))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    _assert_input_error(proc)
+    assert "a_plus" in proc.stderr
 
 
 @pytest.mark.parametrize("spec", [

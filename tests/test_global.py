@@ -59,6 +59,15 @@ def test_y_infty_conjugate_linearity():
         < 1e-14 * abs(a)
 
 
+def test_y_infty_past_the_gamma_range():
+    # Gamma(193.5) overflows, Y_infty(60) = 4.6e54 does not
+    mp = pytest.importorskip("mpmath")
+    ref = complex(mp.pi * mp.power(3, -185) * mp.power(4 * mp.pi, -193.5)
+                  * mp.gamma(193.5) / 369)
+    got = y_infty(60, GlobalSpec(l=10, D=3, a_lambda=1.0))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_y_infty_pole():
     spec = GlobalSpec(l=10, D=3, a_lambda=1.0)
     with pytest.raises(PoleError):
