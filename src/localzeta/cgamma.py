@@ -100,7 +100,10 @@ def digamma(z: complex) -> complex:
     return acc + cmath.log(z) - 0.5 / z - series
 
 
-def gamma_selftest(samples: int = 100) -> dict:
+_SELFTEST_SAMPLES = 100  # recurrence points on the test strip
+
+
+def gamma_selftest() -> dict:
     """Recurrence, half-integer and factorial checks on the test strip.
 
     Returns a report with the worst relative errors; deterministic
@@ -110,7 +113,7 @@ def gamma_selftest(samples: int = 100) -> dict:
 
     rng = random.Random(20160)
     worst_rec = 0.0
-    for _ in range(samples):
+    for _ in range(_SELFTEST_SAMPLES):
         z = complex(rng.uniform(0.5, 20.0), rng.uniform(-20.0, 20.0))
         ratio = complex_gamma(z + 1) / complex_gamma(z)
         worst_rec = max(worst_rec, abs(ratio - z) / abs(z))
@@ -125,5 +128,5 @@ def gamma_selftest(samples: int = 100) -> dict:
         "recurrence_max_rel_err": worst_rec,
         "gamma_half_rel_err": err_half,
         "factorial_max_rel_err": worst_fact,
-        "samples": samples,
+        "samples": _SELFTEST_SAMPLES,
     }

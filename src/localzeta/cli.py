@@ -2,9 +2,6 @@
 
 Exit codes: 0 all checks passed, 1 at least one mismatch, 2 invalid input.
 Instance reports are emitted one JSON object per line so sweeps stream.
-The env var LOCALZETA_WORKERS > 1 runs sweep instances in a process pool;
-report ordering stays by instance index either way.  A value that is not an
-integer >= 1 is an input error.
 """
 
 from __future__ import annotations
@@ -12,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -35,6 +31,8 @@ def _load_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}")
 
 
 def _load_items(path: str) -> list:
@@ -212,8 +210,7 @@ def _corrupted_y_factor(inst):
     return RatFn(good.numer * bump, good.denom)
 
 
-def _run_sweep_instance(payload) -> dict:
-    inst, corrupt = payload
+def _run_sweep_instance(inst, corrupt: bool) -> dict:
     fn = _corrupted_y_factor if corrupt else None
     report = zeta.verify_local(inst, y_factor_fn=fn)
     result = {"case": report.case, "passed": report.passed}
@@ -230,28 +227,14 @@ def _run_sweep_instance(payload) -> dict:
 def _cmd_sweep(args, out) -> int:
     _require_at_least("--order", args.order, 0)
     _require_at_least("--repeat", args.repeat, 1)
-    raw = os.environ.get("LOCALZETA_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0  # reported below, like any count under 1
-    if workers < 1:
-        raise _InputError(
-            f"LOCALZETA_WORKERS must be an integer >= 1, got {raw!r}")
     plan = _sweep_plan(args.seed, args.order, args.repeat)
-    payloads = [(inst, args.corrupt_y) for inst in plan]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_instance, payloads))
-    else:
-        results = [_run_sweep_instance(p) for p in payloads]
     failures = 0
-    for idx, result in enumerate(results):
+    for idx, inst in enumerate(plan):
+        result = _run_sweep_instance(inst, args.corrupt_y)
         _emit(dict(result, index=idx, seed=args.seed), out)
         if not result["passed"]:
             failures += 1
-    _emit({"summary": True, "seed": args.seed, "instances": len(results),
+    _emit({"summary": True, "seed": args.seed, "instances": len(plan),
            "failures": failures}, out)
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
@@ -265,54 +248,51 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="localzeta",
         description="verify local zeta-integral identities and constants")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify-nonarch", help="verify a local instance file")
+    def add(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[common])
+
+    p = add("verify-nonarch", help="verify a local instance file")
     p.add_argument("--params", required=True)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_nonarch)
 
-    p = sub.add_parser("bessel", help="print the B(h(l,0)) coefficient table")
+    p = add("bessel", help="print the B(h(l,0)) coefficient table")
     p.add_argument("--params", required=True)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bessel)
 
-    p = sub.add_parser("dims", help="check the invariant-dimension identities")
+    p = add("dims", help="check the invariant-dimension identities")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--max-r", type=int, default=12)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_dims)
 
-    p = sub.add_parser("cosets", help="double-coset partition of GL4(F_p)")
+    p = add("cosets", help="double-coset partition of GL4(F_p)")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--method", choices=("full", "quotient"), default="full")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_cosets)
 
-    p = sub.add_parser("arch-verify", help="archimedean quadrature vs closed form")
+    p = add("arch-verify", help="archimedean quadrature vs closed form")
     p.add_argument("--spec", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_arch_verify)
 
-    p = sub.add_parser("gamma-selftest", help="complex Gamma accuracy checks")
-    p.add_argument("--out", default=None)
+    p = add("gamma-selftest", help="complex Gamma accuracy checks")
     p.set_defaults(func=_cmd_gamma_selftest)
 
-    p = sub.add_parser("global-constant", help="special-value constant C")
+    p = add("global-constant", help="special-value constant C")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_global_constant)
 
-    p = sub.add_parser("sweep", help="randomized identity sweep over Cases 1-3")
+    p = add("sweep", help="randomized identity sweep over Cases 1-3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--repeat", type=int, default=1,
                    help="multiplier on the per-case instance counts")
     p.add_argument("--corrupt-y", action="store_true",
                    help="negative control: tamper with the Y factor")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -323,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out, close = sys.stdout, False
     try:
-        out, close = _open_out(getattr(args, "out", None))
+        out, close = _open_out(args.out)
         return args.func(args, out)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

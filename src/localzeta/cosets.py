@@ -152,8 +152,10 @@ def gsp4_generators(p: int) -> list[np.ndarray]:
     return gens
 
 
-def generated_subgroup_order(gens: list[np.ndarray], p: int,
-                             limit: int = 2_000_000) -> int:
+_CLOSURE_LIMIT = 2_000_000  # elements a subgroup closure may reach
+
+
+def generated_subgroup_order(gens: list[np.ndarray], p: int) -> int:
     """Order of the subgroup generated by gens, by batched BFS closure."""
     gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
     seen = {int(_kernels.pack_keys(np.eye(4, dtype=np.int64)[None, :, :], p)[0])}
@@ -164,8 +166,9 @@ def generated_subgroup_order(gens: list[np.ndarray], p: int,
         uniq, idx = np.unique(keys, return_index=True)
         fresh = [i for k, i in zip(uniq.tolist(), idx.tolist()) if k not in seen]
         seen.update(int(keys[i]) for i in fresh)
-        if len(seen) > limit:
-            raise Infeasible(f"subgroup closure exceeded {limit} elements")
+        if len(seen) > _CLOSURE_LIMIT:
+            raise Infeasible(
+                f"subgroup closure exceeded {_CLOSURE_LIMIT} elements")
         frontier = allp[fresh]
     return len(seen)
 

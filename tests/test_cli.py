@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -80,6 +79,17 @@ def test_malformed_json_exit_2(tmp_path):
     proc = run_cli("verify-nonarch", "--params", str(path))
     assert proc.returncode == 2
     assert "line 1" in proc.stderr
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify-nonarch", "--params"), ("bessel", "--params"),
+    ("arch-verify", "--spec"), ("global-constant", "--spec")])
+def test_non_utf8_file_exit_2(tmp_path, command, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    proc = run_cli(command, flag, str(path))
+    _assert_input_error(proc)
+    assert str(path) in proc.stderr
 
 
 def test_schema_error_exit_2(tmp_path):
@@ -451,33 +461,28 @@ def test_sweep_failure_echo_is_rerunnable(tmp_path):
     assert _lines(rerun)[0]["passed"] is True  # instance itself is valid
 
 
-def test_sweep_workers_env(tmp_path):
-    env = dict(os.environ, LOCALZETA_WORKERS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "localzeta", "sweep", "--seed", "11"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    serial = run_cli("sweep", "--seed", "11", check=True)
-    assert proc.stdout == serial.stdout
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_sweep_bad_workers_env_exit_2(value):
-    env = dict(os.environ, LOCALZETA_WORKERS=value)
-    proc = subprocess.run(
-        [sys.executable, "-m", "localzeta", "sweep", "--seed", "11"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert "LOCALZETA_WORKERS" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-
-
 def test_out_flag_writes_file(tmp_path):
-    out = tmp_path / "report.jsonl"
-    run_cli("dims", "--out", str(out), check=True)
-    report = json.loads(out.read_text())
-    assert report["all_match"] is True
+    files = {"case2.json": WORKED_CASE2, "arch.json": ARCH_SPEC,
+             "global.json": {"l": 10, "D": 3, "a_lambda": 1.0}}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    # every subcommand, each on an input it passes
+    commands = {
+        "verify-nonarch": ["--params", str(tmp_path / "case2.json")],
+        "bessel": ["--params", str(tmp_path / "case2.json"), "--order", "3"],
+        "dims": [],
+        "cosets": ["--p", "2", "--method", "quotient"],
+        "arch-verify": ["--spec", str(tmp_path / "arch.json")],
+        "gamma-selftest": [],
+        "global-constant": ["--spec", str(tmp_path / "global.json")],
+        "sweep": ["--order", "4"],
+    }
+    for command, args in commands.items():
+        out = tmp_path / f"{command}.jsonl"
+        proc = run_cli(command, *args, "--out", str(out), check=True)
+        assert proc.stdout == "", command
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows, command
 
 
 def test_out_flag_unwritable_path_exit_2(tmp_path):
