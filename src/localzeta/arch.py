@@ -55,8 +55,6 @@ class ArchSpec:
             raise InvalidArgument("D must be a positive integer = 0, 3 mod 4")
         if self.a_plus == 0:  # the integral vanishes: nothing to compare
             raise InvalidArgument("a_plus must be nonzero")
-        if (self.l1 - self.l2) % 2 != 0:
-            raise InvalidArgument("l1 and l2 must have equal parity")
         if self.gate.real <= 0:
             raise DivergentParameters(
                 f"Re(6s + 2l + l2 - q - 1) = {self.gate.real} <= 0")
@@ -172,13 +170,6 @@ class MellinReport:
     integral: complex
     gamma_value: complex
     rel_error: float
-
-    def to_json(self):
-        return {"kappa": str(self.kappa), "mu": str(self.mu),
-                "sigma": str(self.sigma),
-                "integral": [self.integral.real, self.integral.imag],
-                "gamma_value": [self.gamma_value.real, self.gamma_value.imag],
-                "rel_error": self.rel_error}
 
 
 def mellin_whittaker_check(kappa: complex, mu: complex,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidArgument, InvalidBesselDatum
+from .errors import InvalidArgument, InvalidBesselDatum, require_int
 from .scalars import QScalar
 from .series import Poly, RatFn, Series
 
@@ -81,6 +81,7 @@ class BesselDatum:
     def __post_init__(self):
         legendre, lambda_varpi = self.legendre, self.lambda_varpi
         lambda_varpiL, lambda_varpi_conj = self.lambda_varpiL, self.lambda_varpi_conj
+        require_int("legendre", legendre)
         if legendre not in (INERT, RAMIFIED, SPLIT):
             raise InvalidBesselDatum(f"legendre symbol must be -1, 0 or 1, got {legendre}")
         if self.q is None:
@@ -124,10 +125,9 @@ class BesselDatum:
         )
 
 
-def sugano_H(d: BesselDatum, q: int) -> Poly:
+def sugano_H(d: BesselDatum) -> Poly:
     """Numerator H(y) of the generating function, by extension type."""
-    if d.q != q:
-        raise InvalidBesselDatum("datum q does not match")
+    q = d.q
     if d.legendre == INERT:
         # 1 - q^-4 Lambda(varpi) y^2
         return Poly([QScalar.one(q), QScalar.zero(q),
@@ -155,4 +155,4 @@ def bessel_coeffs(p: SatakeParams, d: BesselDatum, order: int) -> Series:
     """Coefficients B(h(l,0)) for l = 0..order; B(h(0,0)) = 1."""
     if p.q != d.q:
         raise InvalidArgument("Satake parameters and Bessel datum q mismatch")
-    return RatFn(sugano_H(d, p.q), sugano_Q(p)).to_series(order)
+    return RatFn(sugano_H(d), sugano_Q(p)).to_series(order)

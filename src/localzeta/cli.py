@@ -2,6 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one mismatch, 2 invalid input.
 Instance reports are emitted one JSON object per line so sweeps stream.
+Each subcommand handler yields (row, passed) pairs; main writes each row as
+it arrives and derives the exit code from the passed flags.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _load_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError) as exc:
         raise _InputError(f"{path}: {exc}")
 
 
@@ -54,10 +56,6 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
         raise _InputError(f"{flag} must be >= {low}, got {value}")
 
 
-def _emit(obj, out) -> None:
-    out.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
 def _open_out(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
@@ -71,8 +69,7 @@ def _open_out(path: Optional[str]):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify_nonarch(args, out) -> int:
-    status = EXIT_OK
+def _cmd_verify_nonarch(args):
     for idx, obj in enumerate(_load_items(args.params)):
         try:
             if args.order is not None:
@@ -81,13 +78,10 @@ def _cmd_verify_nonarch(args, out) -> int:
             report = zeta.verify_local(inst)
         except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
             raise _InputError(f"instance {idx}: {exc}")
-        _emit(dict(report.to_json(), index=idx), out)
-        if not report.passed:
-            status = EXIT_MISMATCH
-    return status
+        yield dict(report.to_json(), index=idx), report.passed
 
 
-def _cmd_bessel(args, out) -> int:
+def _cmd_bessel(args):
     data = _load_json(args.params)
     try:
         q = data["q"]
@@ -97,12 +91,10 @@ def _cmd_bessel(args, out) -> int:
         series = bessel_coeffs(satake, datum, order)
     except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(str(exc))
-    _emit({"q": q, "order": order,
-           "coefficients": series.to_json()}, out)
-    return EXIT_OK
+    yield {"q": q, "order": order, "coefficients": series.to_json()}, True
 
 
-def _cmd_dims(args, out) -> int:
+def _cmd_dims(args):
     _require_at_least("--max-n", args.max_n, 0)
     _require_at_least("--max-r", args.max_r, 0)
     mismatches = 0
@@ -113,25 +105,22 @@ def _cmd_dims(args, out) -> int:
             expected = sum(newform_space_dim(n, r - m) for m in range(r + 1))
             if induced_invariant_dim(n, r) != expected:
                 mismatches += 1
-    _emit({"max_n": args.max_n, "max_r": args.max_r, "checked": checked,
-           "mismatches": mismatches, "all_match": mismatches == 0}, out)
-    return EXIT_OK if mismatches == 0 else EXIT_MISMATCH
+    yield ({"max_n": args.max_n, "max_r": args.max_r, "checked": checked,
+            "mismatches": mismatches, "all_match": mismatches == 0},
+           mismatches == 0)
 
 
-def _cmd_cosets(args, out) -> int:
+def _cmd_cosets(args):
     try:
         report = cosets.double_coset_partition(args.p, method=args.method)
     except LocalZetaError as exc:
         raise _InputError(str(exc))
-    _emit(report.to_json(), out)
-    ok = report.class_count == 2 and report.t1_distinct
-    return EXIT_OK if ok else EXIT_MISMATCH
+    yield report.to_json(), report.class_count == 2 and report.t1_distinct
 
 
-def _cmd_arch_verify(args, out) -> int:
+def _cmd_arch_verify(args):
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _InputError(f"--tol must be a finite number > 0, got {args.tol}")
-    status = EXIT_OK
     for idx, obj in enumerate(_load_items(args.spec)):
         try:
             spec = arch.ArchSpec.from_json(obj)
@@ -141,40 +130,34 @@ def _cmd_arch_verify(args, out) -> int:
             closed = arch.arch_zeta_closed(spec)
             quad = arch.arch_zeta_quadrature(spec)
         except LocalZetaError as exc:
-            _emit({"index": idx, "spec": spec.to_json(),
-                   "error": str(exc), "passed": False}, out)
-            status = EXIT_MISMATCH
+            yield ({"index": idx, "spec": spec.to_json(),
+                    "error": str(exc), "passed": False}, False)
             continue
         rel = abs(quad - closed) / abs(closed)
         passed = rel <= args.tol
-        _emit({"index": idx, "spec": spec.to_json(),
-               "closed": [closed.real, closed.imag],
-               "quadrature": [quad.real, quad.imag],
-               "rel_error": rel, "tol": args.tol, "passed": passed}, out)
-        if not passed:
-            status = EXIT_MISMATCH
-    return status
+        yield ({"index": idx, "spec": spec.to_json(),
+                "closed": [closed.real, closed.imag],
+                "quadrature": [quad.real, quad.imag],
+                "rel_error": rel, "tol": args.tol, "passed": passed}, passed)
 
 
-def _cmd_gamma_selftest(args, out) -> int:
+def _cmd_gamma_selftest(args):
     report = cgamma.gamma_selftest()
     worst = max(report["recurrence_max_rel_err"],
                 report["gamma_half_rel_err"],
                 report["factorial_max_rel_err"])
     report["passed"] = worst <= 1e-10
-    _emit(report, out)
-    return EXIT_OK if report["passed"] else EXIT_MISMATCH
+    yield report, report["passed"]
 
 
-def _cmd_global_constant(args, out) -> int:
+def _cmd_global_constant(args):
     data = _load_json(args.spec)
     try:
         spec = globalconst.GlobalSpec.from_json(data)
         result = globalconst.special_value_constant(spec)
     except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
         raise _InputError(str(exc))
-    _emit(result.to_json(), out)
-    return EXIT_OK
+    yield result.to_json(), True
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +207,18 @@ def _run_sweep_instance(inst, corrupt: bool) -> dict:
     return result
 
 
-def _cmd_sweep(args, out) -> int:
+def _cmd_sweep(args):
     _require_at_least("--order", args.order, 0)
     _require_at_least("--repeat", args.repeat, 1)
     plan = _sweep_plan(args.seed, args.order, args.repeat)
     failures = 0
     for idx, inst in enumerate(plan):
         result = _run_sweep_instance(inst, args.corrupt_y)
-        _emit(dict(result, index=idx, seed=args.seed), out)
-        if not result["passed"]:
-            failures += 1
-    _emit({"summary": True, "seed": args.seed, "instances": len(plan),
-           "failures": failures}, out)
-    return EXIT_OK if failures == 0 else EXIT_MISMATCH
+        passed = result["passed"]
+        failures += not passed
+        yield dict(result, index=idx, seed=args.seed), passed
+    yield ({"summary": True, "seed": args.seed, "instances": len(plan),
+            "failures": failures}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +284,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out, close = sys.stdout, False
+    status = EXIT_OK
     try:
         out, close = _open_out(args.out)
-        return args.func(args, out)
+        for row, passed in args.func(args):
+            out.write(json.dumps(row, sort_keys=True) + "\n")
+            if not passed:
+                status = EXIT_MISMATCH
+        return status
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

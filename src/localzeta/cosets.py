@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -233,7 +233,7 @@ class CosetReport:
     t1_class: int
     t1_distinct: bool
     elapsed_s: float
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     def to_json(self):
         out = {

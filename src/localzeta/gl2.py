@@ -88,10 +88,12 @@ class Gl2Local:
                              and derived_n < 1):
             raise InvalidArgument(f"invalid conductor exponent {derived_n} for {kind}")
 
+        if not isinstance(self.beta_chi_unramified, bool):
+            raise InvalidArgument("beta_chi_unramified must be a boolean, "
+                                  f"got {self.beta_chi_unramified!r}")
+
         object.__setattr__(self, "omega_tau_varpi", derived_omega_tau)
         object.__setattr__(self, "conductor_exp", derived_n)
-        object.__setattr__(self, "beta_chi_unramified",
-                           bool(self.beta_chi_unramified))
 
     def to_json(self):
         out = {"kind": self.kind, "n": self.conductor_exp}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -134,8 +134,8 @@ class SpecialValueResult:
     D: int
     mantissa: Fraction
     a_lambda: complex
-    y_values: tuple = field(default_factory=tuple)
-    value: complex = 0j
+    y_values: tuple
+    value: complex
 
     def to_json(self):
         return {

@@ -23,7 +23,7 @@ from .errors import InvalidArgument, InvalidInversion
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -237,10 +237,6 @@ class RatFn:
         if not self.denom.constant().is_one():
             raise InvalidArgument("denominator constant term must be 1")
 
-    @property
-    def q(self) -> int:
-        return self.numer.q
-
     def to_series(self, order: int = DEFAULT_ORDER) -> Series:
         """Taylor expansion at T = 0."""
         return series_div(self.numer, self.denom, order)

@@ -116,7 +116,7 @@ def _y_scale(inst: LocalInstance) -> QScalar:
 def hq_substituted(inst: LocalInstance) -> Series:
     """H(y)/Q(y) expanded in T after the case-specific substitution y = c*T."""
     c = _y_scale(inst)
-    H = sugano_H(inst.bessel, inst.q).substitute_scaled(c)
+    H = sugano_H(inst.bessel).substitute_scaled(c)
     Q = sugano_Q(inst.satake).substitute_scaled(c)
     return RatFn(H, Q).to_series(inst.order)
 
@@ -136,9 +136,10 @@ def euler_chi(satake: SatakeParams, rep: Gl2Local) -> Poly:
     return Poly.euler([x], satake.q, step=2)
 
 
-def euler_triple(bessel: BesselDatum, units: Sequence[QScalar], q: int) -> Poly:
+def euler_triple(bessel: BesselDatum, units: Sequence[QScalar]) -> Poly:
     """Inverse of L(3s+1, tau x AI(Lambda) x chi|F^x) in T, over the
     unramified values u of tau x chi at varpi, per Legendre case."""
+    q = bessel.q
     qm2 = QScalar.q_half_power(-2, q)
     if bessel.legendre == INERT:
         return Poly.euler(
@@ -172,7 +173,7 @@ def y_factor(inst: LocalInstance) -> RatFn:
     if inst.rep.kind == UNRAMIFIED_PS:
         return RatFn(one, one)
     return RatFn(one, euler_chi(inst.satake, inst.rep)
-                 * euler_triple(inst.bessel, _beta_units(inst), inst.q))
+                 * euler_triple(inst.bessel, _beta_units(inst)))
 
 
 def zeta_closed_rhs(inst: LocalInstance,
@@ -196,7 +197,7 @@ def zeta_closed_rhs(inst: LocalInstance,
         taus = [rep.alpha_varpi]
         units = [(satake.omega_pi * rep.alpha_varpi).inverse(), *_beta_units(inst)]
     chi = euler_chi(satake, rep)
-    triple = euler_triple(inst.bessel, units, inst.q)
+    triple = euler_triple(inst.bessel, units)
     return RatFn(chi * triple * yf.numer, euler_pairing(satake, taus) * yf.denom)
 
 
@@ -277,7 +278,7 @@ def unramified_closed(satake: SatakeParams, rep: Gl2Local,
         raise UnsupportedCase("unramified_closed needs the unramified principal series")
     taus = (rep.alpha_varpi, rep.beta_varpi)
     chi = (satake.omega_pi * rep.omega_tau_varpi).inverse()
-    triple = euler_triple(bessel, [chi * t for t in taus], satake.q)
+    triple = euler_triple(bessel, [chi * t for t in taus])
     return RatFn(euler_chi(satake, rep) * triple, euler_pairing(satake, taus))
 
 

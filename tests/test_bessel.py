@@ -18,13 +18,13 @@ def _satake(vals, q):
 def test_H_inert_known_value():
     q = 4
     d = BesselDatum(-1, rq(1, q), q=q)
-    assert sugano_H(d, q) == Poly([1, 0, Fraction(-1, 256)], q)
+    assert sugano_H(d) == Poly([1, 0, Fraction(-1, 256)], q)
 
 
 def test_H_ramified_known_value():
     q = 4
     d = BesselDatum(0, rq(1, q), lambda_varpiL=rq(-1, q), q=q)
-    assert sugano_H(d, q) == Poly([1, Fraction(1, 16)], q)
+    assert sugano_H(d) == Poly([1, Fraction(1, 16)], q)
 
 
 def test_H_split_derived():
@@ -33,7 +33,7 @@ def test_H_split_derived():
     d = BesselDatum(1, rq(1, q), lambda_varpiL=rq(1, q),
                     lambda_varpi_conj=rq(1, q), q=q)
     lin = Poly([1, Fraction(-1, 16)], q)
-    assert sugano_H(d, q) == lin * lin
+    assert sugano_H(d) == lin * lin
 
 
 def test_Q_product_derived():
@@ -107,7 +107,7 @@ def test_q_recurrence_property(legendre):
         order = 10
         B = bessel_coeffs(p, d, order)
         c = sugano_Q(p).coeffs
-        H = sugano_H(d, q)
+        H = sugano_H(d)
         for l in range(H.degree + 1, order + 1):
             acc = QScalar.zero(q)
             for k in range(5):

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from localzeta import cli
+from localzeta import cli, zeta
+from localzeta.series import Poly, RatFn
 
 WORKED_CASE2 = {
     "q": 4,
@@ -85,11 +86,15 @@ def test_malformed_json_exit_2(tmp_path):
     ("verify-nonarch", "--params"), ("bessel", "--params"),
     ("arch-verify", "--spec"), ("global-constant", "--spec")])
 def test_non_utf8_file_exit_2(tmp_path, command, flag):
-    path = tmp_path / "bad.json"
-    path.write_bytes(b"\xff\xfe{}")
-    proc = run_cli(command, flag, str(path))
-    _assert_input_error(proc)
-    assert str(path) in proc.stderr
+    # not UTF-8, nested past the recursion limit, and missing
+    for content in (b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, None):
+        path = tmp_path / "bad.json"
+        path.unlink(missing_ok=True)
+        if content is not None:
+            path.write_bytes(content)
+        proc = run_cli(command, flag, str(path))
+        _assert_input_error(proc)
+        assert str(path) in proc.stderr
 
 
 def test_schema_error_exit_2(tmp_path):
@@ -165,9 +170,12 @@ def test_bessel_non_integer_order_exit_2(tmp_path, order):
     ("sweep", "--repeat", "0"),
     ("dims", "--max-r", "-1"),
     ("dims", "--max-n", "-1"),
+    ("verify-nonarch", "--params", "{case2}", "--order", "-1"),
 ])
-def test_out_of_range_count_exit_2(args):
-    _assert_input_error(run_cli(*args))
+def test_out_of_range_count_exit_2(tmp_path, args):
+    case2 = tmp_path / "case2.json"
+    case2.write_text(json.dumps(WORKED_CASE2))
+    _assert_input_error(run_cli(*(a.format(case2=case2) for a in args)))
 
 
 def test_dims_command():
@@ -282,10 +290,16 @@ def test_empty_list_exit_2(tmp_path, command, flag):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("field, value", [("l", 10.5), ("l1", 10.5), ("D", 4.0)])
+@pytest.mark.parametrize("field, value", [
+    ("l", 10.5), ("l1", 10.5), ("D", 4.0),
+    # out of range: l < 2, D = 1 or 2 mod 4, neither ir nor r (None drops ir)
+    ("l", 1), ("D", 5), ("D", 6), ("ir", None)])
 def test_arch_verify_non_integer_weight_exit_2(tmp_path, field, value):
+    spec = dict(ARCH_SPEC, **{field: value})
+    if value is None:
+        del spec[field]
     path = tmp_path / "arch.json"
-    path.write_text(json.dumps(dict(ARCH_SPEC, **{field: value})))
+    path.write_text(json.dumps(spec))
     _assert_input_error(run_cli("arch-verify", "--spec", str(path)))
 
 
@@ -305,6 +319,29 @@ def test_verify_nonarch_non_integer_order_exit_2(tmp_path, order):
     proc = run_cli("verify-nonarch", "--params", str(path))
     _assert_input_error(proc)
     assert "order must be an integer" in proc.stderr
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rep", dict(WORKED_CASE2["rep"], beta_chi_unramified="false"),
+     "beta_chi_unramified must be a boolean"),
+    ("bessel", dict(WORKED_CASE2["bessel"], legendre=-1.0),
+     "legendre must be an integer"),
+    # a valid split datum, but the symbol is a boolean
+    ("bessel", dict(WORKED_CASE2["bessel"], legendre=True,
+                    lambda_varpiL={"rat": "1"}, lambda_varpi_conj={"rat": "2"}),
+     "legendre must be an integer"),
+    ("satake", {"gamma": [{"rat": "2"}, True, {"rat": "1"}, {"rat": "2"}]},
+     "not a rational value: True"),
+    ("rep", dict(WORKED_CASE2["rep"], alpha={"rat": True}),
+     "not a rational value: True"),
+], ids=["flag-string", "legendre-float", "legendre-bool", "scalar-bool",
+        "rat-bool"])
+def test_verify_nonarch_loose_field_exit_2(tmp_path, key, value, message):
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(dict(WORKED_CASE2, **{key: value})))
+    proc = run_cli("verify-nonarch", "--params", str(path))
+    _assert_input_error(proc)
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("field, value", [("l", 10.5), ("l", True), ("D", 3.0)])
@@ -387,6 +424,44 @@ def test_arch_verify_unconverged_quadrature_error_row(tmp_path):
     assert "no convergence" in row["error"]
 
 
+def test_arch_verify_tolerance_miss_exit_1(tmp_path):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(ARCH_SPEC))
+    proc = run_cli("arch-verify", "--spec", str(path), "--tol", "1e-300")
+    assert proc.returncode == 1
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert row["rel_error"] > row["tol"]
+
+
+def test_arch_verify_closed_forms_disagree_error_row(tmp_path):
+    # |3s + l| is about 560: each form's log sum rounds at its size
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"l": 10, "l1": 10, "D": 4, "a_plus": 1.0,
+                                "s": [100, 175], "ir": 9.0}))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "disagree" in row["error"]
+
+
+def test_verify_nonarch_mismatch_exit_1(tmp_path, monkeypatch):
+    good = zeta.y_factor
+
+    def corrupted(inst):  # an extra unit of T in the numerator
+        y = good(inst)
+        return RatFn(y.numer * Poly([1, 1], inst.q), y.denom)
+
+    monkeypatch.setattr(zeta, "y_factor", corrupted)
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(WORKED_CASE2))
+    proc = run_cli("verify-nonarch", "--params", str(path))
+    assert proc.returncode == 1
+    (report,) = _lines(proc)
+    assert report["passed"] is False
+
+
 def test_arch_verify_zero_a_plus_exit_2(tmp_path):
     # the integral vanishes identically: no relative error to take
     path = tmp_path / "arch.json"
@@ -411,13 +486,24 @@ def test_arch_verify_tiny_inner_rows_pass(tmp_path, spec):
     assert row["rel_error"] <= 1e-6
 
 
-@pytest.mark.parametrize("prime", [2.5, True, "7", -3, 1, 4, 91])
+# 2021 = 43 * 47 and the Carmichael number 151 * 751 * 28351, a strong
+# pseudoprime to the bases 2, 3, 5 and 7, pass trial division by the bases
+@pytest.mark.parametrize("prime", [2.5, True, "7", -3, 1, 4, 91, 2021,
+                                   3_215_031_751])
 def test_global_constant_bad_prime_exit_2(tmp_path, prime):
     path = tmp_path / "global.json"
     path.write_text(json.dumps({"l": 10, "D": 3, "bad_primes": [[prime, 0.9]]}))
     proc = run_cli("global-constant", "--spec", str(path))
     _assert_input_error(proc)
     assert "bad prime" in proc.stderr
+
+
+@pytest.mark.parametrize("prime", [43, 1_000_003])
+def test_global_constant_prime_past_the_bases(tmp_path, prime):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps({"l": 10, "D": 3, "bad_primes": [[prime, 0.9]]}))
+    (row,) = _lines(run_cli("global-constant", "--spec", str(path), check=True))
+    assert row["bad_prime_y_values"] == [[prime, [0.9, 0.0]]]
 
 
 @pytest.mark.parametrize("command", ["verify-nonarch", "bessel"])

@@ -99,7 +99,7 @@ def test_worked_case2_lfactors():
 
     # inert triple factor: 1 - Lambda (omega_pi alpha)^-2 q^-2 T^2 = 1 - T^2/32
     unit = (inst.satake.omega_pi * inst.rep.alpha_varpi).inverse()
-    triple = euler_triple(inst.bessel, [unit], Q4)
+    triple = euler_triple(inst.bessel, [unit])
     assert [embed(c) for c in triple.coeffs] == [1, 0, Fraction(-1, 32)]
 
     # Y(s) for the inert row of the table is L(6s+1, chi|F^x)
@@ -235,7 +235,7 @@ def test_unramified_closed_shape_and_split_specialization():
     # with the printed Case-2 triple factor at the same parameter values
     rep2 = Gl2Local(RAMIFIED_PS_UNRAM_ALPHA, q, alpha_varpi=alpha,
                     beta_varpi=beta, conductor_exp=1)
-    case2 = euler_triple(datum, [(omega_pi * alpha).inverse()], q)
+    case2 = euler_triple(datum, [(omega_pi * alpha).inverse()])
     qm2 = QScalar.q_half_power(-2, q)
     opb_inv = (omega_pi * beta).inverse()
     other = (Poly([QScalar.one(q), -(lamL * opb_inv * qm2)], q)
