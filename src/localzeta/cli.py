@@ -1,6 +1,7 @@
 """Command-line front door.
 
-Exit codes: 0 all checks passed, 1 at least one mismatch, 2 invalid input.
+Exit codes: 0 all checks passed, 1 at least one mismatch, 2 invalid input,
+141 (128 + SIGPIPE) the reader closed the output early.
 Instance reports are emitted one JSON object per line so sweeps stream.
 Each subcommand handler yields (row, passed) pairs; main writes each row as
 it arrives and derives the exit code from the passed flags.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -23,6 +25,7 @@ from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
 from .series import DEFAULT_ORDER, Poly, RatFn
 
 EXIT_OK, EXIT_MISMATCH, EXIT_INPUT = 0, 1, 2
+EXIT_CLOSED_OUTPUT = 141  # as a shell reports a writer killed by SIGPIPE
 
 
 def _load_json(path: str):
@@ -291,10 +294,16 @@ def main(argv=None) -> int:
             out.write(json.dumps(row, sort_keys=True) + "\n")
             if not passed:
                 status = EXIT_MISMATCH
+        out.flush()
         return status
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader is gone (`| head`): stop without a traceback, and point
+        # stdout at devnull so the interpreter's last flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     finally:
         if close:
             out.close()

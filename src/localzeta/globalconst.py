@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,6 +23,12 @@ from .cgamma import exp_in_range, log_gamma
 from .errors import InvalidArgument, PoleError, require_complex, require_int
 from .scalars import QScalar
 from .zeta import LocalInstance, y_factor
+
+# The largest weight l special_value_constant takes: it bounds the exact
+# (2l-5)! and D^(l-1) it computes before any range check can run.
+MAX_L = 1000
+_DOUBLE_MIN, _DOUBLE_MAX = (Fraction(sys.float_info.min),
+                            Fraction(sys.float_info.max))  # normal doubles
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,10 @@ class GlobalSpec:
             require_int("a bad prime", p)
             if not _is_prime(p):
                 raise InvalidArgument(f"bad prime {p} is not a prime")
+        primes = [p for p, _ in self.bad_primes]
+        if len(set(primes)) != len(primes):
+            raise InvalidArgument(
+                f"bad primes must be distinct, got {primes}")
         object.__setattr__(self, "bad_primes", tuple(
             (p, complex(y)) for p, y in self.bad_primes))
         if self.class_data is not None:
@@ -154,14 +165,22 @@ def special_value_constant(spec: GlobalSpec) -> SpecialValueResult:
     l = spec.l
     if l < 3:
         raise InvalidArgument("l >= 3 required for the factorial (2l-5)!")
+    if l > MAX_L:
+        raise InvalidArgument(f"l <= {MAX_L} required, got {l}")
     mantissa = (Fraction(math.factorial(2 * l - 5))
                 * Fraction(2) ** (-4 * l + 6)
                 * Fraction(1, spec.D ** (l - 1)))
+    if not _DOUBLE_MIN <= mantissa <= _DOUBLE_MAX:
+        raise InvalidArgument(
+            f"the mantissa (2l-5)! 2^(-4l+6) D^(-l+1) at l = {l}, D = "
+            f"{spec.D} is outside the normal double range")
     prod_y = complex(1.0)
     for _, y in spec.bad_primes:
         prod_y *= y
     value = (complex(spec.a_lambda).conjugate()
              * float(mantissa) * math.sqrt(spec.D) * prod_y)
+    if not cmath.isfinite(value):
+        raise InvalidArgument(f"C leaves the double range: {value}")
     return SpecialValueResult(l=l, D=spec.D, mantissa=mantissa,
                               a_lambda=complex(spec.a_lambda),
                               y_values=spec.bad_primes, value=value)

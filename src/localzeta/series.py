@@ -7,10 +7,15 @@ Rational functions are compared by expanding both sides into truncated
 series, never by cross-multiplication, so no polynomial gcd over a ring
 with zero divisors is ever needed.
 
-Series division runs on plain ints: with E the lcm of the denominator's
-coefficient denominators and A that of the numerator's, coefficient k is
-(u_k + v_k*sqrt(q)) / (A*E^k) for integers u_k, v_k obeying an integer
-recurrence, and each coefficient is put in canonical form exactly once.
+A Series keeps each coefficient as an unreduced int triple (u, v, d),
+standing for (u + v*sqrt(q)) / d with d > 0.  Series division runs on
+plain ints: with E the lcm of the denominator's coefficient denominators
+and A that of the numerator's, coefficient k is (u_k + v_k*sqrt(q)) /
+(A*E^k) for integers u_k, v_k obeying an integer recurrence.  Two series
+are compared by cross-multiplying the triples, which is exact because
+sqrt(q) stays formal, also for a perfect-square q.  A coefficient is put
+in canonical QScalar form only when it is read: through coeffs, to_json,
+or as the first mismatch of a comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
 from .scalars import QScalar, _reduced
@@ -107,25 +112,75 @@ class Poly:
         return acc
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Series:
-    """Power series truncated at a fixed order (inclusive)."""
+    """Power series truncated at a fixed order (inclusive).
 
-    coeffs: tuple[QScalar, ...]
+    Coefficient k is (u + v*sqrt(q)) / d for (u, v, d) = terms[k], with
+    d > 0 and the triple not necessarily reduced.  Series(coeffs, q) takes
+    QScalars, ints or Fractions; Series.unreduced takes triples built with
+    int arithmetic alone.  Equality and hashing go by value.
+    """
+
+    terms: tuple[tuple[int, int, int], ...]
     q: int
+    _coeffs: Optional[tuple[QScalar, ...]]  # canonical form, once read
 
-    def __post_init__(self):
-        cs = _promote(self.coeffs, self.q)
+    def __init__(self, coeffs: Iterable, q: int):
+        cs = tuple(_promote(coeffs, q))
         if not cs:
             raise InvalidArgument("a series needs at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "terms", tuple((c.a, c.b, c.d) for c in cs))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_coeffs", cs)
+
+    @staticmethod
+    def unreduced(terms: Sequence[tuple[int, int, int]], q: int) -> "Series":
+        """The series with coefficients (u + v*sqrt(q)) / d, (u, v, d) in
+        terms, each d > 0; nothing is reduced until a coefficient is read."""
+        s = object.__new__(Series)
+        object.__setattr__(s, "terms", tuple(terms))
+        object.__setattr__(s, "q", q)
+        object.__setattr__(s, "_coeffs", None)
+        return s
+
+    @property
+    def coeffs(self) -> tuple[QScalar, ...]:
+        """The coefficients as canonical QScalars, reduced on the first read."""
+        if self._coeffs is None:
+            q = self.q
+            object.__setattr__(self, "_coeffs", tuple(
+                _reduced(u, v, d, q) for u, v, d in self.terms))
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.terms) - 1
 
     def to_json(self):
         return [c.to_json() for c in self.coeffs]
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return (self.q == other.q and len(self.terms) == len(other.terms)
+                and _first_mismatch(self.terms, other.terms) is None)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.q))
+
+    def __repr__(self):
+        return f"Series(coeffs={self.coeffs!r}, q={self.q})"
+
+
+def _first_mismatch(xs, ys) -> Optional[int]:
+    """Index of the first pair of terms with different values, over the
+    shorter of the two, or None: (u + v√q)/d = (x + y√q)/e exactly when
+    u*e = x*d and v*e = y*d, since √q is formal and d, e > 0."""
+    for i, ((u, v, d), (x, y, e)) in enumerate(zip(xs, ys)):
+        if u * e != x * d or v * e != y * d:
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -163,8 +218,8 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
 
     and every E^j c_j is an int pair, computed once.  The sum runs over the
     nonzero c_j, 1 <= j <= min(k, deg(den)), only, and a_k is read only
-    while k <= deg(num).  The loop takes no gcd and builds no QScalar; each
-    out[k] is reduced to canonical form once.
+    while k <= deg(num).  The loop takes no gcd and builds no QScalar: the
+    result keeps the triples (u_k, v_k, A E^k) unreduced.
     """
     require_int("order", order)
     if order < 0:
@@ -179,44 +234,44 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     E = lcm(*(c.d for c in den.coeffs))
     A = lcm(*(c.d for c in num.coeffs))
     # (j, u, v, v*q) of E^j c_j for the nonzero c_j, j >= 1
-    terms = []
+    den_terms = []
     Ej = 1
     for j, c in enumerate(den.coeffs[1:], 1):
         Ej *= E
         if not c.is_zero():
             s = Ej // c.d
-            terms.append((j, c.a * s, c.b * s, c.b * s * q))
+            den_terms.append((j, c.a * s, c.b * s, c.b * s * q))
     au = [c.a * (A // c.d) for c in num.coeffs[:order + 1]]
     av = [c.b * (A // c.d) for c in num.coeffs[:order + 1]]
-    us: list[int] = []
-    vs: list[int] = []
-    out: list[QScalar] = []
+    out: list[tuple[int, int, int]] = []
     Ek = 1  # E^k
     for k in range(order + 1):
         if k < len(au):
             u, v = au[k] * Ek, av[k] * Ek
         else:
             u = v = 0
-        for j, cu, cv, cvq in terms:
+        for j, cu, cv, cvq in den_terms:
             if j > k:
                 break
-            x, y = us[k - j], vs[k - j]
+            x, y, _ = out[k - j]
             u -= cu * x + cvq * y
             v -= cu * y + cv * x
-        us.append(u)
-        vs.append(v)
-        out.append(_reduced(u, v, A * Ek, q))
+        out.append((u, v, A * Ek))
         Ek *= E
-    return Series(out, q)
+    return Series.unreduced(out, q)
 
 
 def series_equal(a: Series, b: Series) -> SeriesComparison:
-    """Compare up to min(order); report the first mismatching coefficient."""
-    n = min(a.order, b.order)
-    for i in range(n + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return SeriesComparison(False, i, a.coeffs[i], b.coeffs[i])
-    return SeriesComparison(True)
+    """Compare up to min(order); report the first mismatching coefficient.
+
+    The terms are cross-multiplied, not reduced; only a mismatch is put in
+    canonical form, for the report.  Series over different q differ at 0.
+    """
+    i = 0 if a.q != b.q else _first_mismatch(a.terms, b.terms)
+    if i is None:
+        return SeriesComparison(True)
+    return SeriesComparison(False, i, _reduced(*a.terms[i], a.q),
+                            _reduced(*b.terms[i], b.q))
 
 
 @dataclass(frozen=True, slots=True)

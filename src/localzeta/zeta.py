@@ -80,7 +80,13 @@ class LocalInstance:
 
 
 def zeta_series_lhs(inst: LocalInstance) -> Series:
-    """The zeta integral as a series in T, from the m = 0 coset sum."""
+    """The zeta integral as a series in T, from the m = 0 coset sum.
+
+    Coefficient l is b_l * w_unit^l * w_l, with b_l taken from the Bessel
+    series' unreduced int triples and w_unit^l carried forward as one: the
+    loop is int arithmetic in Q[x]/(x^2 - q), with no gcd, and the result
+    is reduced only when read.
+    """
     rep = inst.rep
     if rep.kind == UNRAMIFIED_PS:
         raise UnsupportedCase(
@@ -90,12 +96,19 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
     B = bessel_coeffs(inst.satake, inst.bessel, inst.order)
     w_unit = (inst.satake.omega_pi * rep.omega_tau_varpi).inverse() \
         * QScalar.q_half_power(3, q)
-    coeffs = []
-    weight = QScalar.one(q)
-    for b, w in zip(B.coeffs, newform_values(rep, inst.order)):
-        coeffs.append(w if w.is_zero() else b * weight * w)
-        weight = weight * w_unit
-    return Series(coeffs, q)
+    ua, ub, ud = w_unit.a, w_unit.b, w_unit.d
+    pa, pb, pd = 1, 0, 1  # w_unit^l
+    terms = []
+    for (u, v, d), w in zip(B.terms, newform_values(rep, inst.order)):
+        if w.is_zero():
+            terms.append((0, 0, 1))
+        else:
+            # x = b_l * w_unit^l, then x * w_l
+            xa, xb = u * pa + v * pb * q, u * pb + v * pa
+            terms.append((xa * w.a + xb * w.b * q, xa * w.b + xb * w.a,
+                          d * pd * w.d))
+        pa, pb, pd = pa * ua + pb * ub * q, pa * ub + pb * ua, pd * ud
+    return Series.unreduced(terms, q)
 
 
 def _y_scale(inst: LocalInstance) -> QScalar:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -264,6 +265,15 @@ def test_global_constant_class_data(tmp_path):
     {"l": 2, "D": 3},  # (2l-5)! needs l >= 3
     {"l": 10, "D": 3, "a_lambda": 1.0, "class_data": [[1.0, 3.5]]},
     {"l": 10, "D": 3, "class_data": []},
+    # C is a product over distinct bad primes
+    {"l": 10, "D": 3, "bad_primes": [[2, 0.9], [2, 0.8]]},
+    # the mantissa overflows a double; the last is past the bound on l
+    {"l": 137, "D": 3},
+    {"l": 142, "D": 4},
+    {"l": 100_000_000, "D": 3},
+    # the mantissa underflows; C overflows with a normal mantissa
+    {"l": 1000, "D": 1_000_000},
+    {"l": 10, "D": 3, "a_lambda": 1e308, "bad_primes": [[2, 1e10]]},
 ])
 def test_global_constant_bad_spec_exit_2(tmp_path, spec):
     path = tmp_path / "global.json"
@@ -532,6 +542,34 @@ def test_sweep_passes_and_is_deterministic(tmp_path):
     summary = _lines(a)[-1]
     assert summary["failures"] == 0
     assert summary["instances"] == 70
+
+
+# sha256 of the stdout of `sweep --order N --corrupt-y` at seed 0: pins the
+# first mismatching coefficient, left and right, of every failing report
+@pytest.mark.parametrize("order, digest", [
+    (12, "672ec33f1e1ffd8e970b10d572e51ba918667f1e787a12a1531394e7d5231537"),
+    (48, "888936296eb50c422349b34bfd7b9bb1006fa319c902d00f998eb6ad8c62a650"),
+])
+def test_sweep_corrupt_y_output_is_unchanged(order, digest):
+    proc = run_cli("sweep", "--order", str(order), "--corrupt-y")
+    assert proc.returncode == 1
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_closed_stdout_stops_quietly():
+    # about 300 KB of rows, more than a pipe holds, so the child is still
+    # writing when the reader closes the pipe after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localzeta", "sweep", "--order", "12",
+         "--repeat", "8", "--corrupt-y"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_CLOSED_OUTPUT
+    assert first["passed"] is False
+    assert err == b""
 
 
 def test_sweep_failure_echo_is_rerunnable(tmp_path):

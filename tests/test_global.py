@@ -10,8 +10,8 @@ from localzeta import (INERT, RAMIFIED_PS_UNRAM_ALPHA, BesselDatum, Gl2Local,
 from localzeta.arch import ArchSpec, arch_zeta_closed
 from localzeta.cgamma import complex_gamma
 from localzeta.errors import PoleError
-from localzeta.globalconst import (GlobalSpec, SpecialValueResult, a_lambda,
-                                   special_value_constant, y_infty,
+from localzeta.globalconst import (MAX_L, GlobalSpec, SpecialValueResult,
+                                   a_lambda, special_value_constant, y_infty,
                                    y_p_at_special_point)
 
 from conftest import rq
@@ -120,9 +120,27 @@ def test_special_value_requires_l_ge_3():
         special_value_constant(GlobalSpec(l=2, D=3, a_lambda=1.0))
 
 
+def test_special_value_l_bound():
+    # the mantissa at l = MAX_L + 1, D = 20000 is about e^509, in range:
+    # only the bound on l rejects it
+    with pytest.raises(InvalidArgument, match=f"l <= {MAX_L}"):
+        special_value_constant(GlobalSpec(l=MAX_L + 1, D=20000, a_lambda=1.0))
+
+
+# the last l before the mantissa overflows (at D = 3 and 4), and the bound
+@pytest.mark.parametrize("l, D", [(136, 3), (141, 4), (MAX_L, 20000)])
+def test_special_value_at_the_range_edges(l, D):
+    result = special_value_constant(GlobalSpec(l=l, D=D, a_lambda=1.0))
+    assert cmath.isfinite(result.value) and result.value != 0
+    assert result.value.real == pytest.approx(
+        float(result.mantissa) * math.sqrt(D), rel=1e-15)
+
+
 def test_global_spec_validation():
     with pytest.raises(InvalidArgument):
         GlobalSpec(l=10, D=5, a_lambda=1.0)  # 5 = 1 mod 4
+    with pytest.raises(InvalidArgument, match="distinct"):
+        GlobalSpec(l=10, D=3, a_lambda=1.0, bad_primes=((2, 0.9), (2, 0.8)))
 
 
 def test_y_p_at_special_point_exact():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -10,7 +11,7 @@ from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        newform_value, newform_values, series_div,
                        series_equal)
 
-from conftest import nonzero_fraction, rq
+from conftest import embed, nonzero_fraction, rq
 
 
 def _series(vals, q):
@@ -274,6 +275,83 @@ def test_series_div_matches_schoolbook(q):
             got = series_div(num, den, order)
             assert got.order == order
             assert _fields(got.coeffs) == want[:order + 1]
+
+
+def _full_fields(xs):
+    return [(x.a, x.b, x.d, x.q) for x in xs]
+
+
+def _perturbed(s: Series, rng, p: float):
+    """s with each term moved, with probability p, by one of c -> c + 1,
+    c -> c + sqrt(q) and c -> c + r - sqrt(q), r = isqrt(q); the last
+    leaves the value of c unchanged when sqrt(q) is read as the integer r.
+    Returns the new series and the first moved index, or None."""
+    r = math.isqrt(s.q)
+    terms, first = [], None
+    for k, (u, v, d) in enumerate(s.terms):
+        if rng.random() < p:
+            first = k if first is None else first
+            du, dv = rng.choice([(1, 0), (0, 1), (r, -1)])
+            u, v = u + du * d, v + dv * d
+        terms.append((u, v, d))
+    return Series.unreduced(terms, s.q), first
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13])
+def test_unreduced_series_against_reducing_reference(q):
+    rng = random.Random(3000 + q)
+    for _ in range(12):
+        den = Poly([QScalar.one(q)] + [_random_scalar(rng, q, p_zero=0.3)
+                                       for _ in range(rng.randint(1, 4))], q)
+        num = Poly([_random_scalar(rng, q, p_zero=0.3)
+                    for _ in range(rng.randint(1, 6))], q)
+        order = rng.randint(0, 40)
+        s = series_div(num, den, order)
+        want = _schoolbook_div(num, den, order)
+        assert _full_fields(s.coeffs) == _full_fields(want)
+        reference = Series(want, q)
+        assert series_equal(s, reference).match
+
+        # the same values at other scalings: equal, with equal hashes
+        ks = [rng.randint(1, 10**6) for _ in s.terms]
+        scaled = Series.unreduced(
+            [(u * k, v * k, d * k) for (u, v, d), k in zip(s.terms, ks)], q)
+        assert scaled == s == reference
+        assert hash(scaled) == hash(s) == hash(reference)
+        assert _full_fields(scaled.coeffs) == _full_fields(want)
+
+        # series_equal agrees with coefficient-wise QScalar equality
+        moved, first = _perturbed(s, rng, 0.1)
+        report = series_equal(s, moved)
+        unequal = [k for k, (a, b) in enumerate(zip(want, moved.coeffs))
+                   if a != b]
+        assert report.match == (first is None) == (unequal == [])
+        assert (moved == s) == report.match
+        if first is not None:
+            assert report.index == first == unequal[0]
+            assert report.left == want[first]
+            assert report.right == moved.coeffs[first]
+        # a shorter series is compared over its own order
+        assert series_equal(Series(want[:1], q), s).match
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_series_equal_keeps_sqrt_formal_at_square_q(q):
+    # c and c + r - sqrt(q), r = isqrt(q), agree once sqrt(q) is read as r;
+    # c and c + sqrt(q) differ in the sqrt(q) part alone
+    x = QScalar(Fraction(2, 3), Fraction(-5, 7), q)
+    shifted = x + math.isqrt(q) - QScalar.root_q(q)
+    assert embed(shifted) == embed(x)
+    for y in (shifted, x + QScalar.root_q(q)):
+        a, b = Series([1, x], q), Series([1, y], q)
+        report = series_equal(a, b)
+        assert not report.match and report.index == 1
+        assert (report.left, report.right) == (x, y)
+        assert a != b
+    # the same ints over another q are another value
+    other = Series([1], q + 1)
+    assert series_equal(Series([1], q), other).index == 0
+    assert Series([1], q) != other
 
 
 def test_series_div_non_unit_with_sqrt_parts():
