@@ -76,10 +76,6 @@ def _in_p4(mats: np.ndarray, p: int) -> np.ndarray:
             & (_kernels.det_mod_batch(m, p) != 0))
 
 
-def is_in_p4(mat: np.ndarray, p: int) -> bool:
-    return bool(_in_p4(np.asarray(mat)[None], p)[0])
-
-
 def _similitude_factors(mats: np.ndarray, p: int) -> np.ndarray:
     """mu with t(g) J g = mu J mod p for each (N,4,4) matrix g, 0 if g is
     not in GSp4.  J has a 1 at (0, 2), so mu can only be that entry."""
@@ -88,11 +84,6 @@ def _similitude_factors(mats: np.ndarray, p: int) -> np.ndarray:
     w = np.einsum("nji,jk,nkl->nil", m, j, m) % p
     mu = w[:, 0, 2]
     return np.where((w == mu[:, None, None] * j % p).all(axis=(1, 2)), mu, 0)
-
-
-def similitude_factor(mat: np.ndarray, p: int) -> Optional[int]:
-    """mu with t(g) J g = mu J mod p, or None if g is not in GSp4."""
-    return int(_similitude_factors(np.asarray(mat)[None], p)[0]) or None
 
 
 # ---------------------------------------------------------------------------
@@ -156,69 +147,31 @@ _CLOSURE_LIMIT = 2_000_000  # elements a subgroup closure may reach
 
 
 def generated_subgroup_order(gens: list[np.ndarray], p: int) -> int:
-    """Order of the subgroup generated by gens, by batched BFS closure."""
-    gens = [np.asarray(g, dtype=np.int64) % p for g in gens]
-    seen = {int(_kernels.pack_keys(np.eye(4, dtype=np.int64)[None, :, :], p)[0])}
-    frontier = np.eye(4, dtype=np.int64)[None, :, :]
-    while frontier.size:
-        allp = np.concatenate([frontier @ g % p for g in gens])
-        keys = _kernels.pack_keys(allp, p)
-        uniq, idx = np.unique(keys, return_index=True)
-        fresh = [i for k, i in zip(uniq.tolist(), idx.tolist()) if k not in seen]
-        seen.update(int(keys[i]) for i in fresh)
+    """Order of the subgroup generated by gens, by batched BFS closure.
+
+    A matrix is held as its four row keys, row . (1, p, p^2, p^3); its
+    packed key, as _kernels.pack_keys makes it, is then rows . (1, p^4,
+    p^8, p^12).  Row r of m @ g is (row r of m) @ g, so one table per
+    generator over the p^4 row keys gives every product.  The keys seen
+    so far are one sorted int64 array.
+    """
+    digits = p ** np.arange(4, dtype=np.int64)
+    vecs = np.arange(p**4, dtype=np.int64)[:, None] // digits % p
+    step = np.stack([vecs @ (np.asarray(g, dtype=np.int64) % p) % p @ digits
+                     for g in gens])
+    weights = p ** (4 * np.arange(4, dtype=np.int64))
+    frontier = digits[None]  # the identity
+    seen = frontier @ weights
+    while len(frontier):
+        rows = step[:, frontier].reshape(-1, 4)
+        keys, idx = np.unique(rows @ weights, return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        seen = np.union1d(seen, keys[fresh])
         if len(seen) > _CLOSURE_LIMIT:
             raise Infeasible(
                 f"subgroup closure exceeded {_CLOSURE_LIMIT} elements")
-        frontier = allp[fresh]
+        frontier = rows[idx[fresh]]
     return len(seen)
-
-
-# ---------------------------------------------------------------------------
-# Full enumeration route (p = 2)
-# ---------------------------------------------------------------------------
-
-class GroupEnumeration:
-    """All of GL4(F_p) with an id <-> matrix correspondence.
-
-    Ids index the ascending array of base-p packed keys; lookups go through
-    binary search on that array.
-    """
-
-    __slots__ = ("p", "keys", "mats")
-
-    def __init__(self, p: int, keys: np.ndarray):
-        self.p = p
-        self.keys = keys
-        self.mats = _kernels.unpack_keys(keys, p)
-
-    def __len__(self):
-        return len(self.keys)
-
-    def id_of(self, mat) -> int:
-        """Id of mat; RuntimeError if it is not invertible mod p."""
-        key = _kernels.pack_keys(np.asarray(mat, dtype=np.int64)[None] % self.p,
-                                 self.p)
-        return int(_kernels.lookup(self.keys, key)[0])
-
-    def mat_of(self, idx: int) -> np.ndarray:
-        return self.mats[idx]
-
-
-def enumerate_gl4(p: int) -> GroupEnumeration:
-    """Enumerate GL4(F_p).  Heavy for p = 3 (24 million matrices)."""
-    _check_p(p)
-    keys = _kernels.enumerate_invertible_keys(p)
-    return GroupEnumeration(p, keys)
-
-
-def filter_gsp4(enum: GroupEnumeration) -> np.ndarray:
-    """Ids of all g with t(g) J g = mu J for some nonzero mu."""
-    return np.nonzero(_similitude_factors(enum.mats, enum.p))[0]
-
-
-def filter_p4(enum: GroupEnumeration) -> np.ndarray:
-    """Ids of all invertible matrices matching the P4 sparsity pattern."""
-    return np.nonzero(_in_p4(enum.mats, enum.p))[0]
 
 
 @dataclass(frozen=True)
@@ -277,25 +230,28 @@ def _report(p: int, method: str, labels: np.ndarray, lab_e: int, lab_t: int,
     )
 
 
+# ---------------------------------------------------------------------------
+# Full enumeration route (p = 2)
+# ---------------------------------------------------------------------------
+
 def _partition_full(p: int) -> CosetReport:
     if p != 2:
         raise Infeasible(
             f"full enumeration partition is limited to p = 2 "
             f"(GL4(F_{p}) has {gl4_order(p)} elements); use method='quotient'")
     t0 = time.perf_counter()
-    enum = enumerate_gl4(p)
-    n = len(enum)
-    perms = []
-    for g in p4_generators(p):
-        perms.append(_kernels.generator_permutation(
-            enum.mats, enum.keys, g, p, left=True))
-    for g in gsp4_generators(p):
-        perms.append(_kernels.generator_permutation(
-            enum.mats, enum.keys, g, p, left=False))
-    labels = _kernels.orbit_labels(perms, n)
-    lab_e, lab_t = labels[[enum.id_of(np.eye(4)), enum.id_of(T1)]].tolist()
+    keys = _kernels.enumerate_invertible_keys(p)
+    mats = _kernels.unpack_keys(keys, p)
+    perms = [_kernels.generator_permutation(mats, keys, g, p, left=True)
+             for g in p4_generators(p)]
+    perms += [_kernels.generator_permutation(mats, keys, g, p, left=False)
+              for g in gsp4_generators(p)]
+    labels = _kernels.orbit_labels(perms, len(keys))
+    ids = _kernels.lookup(keys, _kernels.pack_keys(
+        np.stack([np.eye(4, dtype=np.int64), _np_mat(T1)]), p))
+    lab_e, lab_t = labels[ids].tolist()
     return _report(p, "full", labels, lab_e, lab_t,
-                   lambda r: enum.mat_of(r).tolist(), t0, {"group_order": n})
+                   lambda r: mats[r].tolist(), t0, {"group_order": len(keys)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input-value checks."""
 
 import cmath
+import math
 
 
 class LocalZetaError(Exception):
@@ -51,6 +52,19 @@ class DivergentParameters(LocalZetaError, ValueError):
     """Archimedean parameters violating the convergence condition."""
 
 
+def brief(value) -> str:
+    """repr(value) for an error message, but an int of 20 digits or more,
+    also inside a list, is named by its digit count."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(brief, value))}]"
+    if isinstance(value, int) and abs(value) >= 10**20:
+        k = math.floor(math.log10(abs(value))) + 1
+        if 10 ** (k - 1) > abs(value):  # log10 rounded up to a power of ten
+            k -= 1
+        return f"a {k}-digit integer"
+    return repr(value)
+
+
 def require_int(name: str, value) -> None:
     """Raise InvalidArgument unless value is an int (a bool is not one)."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -70,4 +84,4 @@ def require_complex(name: str, value) -> complex:
         except OverflowError:  # an int too large for a float
             pass
     raise InvalidArgument(
-        f"{name} must be a finite number or [re, im], got {value!r}")
+        f"{name} must be a finite number or [re, im], got {brief(value)}")

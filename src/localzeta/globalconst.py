@@ -17,18 +17,22 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cgamma import exp_in_range, log_gamma
-from .errors import InvalidArgument, PoleError, require_complex, require_int
+from .errors import (InvalidArgument, PoleError, brief, require_complex,
+                     require_int)
 from .scalars import QScalar
 from .zeta import LocalInstance, y_factor
 
 # The largest weight l special_value_constant takes: it bounds the exact
-# (2l-5)! and D^(l-1) it computes before any range check can run.
+# (2l-5)!, and the D^(l-1) of a mantissa near the double range.
 MAX_L = 1000
 _DOUBLE_MIN, _DOUBLE_MAX = (Fraction(sys.float_info.min),
                             Fraction(sys.float_info.max))  # normal doubles
+_LOG_DOUBLE_MIN, _LOG_DOUBLE_MAX = (math.log(sys.float_info.min),
+                                    math.log(sys.float_info.max))
+
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,6 @@ class GlobalSpec:
     D: int
     a_lambda: complex
     bad_primes: tuple = ()
-    class_data: Optional[tuple] = None
 
     def __post_init__(self):
         for name in ("l", "D"):
@@ -47,16 +50,13 @@ class GlobalSpec:
         for p, _ in self.bad_primes:
             require_int("a bad prime", p)
             if not _is_prime(p):
-                raise InvalidArgument(f"bad prime {p} is not a prime")
+                raise InvalidArgument(f"bad prime {brief(p)} is not a prime")
         primes = [p for p, _ in self.bad_primes]
         if len(set(primes)) != len(primes):
             raise InvalidArgument(
-                f"bad primes must be distinct, got {primes}")
+                f"bad primes must be distinct, got {brief(primes)}")
         object.__setattr__(self, "bad_primes", tuple(
             (p, complex(y)) for p, y in self.bad_primes))
-        if self.class_data is not None:
-            object.__setattr__(self, "class_data", tuple(
-                (complex(a), complex(b)) for a, b in self.class_data))
 
     @staticmethod
     def from_json(obj) -> "GlobalSpec":
@@ -65,20 +65,17 @@ class GlobalSpec:
         if not isinstance(obj, dict):
             raise InvalidArgument("a global spec must be a JSON object")
         if "class_data" not in obj:
-            class_data = None
             value = require_complex("a_lambda", obj.get("a_lambda", 1.0))
         elif "a_lambda" in obj:
             raise InvalidArgument("give a_lambda or class_data, not both")
         else:
-            class_data = tuple(
+            value = a_lambda([
                 (require_complex("class_data", a), require_complex("class_data", b))
-                for a, b in obj["class_data"])
-            value = a_lambda(class_data)
+                for a, b in obj["class_data"]])
         return GlobalSpec(
             l=obj["l"], D=obj["D"], a_lambda=value,
             bad_primes=tuple((p, require_complex("bad_primes", y))
                              for p, y in obj.get("bad_primes", [])),
-            class_data=class_data,
         )
 
 
@@ -166,14 +163,20 @@ def special_value_constant(spec: GlobalSpec) -> SpecialValueResult:
     if l < 3:
         raise InvalidArgument("l >= 3 required for the factorial (2l-5)!")
     if l > MAX_L:
-        raise InvalidArgument(f"l <= {MAX_L} required, got {l}")
-    mantissa = (Fraction(math.factorial(2 * l - 5))
-                * Fraction(2) ** (-4 * l + 6)
-                * Fraction(1, spec.D ** (l - 1)))
-    if not _DOUBLE_MIN <= mantissa <= _DOUBLE_MAX:
+        raise InvalidArgument(f"l <= {MAX_L} required, got {brief(l)}")
+    # a log-space estimate rejects first, before any exact power of D; its
+    # margin of e^10 leaves the edges of the range to the exact check
+    log_mantissa = (math.lgamma(2 * l - 4) + (6 - 4 * l) * math.log(2)
+                    - (l - 1) * math.log(spec.D))
+    mantissa = None
+    if _LOG_DOUBLE_MIN - 10 < log_mantissa < _LOG_DOUBLE_MAX + 10:
+        mantissa = (Fraction(math.factorial(2 * l - 5))
+                    * Fraction(2) ** (-4 * l + 6)
+                    * Fraction(1, spec.D ** (l - 1)))
+    if mantissa is None or not _DOUBLE_MIN <= mantissa <= _DOUBLE_MAX:
         raise InvalidArgument(
             f"the mantissa (2l-5)! 2^(-4l+6) D^(-l+1) at l = {l}, D = "
-            f"{spec.D} is outside the normal double range")
+            f"{brief(spec.D)} is outside the normal double range")
     prod_y = complex(1.0)
     for _, y in spec.bad_primes:
         prod_y *= y

@@ -21,9 +21,8 @@ or as the first mismatch of a comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
 from .scalars import QScalar, _reduced
@@ -39,7 +38,7 @@ def _promote(values: Iterable, q: int) -> list[QScalar]:
                 raise InvalidArgument("coefficient with mismatched q")
             out.append(v)
         else:
-            out.append(QScalar(Fraction(v), 0, q))
+            out.append(QScalar(v, 0, q))
     return out
 
 
@@ -112,46 +111,24 @@ class Poly:
         return acc
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class Series:
     """Power series truncated at a fixed order (inclusive).
 
     Coefficient k is (u + v*sqrt(q)) / d for (u, v, d) = terms[k], with
-    d > 0 and the triple not necessarily reduced.  Series(coeffs, q) takes
-    QScalars, ints or Fractions; Series.unreduced takes triples built with
-    int arithmetic alone.  Equality and hashing go by value.
+    d > 0 and the triple not necessarily reduced; series_div and
+    zeta_series_lhs build the triples with int arithmetic alone.  Equality
+    and hashing go by value.
     """
 
     terms: tuple[tuple[int, int, int], ...]
     q: int
-    _coeffs: Optional[tuple[QScalar, ...]]  # canonical form, once read
-
-    def __init__(self, coeffs: Iterable, q: int):
-        cs = tuple(_promote(coeffs, q))
-        if not cs:
-            raise InvalidArgument("a series needs at least the constant term")
-        object.__setattr__(self, "terms", tuple((c.a, c.b, c.d) for c in cs))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_coeffs", cs)
-
-    @staticmethod
-    def unreduced(terms: Sequence[tuple[int, int, int]], q: int) -> "Series":
-        """The series with coefficients (u + v*sqrt(q)) / d, (u, v, d) in
-        terms, each d > 0; nothing is reduced until a coefficient is read."""
-        s = object.__new__(Series)
-        object.__setattr__(s, "terms", tuple(terms))
-        object.__setattr__(s, "q", q)
-        object.__setattr__(s, "_coeffs", None)
-        return s
 
     @property
     def coeffs(self) -> tuple[QScalar, ...]:
-        """The coefficients as canonical QScalars, reduced on the first read."""
-        if self._coeffs is None:
-            q = self.q
-            object.__setattr__(self, "_coeffs", tuple(
-                _reduced(u, v, d, q) for u, v, d in self.terms))
-        return self._coeffs
+        """The coefficients as canonical QScalars, reduced on each read."""
+        q = self.q
+        return tuple(_reduced(u, v, d, q) for u, v, d in self.terms)
 
     @property
     def order(self) -> int:
@@ -168,9 +145,6 @@ class Series:
 
     def __hash__(self):
         return hash((self.coeffs, self.q))
-
-    def __repr__(self):
-        return f"Series(coeffs={self.coeffs!r}, q={self.q})"
 
 
 def _first_mismatch(xs, ys) -> Optional[int]:
@@ -258,7 +232,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
             v -= cu * y + cv * x
         out.append((u, v, A * Ek))
         Ek *= E
-    return Series.unreduced(out, q)
+    return Series(tuple(out), q)
 
 
 def series_equal(a: Series, b: Series) -> SeriesComparison:

@@ -108,7 +108,7 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
             terms.append((xa * w.a + xb * w.b * q, xa * w.b + xb * w.a,
                           d * pd * w.d))
         pa, pb, pd = pa * ua + pb * ub * q, pa * ub + pb * ua, pd * ud
-    return Series.unreduced(terms, q)
+    return Series(tuple(terms), q)
 
 
 def _y_scale(inst: LocalInstance) -> QScalar:

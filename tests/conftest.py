@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from localzeta import QScalar
+from localzeta import QScalar, Series
 
 
 def rq(x, q):
     """Rational element of the coefficient ring."""
     return QScalar(Fraction(x), 0, q)
+
+
+def series_of(values, q) -> Series:
+    """The series with the given coefficients: QScalars, ints or Fractions."""
+    cs = [v if isinstance(v, QScalar) else QScalar(v, 0, q) for v in values]
+    return Series(tuple((c.a, c.b, c.d) for c in cs), q)
 
 
 def embed(x: QScalar) -> Fraction:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -279,6 +280,29 @@ def test_global_constant_bad_spec_exit_2(tmp_path, spec):
     path = tmp_path / "global.json"
     path.write_text(json.dumps(spec))
     _assert_input_error(run_cli("global-constant", "--spec", str(path)))
+
+
+# 4,300 digits, the most Python's JSON decoder reads; 3 mod 4 and a
+# multiple of 23
+HUGE = 10**4299 + 3
+
+
+@pytest.mark.parametrize("spec", [
+    # the mantissa is far below the doubles, which the log-space estimate
+    # sees before any exact power of D
+    {"l": 1000, "D": HUGE},
+    {"l": 10, "D": 3, "a_lambda": HUGE},
+    {"l": 10, "D": 3, "bad_primes": [[HUGE, 0.5]]},
+])
+def test_global_constant_huge_integer_exit_2(tmp_path, spec):
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps(spec))
+    t0 = time.perf_counter()
+    proc = run_cli("global-constant", "--spec", str(path))
+    assert time.perf_counter() - t0 < 0.5
+    _assert_input_error(proc)
+    assert "a 4300-digit integer" in proc.stderr
+    assert len(proc.stderr) < 200
 
 
 @pytest.mark.parametrize("spec", [[], "abc"])

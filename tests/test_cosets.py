@@ -22,21 +22,20 @@ def test_order_formulas_derived():
     assert cosets.gsp4_order(3) == 2 * cosets.sp4_order(3) == 103680
 
 
-def test_enumeration_p2():
-    enum = cosets.enumerate_gl4(2)
-    assert len(enum) == 20160
+def test_enumeration_p2(gl4_2):
+    keys, mats = gl4_2
+    assert len(keys) == 20160
     eye = np.eye(4, dtype=np.int64)
-    idx = enum.id_of(eye)
-    assert np.array_equal(enum.mat_of(idx), eye)
+    (idx,) = _kernels.lookup(keys, _kernels.pack_keys(eye[None], 2))
+    assert np.array_equal(mats[idx], eye)
     # identity is idempotent under the product action
-    perm = _kernels.generator_permutation(enum.mats, enum.keys, eye, 2,
-                                          left=True)
-    assert np.array_equal(perm, np.arange(len(enum)))
+    perm = _kernels.generator_permutation(mats, keys, eye, 2, left=True)
+    assert np.array_equal(perm, np.arange(len(keys)))
 
 
 def test_unsupported_p():
     with pytest.raises(Unsupported):
-        cosets.enumerate_gl4(5)
+        cosets.double_coset_partition(5, method="quotient")
     with pytest.raises(Unsupported):
         cosets.double_coset_partition(7)
 
@@ -47,44 +46,57 @@ def test_full_method_p3_infeasible():
 
 
 @pytest.fixture(scope="module")
-def enum2():
-    return cosets.enumerate_gl4(2)
+def gl4_2():
+    """The ascending keys of GL4(F_2) and the matrices they pack."""
+    keys = _kernels.enumerate_invertible_keys(2)
+    return keys, _kernels.unpack_keys(keys, 2)
 
 
-def test_filter_gsp4(enum2):
-    ids = cosets.filter_gsp4(enum2)
+def _mu(g, p) -> int:
+    """The similitude factor of one matrix, 0 if it is not in GSp4."""
+    return int(cosets._similitude_factors(np.asarray(g)[None], p)[0])
+
+
+def _p4(g, p) -> bool:
+    return bool(cosets._in_p4(np.asarray(g)[None], p)[0])
+
+
+def test_filter_gsp4(gl4_2):
+    _, mats = gl4_2
+    ids = np.nonzero(cosets._similitude_factors(mats, 2))[0]
     assert len(ids) == 720
     j = np.asarray(cosets.J_MAT) % 2
-    assert cosets.similitude_factor(j, 2) == 1
+    assert _mu(j, 2) == 1
     # entrywise similitude relation for every member
     jm = j.astype(np.int64)
     for idx in ids:
-        g = enum2.mat_of(int(idx)).astype(np.int64)
-        mu = cosets.similitude_factor(g, 2)
-        assert mu is not None
+        g = mats[idx].astype(np.int64)
+        mu = _mu(g, 2)
+        assert mu != 0
         assert np.array_equal((g.T @ jm @ g) % 2, (mu * jm) % 2)
 
 
 def test_similitude_factor_p3():
-    assert cosets.similitude_factor(np.diag([1, 1, 2, 2]), 3) == 2
-    assert cosets.similitude_factor(np.asarray(cosets.J_MAT), 3) == 1
-    assert cosets.similitude_factor(np.asarray(cosets.T1), 3) is None
-    assert cosets.similitude_factor(np.zeros((4, 4), dtype=int), 3) is None
+    assert _mu(np.diag([1, 1, 2, 2]), 3) == 2
+    assert _mu(cosets.J_MAT, 3) == 1
+    assert _mu(cosets.T1, 3) == 0
+    assert _mu(np.zeros((4, 4), dtype=int), 3) == 0
 
 
-def test_filter_p4(enum2):
-    ids = cosets.filter_p4(enum2)
+def test_filter_p4(gl4_2):
+    _, mats = gl4_2
+    ids = np.nonzero(cosets._in_p4(mats, 2))[0]
     assert len(ids) == cosets.p4_order(2) == 192
     # diagonal invertible matrices belong to P4
-    assert cosets.is_in_p4(np.eye(4, dtype=np.int64), 2)
+    assert _p4(np.eye(4, dtype=np.int64), 2)
     # t2 is in P4, t1 is not
-    assert cosets.is_in_p4(np.asarray(cosets.T2), 2)
-    assert not cosets.is_in_p4(np.asarray(cosets.T1), 2)
+    assert _p4(cosets.T2, 2)
+    assert not _p4(cosets.T1, 2)
     # the pattern alone is not enough: P4 elements are invertible
-    assert not cosets.is_in_p4(np.zeros((4, 4), dtype=int), 3)
+    assert not _p4(np.zeros((4, 4), dtype=int), 3)
 
 
-def test_generator_sets_generate(enum2):
+def test_generator_sets_generate():
     assert cosets.generated_subgroup_order(cosets.p4_generators(2), 2) == 192
     assert cosets.generated_subgroup_order(cosets.gsp4_generators(2), 2) == 720
 
@@ -95,6 +107,12 @@ def test_generator_sets_generate_p3():
     assert cosets.generated_subgroup_order(cosets.gsp4_generators(3), 3) == 103680
 
 
+def test_generator_closure_is_bounded(monkeypatch):
+    monkeypatch.setattr(cosets, "_CLOSURE_LIMIT", 100)
+    with pytest.raises(Infeasible):
+        cosets.generated_subgroup_order(cosets.p4_generators(2), 2)
+
+
 def test_partition_p2_full():
     report = cosets.double_coset_partition(2, method="full")
     assert report.class_count == 2
@@ -103,11 +121,14 @@ def test_partition_p2_full():
     assert report.identity_class != report.t1_class
 
 
-def test_partition_against_direct_product_oracle(enum2):
+def test_partition_against_direct_product_oracle(gl4_2):
     """Compute P4 g GSp4 for g in {1, t1} literally and compare."""
     report = cosets.double_coset_partition(2, method="full")
-    A = enum2.mats[cosets.filter_p4(enum2)].astype(np.int64)
-    B = enum2.mats[cosets.filter_gsp4(enum2)].astype(np.int64)
+    keys, mats = gl4_2
+    in_p4 = cosets._in_p4(mats, 2)
+    in_gsp4 = cosets._similitude_factors(mats, 2) != 0
+    A = mats[in_p4].astype(np.int64)
+    B = mats[in_gsp4].astype(np.int64)
 
     def coset_keys(g):
         ag = np.einsum("aij,jk->aik", A, g) % 2
@@ -122,8 +143,8 @@ def test_partition_against_direct_product_oracle(enum2):
     assert len(s_eye) == report.sizes[report.identity_class]
     assert len(s_t1) == report.sizes[report.t1_class]
     # the identity class contains all of P4 and all of GSp4
-    p4_keys = set(enum2.keys[cosets.filter_p4(enum2)].tolist())
-    gsp4_keys = set(enum2.keys[cosets.filter_gsp4(enum2)].tolist())
+    p4_keys = set(keys[in_p4].tolist())
+    gsp4_keys = set(keys[in_gsp4].tolist())
     assert p4_keys <= s_eye
     assert gsp4_keys <= s_eye
 
@@ -151,15 +172,15 @@ def test_quotient_matches_full_at_p2():
             == quot.sizes[quot.identity_class])
 
 
-def test_flag_invariant_is_coset_invariant():
+def test_flag_invariant_is_coset_invariant(gl4_2):
     # multiplying by random P4 elements on the left fixes the flag
     rng = np.random.default_rng(7)
-    enum = cosets.enumerate_gl4(2)
-    p4_ids = cosets.filter_p4(enum)
-    g = enum.mat_of(12345).astype(np.int64)
+    _, mats = gl4_2
+    p4_ids = np.nonzero(cosets._in_p4(mats, 2))[0]
+    g = mats[12345].astype(np.int64)
     base = cosets.flag_of_coset(g, 2)
     for idx in rng.choice(p4_ids, size=20):
-        a = enum.mat_of(int(idx)).astype(np.int64)
+        a = mats[idx].astype(np.int64)
         assert cosets.flag_of_coset((a @ g) % 2, 2) == base
 
 
@@ -211,7 +232,7 @@ def test_line_action_inverts_generators(p):
     # the quotient moves lines by t(J) b J = mu t(b^-1)
     j = np.asarray(cosets.J_MAT)
     for b in cosets.gsp4_generators(p):
-        mu = cosets.similitude_factor(b, p)
+        mu = _mu(b, p)
         assert np.array_equal(b @ (j.T @ b @ j).T % p,
                               mu * np.eye(4, dtype=np.int64) % p)
 
@@ -234,11 +255,13 @@ def test_flag_line_is_sent_to_e1(p):
         checked += 1
 
 
-def test_lookup(enum2):
+def test_lookup(gl4_2):
     keys = np.array([2, 5, 9])
     assert _kernels.lookup(keys, np.array([9, 2, 5])).tolist() == [2, 0, 1]
     for missing in ([1], [3], [10], [5, 7]):
         with pytest.raises(RuntimeError):
             _kernels.lookup(keys, np.array(missing))
+    # a singular matrix has no key in GL4(F_2)
     with pytest.raises(RuntimeError):
-        enum2.id_of(np.zeros((4, 4), dtype=np.int64))
+        _kernels.lookup(gl4_2[0], _kernels.pack_keys(
+            np.zeros((1, 4, 4), dtype=np.int64), 2))

@@ -184,7 +184,7 @@ def test_global_spec_from_json():
     })
     assert spec.a_lambda == 1 - 1j
     assert spec.bad_primes == ((2, 0.5 + 0j),)
-    assert spec.class_data is None
+    assert spec == GlobalSpec(l=10, D=3, a_lambda=1 - 1j, bad_primes=((2, 0.5),))
     assert GlobalSpec.from_json({"l": 10, "D": 3}).a_lambda == 1
 
 
@@ -192,8 +192,8 @@ def test_global_spec_a_lambda_from_class_data():
     spec = GlobalSpec.from_json({
         "l": 10, "D": 3, "class_data": [[1.0, 2.0], [-1.0, 3.0]],
     })
-    assert spec.class_data == ((1, 2), (-1, 3))
-    assert spec.a_lambda == a_lambda(spec.class_data) == -1 + 0j
+    assert spec == GlobalSpec(l=10, D=3, a_lambda=-1)
+    assert spec.a_lambda == a_lambda([(1, 2), (-1, 3)]) == -1 + 0j
     assert special_value_constant(spec).a_lambda == -1 + 0j
 
 

@@ -11,11 +11,7 @@ from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        newform_value, newform_values, series_div,
                        series_equal)
 
-from conftest import embed, nonzero_fraction, rq
-
-
-def _series(vals, q):
-    return Series([Fraction(v) for v in vals], q)
+from conftest import embed, nonzero_fraction, rq, series_of
 
 
 def _truncated(p: Poly, order: int) -> Poly:
@@ -29,15 +25,15 @@ def _multiplied_back(s: Series, den: Poly) -> Poly:
 
 def test_geometric_series():
     q = 5
-    assert series_div(Poly([1], q), Poly([1, -1], q), 5) == _series([1] * 6, q)
+    assert series_div(Poly([1], q), Poly([1, -1], q), 5) == series_of([1] * 6, q)
     f = RatFn(Poly([1], 3), Poly([1, -1], 3))
-    assert f.to_series(3) == _series([1, 1, 1, 1], 3)
+    assert f.to_series(3) == series_of([1, 1, 1, 1], 3)
 
 
 def test_exact_cancellation():
     q = 5
     s = series_div(Poly([1, 0, -1], q), Poly([1, -1], q), 3)
-    assert s == _series([1, 1, 0, 0], q)
+    assert s == series_of([1, 1, 0, 0], q)
 
 
 def test_sqrt_division_derived():
@@ -71,7 +67,7 @@ def test_series_div_needs_constant_term_one():
 def test_series_div_order_zero():
     q = 5
     s = series_div(Poly([3, 5], q), Poly([1, 7], q), 0)
-    assert s == _series([3], q)
+    assert s == series_of([3], q)
     assert RatFn(Poly([3, 5], q), Poly([1, 7], q)).to_series(0) == s
 
 
@@ -81,7 +77,7 @@ def test_series_div_order_below_degrees():
     num = Poly([1, 0, 0, 0, 1], q)
     den = Poly([1, -1, 0, 1], q)
     short = series_div(num, den, 2)
-    assert short == _series([1, 1, 1], q)
+    assert short == series_of([1, 1, 1], q)
     longer = series_div(num, den, 8)
     assert short.coeffs == longer.coeffs[:3]
     assert _multiplied_back(longer, den) == num
@@ -123,7 +119,7 @@ def _convolve(a, b):
 def test_ratfn_to_series_constant():
     q = 3
     f = RatFn(Poly([1], q), Poly([1], q))
-    assert f.to_series(4) == _series([1, 0, 0, 0, 0], q)
+    assert f.to_series(4) == series_of([1, 0, 0, 0, 0], q)
 
 
 def test_ratfn_to_series_double_poles_oracle():
@@ -137,7 +133,7 @@ def test_ratfn_to_series_double_poles_oracle():
     den = (Poly([1, Fraction(-1, 2)], q) * Poly([1, Fraction(-1, 2)], q)
            * Poly([1, Fraction(-1, 4)], q) * Poly([1, Fraction(-1, 4)], q))
     f = RatFn(Poly([1], q), den)
-    assert f.to_series(order) == _series(expected, q)
+    assert f.to_series(order) == series_of(expected, q)
 
 
 def test_ratfn_with_quadratic_numerator():
@@ -147,22 +143,22 @@ def test_ratfn_with_quadratic_numerator():
            * Poly([1, Fraction(-1, 4)], q) * Poly([1, Fraction(-1, 4)], q))
     f = RatFn(Poly([1, 0, Fraction(-1, 64)], q), den)
     s = f.to_series(1)
-    assert s == _series([1, Fraction(3, 2)], q)
+    assert s == series_of([1, Fraction(3, 2)], q)
 
 
 def test_series_equal_reports():
     q = 3
-    a = _series([1, 1, 1], q)
+    a = series_of([1, 1, 1], q)
     assert series_equal(a, a).match
-    b = _series([1, 2], q)
-    c = _series([1, 3], q)
+    b = series_of([1, 2], q)
+    c = series_of([1, 3], q)
     report = series_equal(b, c)
     assert not report.match
     assert report.index == 1
     assert report.left == rq(2, q)
     assert report.right == rq(3, q)
     # comparison stops at min order
-    assert series_equal(_series([1, 2], q), _series([1, 2, 99], q)).match
+    assert series_equal(series_of([1, 2], q), series_of([1, 2, 99], q)).match
 
 
 def _random_poly(rng, q, degree, unit_constant=False):
@@ -190,7 +186,7 @@ def test_series_div_inverts_mul():
     for _ in range(20):
         u = Poly([1] + [nonzero_fraction(rng) for _ in range(order)], q)
         v = Poly([nonzero_fraction(rng) for _ in range(order + 1)], q)
-        assert series_div(u * v, u, order) == Series(v.coeffs, q)
+        assert series_div(u * v, u, order) == series_of(v.coeffs, q)
 
 
 def test_poly_trimming_and_degree():
@@ -198,6 +194,16 @@ def test_poly_trimming_and_degree():
     assert Poly([1, 2, 0, 0], q).degree == 1
     assert Poly([], q).degree == -1
     assert Poly([0, 0], q) == Poly([], q)
+
+
+def test_poly_coefficients_follow_the_qscalar_rule():
+    # a bool or a float is not a rational value, as for QScalar itself
+    for bad in (True, 0.5):
+        with pytest.raises(InvalidArgument):
+            QScalar(bad, 0, 5)
+        with pytest.raises(InvalidArgument):
+            Poly([bad, 1], 5)
+    assert Poly(["1/2", 3], 5) == Poly([Fraction(1, 2), 3], 5)
 
 
 def test_poly_substitute_scaled():
@@ -294,7 +300,7 @@ def _perturbed(s: Series, rng, p: float):
             du, dv = rng.choice([(1, 0), (0, 1), (r, -1)])
             u, v = u + du * d, v + dv * d
         terms.append((u, v, d))
-    return Series.unreduced(terms, s.q), first
+    return Series(tuple(terms), s.q), first
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13])
@@ -309,13 +315,13 @@ def test_unreduced_series_against_reducing_reference(q):
         s = series_div(num, den, order)
         want = _schoolbook_div(num, den, order)
         assert _full_fields(s.coeffs) == _full_fields(want)
-        reference = Series(want, q)
+        reference = series_of(want, q)
         assert series_equal(s, reference).match
 
         # the same values at other scalings: equal, with equal hashes
         ks = [rng.randint(1, 10**6) for _ in s.terms]
-        scaled = Series.unreduced(
-            [(u * k, v * k, d * k) for (u, v, d), k in zip(s.terms, ks)], q)
+        scaled = Series(tuple(
+            (u * k, v * k, d * k) for (u, v, d), k in zip(s.terms, ks)), q)
         assert scaled == s == reference
         assert hash(scaled) == hash(s) == hash(reference)
         assert _full_fields(scaled.coeffs) == _full_fields(want)
@@ -332,7 +338,7 @@ def test_unreduced_series_against_reducing_reference(q):
             assert report.left == want[first]
             assert report.right == moved.coeffs[first]
         # a shorter series is compared over its own order
-        assert series_equal(Series(want[:1], q), s).match
+        assert series_equal(series_of(want[:1], q), s).match
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -343,15 +349,15 @@ def test_series_equal_keeps_sqrt_formal_at_square_q(q):
     shifted = x + math.isqrt(q) - QScalar.root_q(q)
     assert embed(shifted) == embed(x)
     for y in (shifted, x + QScalar.root_q(q)):
-        a, b = Series([1, x], q), Series([1, y], q)
+        a, b = series_of([1, x], q), series_of([1, y], q)
         report = series_equal(a, b)
         assert not report.match and report.index == 1
         assert (report.left, report.right) == (x, y)
         assert a != b
     # the same ints over another q are another value
-    other = Series([1], q + 1)
-    assert series_equal(Series([1], q), other).index == 0
-    assert Series([1], q) != other
+    other = series_of([1], q + 1)
+    assert series_equal(series_of([1], q), other).index == 0
+    assert series_of([1], q) != other
 
 
 def test_series_div_non_unit_with_sqrt_parts():
