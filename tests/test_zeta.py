@@ -302,3 +302,19 @@ def test_sweep_plan_reports_are_unchanged_order_48():
     text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
                      for inst in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_PLAN_0_48_SHA256
+
+
+# the same pin over the 280 reports of the order-12, repeat-4 plan that
+# perfbench's sweep-o12 workload runs: a draw-order change that shows only
+# at repeat > 1 passes both pins above
+SWEEP_PLAN_0_12_REPEAT_4_SHA256 = (
+    "37db42213ef34763a89ae9bc8859f9ff171d32979de2d53f1ff101039297ec0d")
+
+
+def test_sweep_plan_reports_are_unchanged_repeat_4():
+    plan = cli._sweep_plan(0, 12, 4)
+    assert len(plan) == 280
+    text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
+                     for inst in plan)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SWEEP_PLAN_0_12_REPEAT_4_SHA256
