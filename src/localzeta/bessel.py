@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidArgument, InvalidBesselDatum, require_int
-from .scalars import QScalar
+from .scalars import QScalar, require_unit
 from .series import Poly, RatFn, Series
 
 INERT, RAMIFIED, SPLIT = -1, 0, 1
@@ -39,10 +39,7 @@ class SatakeParams:
         if len(gamma) != 4:
             raise InvalidArgument("exactly four Satake parameters required")
         for g in gamma:
-            if not isinstance(g, QScalar) or g.q != q:
-                raise InvalidArgument("Satake parameters must be QScalar with matching q")
-            if g.norm() == 0:
-                raise InvalidArgument("Satake parameters must be invertible")
+            require_unit("a Satake parameter", g, q)
         if gamma[0] * gamma[2] != gamma[1] * gamma[3]:
             raise InvalidArgument(
                 "pairing constraint gamma1*gamma3 = gamma2*gamma4 violated")
@@ -68,8 +65,9 @@ class BesselDatum:
     legendre is -1 (inert), 0 (ramified) or +1 (split).  lambda_varpi is
     Lambda(varpi); the split case also needs Lambda(varpi_L) and
     Lambda(varpi varpi_L^{-1}) with product lambda_varpi, the ramified case
-    needs Lambda(varpi_L) with square lambda_varpi.  q defaults to that of
-    lambda_varpi.
+    needs Lambda(varpi_L) with square lambda_varpi.  Each value the case
+    uses must be an invertible QScalar of the ring at q, as a character's
+    values are.  q defaults to that of lambda_varpi.
     """
 
     legendre: int
@@ -85,12 +83,17 @@ class BesselDatum:
         if legendre not in (INERT, RAMIFIED, SPLIT):
             raise InvalidBesselDatum(f"legendre symbol must be -1, 0 or 1, got {legendre}")
         if self.q is None:
-            object.__setattr__(self, "q", lambda_varpi.q)
-        if not isinstance(lambda_varpi, QScalar) or lambda_varpi.q != self.q:
-            raise InvalidBesselDatum("lambda_varpi must be a QScalar with matching q")
+            object.__setattr__(self, "q", getattr(lambda_varpi, "q", None))
+        q = self.q
+
+        def unit(name, value):
+            require_unit(name, value, q, InvalidBesselDatum)
+
+        unit("lambda_varpi", lambda_varpi)
         if legendre == RAMIFIED:
             if lambda_varpiL is None:
                 raise InvalidBesselDatum("ramified case needs Lambda(varpi_L)")
+            unit("lambda_varpiL", lambda_varpiL)
             if lambda_varpiL * lambda_varpiL != lambda_varpi:
                 raise InvalidBesselDatum(
                     "ramified case requires Lambda(varpi) = Lambda(varpi_L)^2")
@@ -98,6 +101,8 @@ class BesselDatum:
             if lambda_varpiL is None or lambda_varpi_conj is None:
                 raise InvalidBesselDatum(
                     "split case needs Lambda(varpi_L) and Lambda(varpi varpi_L^-1)")
+            unit("lambda_varpiL", lambda_varpiL)
+            unit("lambda_varpi_conj", lambda_varpi_conj)
             if lambda_varpiL * lambda_varpi_conj != lambda_varpi:
                 raise InvalidBesselDatum(
                     "split case requires Lambda(varpi) = "

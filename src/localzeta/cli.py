@@ -26,6 +26,8 @@ from .series import DEFAULT_ORDER, Poly, RatFn
 
 EXIT_OK, EXIT_MISMATCH, EXIT_INPUT = 0, 1, 2
 EXIT_CLOSED_OUTPUT = 141  # as a shell reports a writer killed by SIGPIPE
+# what decoding or checking an input raises on a bad value: exit 2
+_BAD_INPUT = (LocalZetaError, KeyError, TypeError, ValueError)
 
 
 def _load_json(path: str):
@@ -79,7 +81,7 @@ def _cmd_verify_nonarch(args):
                 obj = dict(obj, order=args.order)
             inst = zeta.LocalInstance.from_json(obj)
             report = zeta.verify_local(inst)
-        except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
+        except _BAD_INPUT as exc:
             raise _InputError(f"instance {idx}: {exc}")
         yield dict(report.to_json(), index=idx), report.passed
 
@@ -92,7 +94,7 @@ def _cmd_bessel(args):
         satake = SatakeParams.from_json(data["satake"], q)
         datum = BesselDatum.from_json(data["bessel"], q)
         series = bessel_coeffs(satake, datum, order)
-    except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise _InputError(str(exc))
     yield {"q": q, "order": order, "coefficients": series.to_json()}, True
 
@@ -127,7 +129,7 @@ def _cmd_arch_verify(args):
     for idx, obj in enumerate(_load_items(args.spec)):
         try:
             spec = arch.ArchSpec.from_json(obj)
-        except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
+        except _BAD_INPUT as exc:
             raise _InputError(f"spec {idx}: {exc}")
         try:
             closed = arch.arch_zeta_closed(spec)
@@ -158,7 +160,7 @@ def _cmd_global_constant(args):
     try:
         spec = globalconst.GlobalSpec.from_json(data)
         result = globalconst.special_value_constant(spec)
-    except (LocalZetaError, KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise _InputError(str(exc))
     yield result.to_json(), True
 
@@ -170,23 +172,17 @@ def _cmd_global_constant(args):
 def _sweep_plan(seed: int, order: int, repeat: int) -> list[zeta.LocalInstance]:
     import random
     rng = random.Random(seed)
-    plan = []
-    legendres = (-1, 0, 1)
-    for i in range(20 * repeat):
-        inst = zeta.random_local_instance(
-            rng, RAMIFIED_OTHER, legendres[i % 3], order=order)
-        plan.append(inst)
-    for legendre, flag in ((-1, False), (0, False), (0, True), (1, False)):
-        for _ in range(10 * repeat):
-            inst = zeta.random_local_instance(
-                rng, RAMIFIED_PS_UNRAM_ALPHA, legendre,
-                beta_chi_unramified=flag, order=order)
-            plan.append(inst)
-    for i in range(10 * repeat):
-        inst = zeta.random_local_instance(
-            rng, STEINBERG_UNRAMIFIED, legendres[i % 3], order=order)
-        plan.append(inst)
-    return plan
+    # (kind, legendre, beta_chi_unramified) per instance, in draw order
+    mix = ([(RAMIFIED_OTHER, i % 3 - 1, False) for i in range(20 * repeat)]
+           + [(RAMIFIED_PS_UNRAM_ALPHA, legendre, flag)
+              for legendre, flag in ((-1, False), (0, False), (0, True),
+                                     (1, False))
+              for _ in range(10 * repeat)]
+           + [(STEINBERG_UNRAMIFIED, i % 3 - 1, False)
+              for i in range(10 * repeat)])
+    return [zeta.random_local_instance(rng, kind, legendre,
+                                       beta_chi_unramified=flag, order=order)
+            for kind, legendre, flag in mix]
 
 
 def _corrupted_y_factor(inst):
@@ -202,7 +198,7 @@ def _run_sweep_instance(inst, corrupt: bool) -> dict:
     result = {"case": report.case, "passed": report.passed}
     if not report.passed:
         # echo verbatim so the instance can be re-run via verify-nonarch
-        result["instance"] = report.instance
+        result["instance"] = report.instance.to_json()
         if report.lhs_vs_hq is not None:
             result["lhs_vs_hq"] = report.lhs_vs_hq.to_json()
         if report.lhs_vs_rhs is not None:
@@ -228,58 +224,48 @@ def _cmd_sweep(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+# the input file and order that verify-nonarch and bessel both take
+_PARAMS = [("--params", dict(required=True)), ("--order", dict(type=int))]
+# (name, help, handler, arguments besides --out), in the order --help lists them
+_COMMANDS = [
+    ("verify-nonarch", "verify a local instance file", _cmd_verify_nonarch,
+     _PARAMS),
+    ("bessel", "print the B(h(l,0)) coefficient table", _cmd_bessel, _PARAMS),
+    ("dims", "check the invariant-dimension identities", _cmd_dims,
+     [("--max-n", dict(type=int, default=6)),
+      ("--max-r", dict(type=int, default=12))]),
+    ("cosets", "double-coset partition of GL4(F_p)", _cmd_cosets,
+     [("--p", dict(type=int, required=True)),
+      ("--method", dict(choices=("full", "quotient"), default="full"))]),
+    ("arch-verify", "archimedean quadrature vs closed form", _cmd_arch_verify,
+     [("--spec", dict(required=True)),
+      ("--tol", dict(type=float, default=1e-6))]),
+    ("gamma-selftest", "complex Gamma accuracy checks", _cmd_gamma_selftest,
+     []),
+    ("global-constant", "special-value constant C", _cmd_global_constant,
+     [("--spec", dict(required=True))]),
+    ("sweep", "randomized identity sweep over Cases 1-3", _cmd_sweep,
+     [("--seed", dict(type=int, default=0)),
+      ("--order", dict(type=int, default=DEFAULT_ORDER)),
+      ("--repeat", dict(type=int, default=1,
+                        help="multiplier on the per-case instance counts")),
+      ("--corrupt-y", dict(action="store_true",
+                           help="negative control: tamper with the Y factor"))]),
+]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localzeta",
         description="verify local zeta-integral identities and constants")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None)
-
-    def add(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[common])
-
-    p = add("verify-nonarch", help="verify a local instance file")
-    p.add_argument("--params", required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_nonarch)
-
-    p = add("bessel", help="print the B(h(l,0)) coefficient table")
-    p.add_argument("--params", required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=_cmd_bessel)
-
-    p = add("dims", help="check the invariant-dimension identities")
-    p.add_argument("--max-n", type=int, default=6)
-    p.add_argument("--max-r", type=int, default=12)
-    p.set_defaults(func=_cmd_dims)
-
-    p = add("cosets", help="double-coset partition of GL4(F_p)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--method", choices=("full", "quotient"), default="full")
-    p.set_defaults(func=_cmd_cosets)
-
-    p = add("arch-verify", help="archimedean quadrature vs closed form")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_arch_verify)
-
-    p = add("gamma-selftest", help="complex Gamma accuracy checks")
-    p.set_defaults(func=_cmd_gamma_selftest)
-
-    p = add("global-constant", help="special-value constant C")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(func=_cmd_global_constant)
-
-    p = add("sweep", help="randomized identity sweep over Cases 1-3")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--repeat", type=int, default=1,
-                   help="multiplier on the per-case instance counts")
-    p.add_argument("--corrupt-y", action="store_true",
-                   help="negative control: tamper with the Y factor")
-    p.set_defaults(func=_cmd_sweep)
-
+    common.add_argument("--out")
+    for name, help, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help, parents=[common])
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 

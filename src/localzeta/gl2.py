@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidArgument, require_int
-from .scalars import QScalar
+from .scalars import QScalar, require_unit
 
 # Representation kinds.
 UNRAMIFIED_PS = "UnramifiedPS"                 # alpha x beta, both unramified
@@ -53,11 +53,7 @@ class Gl2Local:
         def need(value, name):
             if value is None:
                 raise InvalidArgument(f"{kind} requires {name}")
-            if not isinstance(value, QScalar) or value.q != q:
-                raise InvalidArgument(f"{name} must be a QScalar with q={q}")
-            if value.norm() == 0:
-                raise InvalidArgument(f"{name} must be invertible")
-            return value
+            return require_unit(name, value, q)
 
         if kind in (UNRAMIFIED_PS, RAMIFIED_PS_UNRAM_ALPHA):
             derived_omega_tau = (need(self.alpha_varpi, "alpha_varpi")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cgamma import exp_in_range, log_gamma
+from .cgamma import EXP_CEIL, EXP_FLOOR, exp_in_range, log_gamma
 from .errors import (InvalidArgument, PoleError, brief, require_complex,
                      require_int)
 from .scalars import QScalar
@@ -30,9 +30,10 @@ from .zeta import LocalInstance, y_factor
 MAX_L = 1000
 _DOUBLE_MIN, _DOUBLE_MAX = (Fraction(sys.float_info.min),
                             Fraction(sys.float_info.max))  # normal doubles
-_LOG_DOUBLE_MIN, _LOG_DOUBLE_MAX = (math.log(sys.float_info.min),
-                                    math.log(sys.float_info.max))
-
+# Miller-Rabin with the first thirteen prime bases is exact below this
+# bound, the least strong pseudoprime to all of them; a bad prime must be
+# below it
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class GlobalSpec:
             raise InvalidArgument("D must be positive and = 0, 3 mod 4")
         for p, _ in self.bad_primes:
             require_int("a bad prime", p)
+            if p >= PRIME_BOUND:
+                raise InvalidArgument(
+                    f"bad prime {brief(p)} must be below {PRIME_BOUND}")
             if not _is_prime(p):
                 raise InvalidArgument(f"bad prime {brief(p)} is not a prime")
         primes = [p for p, _ in self.bad_primes]
@@ -80,8 +84,8 @@ class GlobalSpec:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first thirteen prime bases: exact below 3.3e24,
-    a strong probable-prime test beyond."""
+    """Miller-Rabin with the first thirteen prime bases: exact for n below
+    PRIME_BOUND."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % b == 0 for b in bases):
         return n in bases
@@ -169,7 +173,7 @@ def special_value_constant(spec: GlobalSpec) -> SpecialValueResult:
     log_mantissa = (math.lgamma(2 * l - 4) + (6 - 4 * l) * math.log(2)
                     - (l - 1) * math.log(spec.D))
     mantissa = None
-    if _LOG_DOUBLE_MIN - 10 < log_mantissa < _LOG_DOUBLE_MAX + 10:
+    if EXP_FLOOR - 10 < log_mantissa < EXP_CEIL + 10:
         mantissa = (Fraction(math.factorial(2 * l - 5))
                     * Fraction(2) ** (-4 * l + 6)
                     * Fraction(1, spec.D ** (l - 1)))

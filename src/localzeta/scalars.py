@@ -222,13 +222,6 @@ class QScalar:
     def __repr__(self):
         return f"QScalar({self.rat}, {self.sqrt}, q={self.q})"
 
-    def __str__(self):
-        if self.b == 0:
-            return str(self.rat)
-        if self.a == 0:
-            return f"{self.sqrt}*sqrt({self.q})"
-        return f"{self.rat} + {self.sqrt}*sqrt({self.q})"
-
     # -- JSON encoding -----------------------------------------------
 
     def to_json(self) -> dict:
@@ -241,6 +234,16 @@ class QScalar:
         if not isinstance(obj, dict):
             raise InvalidArgument(f"cannot decode QScalar from {obj!r}")
         return QScalar(obj.get("rat", 0), obj.get("sqrt", 0), q)
+
+
+def require_unit(name: str, value, q, error=InvalidArgument) -> QScalar:
+    """value, if it is an invertible QScalar of the ring at q, as every
+    character value is; else raise error."""
+    if not isinstance(value, QScalar) or value.q != q:
+        raise error(f"{name} must be a QScalar with q={q}")
+    if value.norm() == 0:
+        raise error(f"{name} must be invertible")
+    return value
 
 
 # Internal results skip __init__: _reduced writes them, in canonical form,

@@ -15,14 +15,16 @@ and A that of the numerator's, coefficient k is (u_k + v_k*sqrt(q)) /
 are compared by cross-multiplying the triples, which is exact because
 sqrt(q) stays formal, also for a perfect-square q.  A coefficient is put
 in canonical QScalar form only when it is read: through coeffs, to_json,
-or as the first mismatch of a comparison.
+or as the first mismatch of a comparison.  This is the only module that
+reads or builds the triples; other modules go through series_div,
+series_twist and series_equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
 from .scalars import QScalar, _reduced
@@ -117,7 +119,7 @@ class Series:
 
     Coefficient k is (u + v*sqrt(q)) / d for (u, v, d) = terms[k], with
     d > 0 and the triple not necessarily reduced; series_div and
-    zeta_series_lhs build the triples with int arithmetic alone.  Equality
+    series_twist build the triples with int arithmetic alone.  Equality
     and hashing go by value.
     """
 
@@ -246,6 +248,25 @@ def series_equal(a: Series, b: Series) -> SeriesComparison:
         return SeriesComparison(True)
     return SeriesComparison(False, i, _reduced(*a.terms[i], a.q),
                             _reduced(*b.terms[i], b.q))
+
+
+def series_twist(s: Series, unit: QScalar, weights: Sequence[QScalar]) -> Series:
+    """The series with coefficient l equal to s_l * unit^l * weights[l]:
+    int arithmetic on the triples, with unit^l carried as one, no gcd."""
+    q = s.q
+    ua, ub, ud = unit.a, unit.b, unit.d
+    pa, pb, pd = 1, 0, 1  # unit^l
+    terms = []
+    for (u, v, d), w in zip(s.terms, weights):
+        if w.is_zero():
+            terms.append((0, 0, 1))
+        else:
+            # x = s_l * unit^l, then x * w_l
+            xa, xb = u * pa + v * pb * q, u * pb + v * pa
+            terms.append((xa * w.a + xb * w.b * q, xa * w.b + xb * w.a,
+                          d * pd * w.d))
+        pa, pb, pd = pa * ua + pb * ub * q, pa * ub + pb * ua, pd * ud
+    return Series(tuple(terms), q)
 
 
 @dataclass(frozen=True, slots=True)

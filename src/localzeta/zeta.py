@@ -28,7 +28,7 @@ from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   newform_values)
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
-                     series_equal)
+                     series_equal, series_twist)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,35 +80,17 @@ class LocalInstance:
 
 
 def zeta_series_lhs(inst: LocalInstance) -> Series:
-    """The zeta integral as a series in T, from the m = 0 coset sum.
-
-    Coefficient l is b_l * w_unit^l * w_l, with b_l taken from the Bessel
-    series' unreduced int triples and w_unit^l carried forward as one: the
-    loop is int arithmetic in Q[x]/(x^2 - q), with no gcd, and the result
-    is reduced only when read.
-    """
+    """The zeta integral as a series in T, from the m = 0 coset sum:
+    coefficient l is b_l * w_unit^l * w_l, built by series_twist."""
     rep = inst.rep
     if rep.kind == UNRAMIFIED_PS:
         raise UnsupportedCase(
             "the m = 0 reduction requires conductor n > 0; "
             "use unramified_closed for the unramified principal series")
-    q = inst.q
-    B = bessel_coeffs(inst.satake, inst.bessel, inst.order)
     w_unit = (inst.satake.omega_pi * rep.omega_tau_varpi).inverse() \
-        * QScalar.q_half_power(3, q)
-    ua, ub, ud = w_unit.a, w_unit.b, w_unit.d
-    pa, pb, pd = 1, 0, 1  # w_unit^l
-    terms = []
-    for (u, v, d), w in zip(B.terms, newform_values(rep, inst.order)):
-        if w.is_zero():
-            terms.append((0, 0, 1))
-        else:
-            # x = b_l * w_unit^l, then x * w_l
-            xa, xb = u * pa + v * pb * q, u * pb + v * pa
-            terms.append((xa * w.a + xb * w.b * q, xa * w.b + xb * w.a,
-                          d * pd * w.d))
-        pa, pb, pd = pa * ua + pb * ub * q, pa * ub + pb * ua, pd * ud
-    return Series(tuple(terms), q)
+        * QScalar.q_half_power(3, inst.q)
+    return series_twist(bessel_coeffs(inst.satake, inst.bessel, inst.order),
+                        w_unit, newform_values(rep, inst.order))
 
 
 def _y_scale(inst: LocalInstance) -> QScalar:
@@ -218,7 +200,7 @@ def zeta_closed_rhs(inst: LocalInstance,
 class VerificationReport:
     """Exact comparison of the independent routes for one instance."""
 
-    instance: dict
+    instance: LocalInstance
     case: str
     lhs: Series
     hq: Optional[Series]
@@ -229,7 +211,7 @@ class VerificationReport:
 
     def to_json(self):
         out = {
-            "instance": self.instance,
+            "instance": self.instance.to_json(),
             "case": self.case,
             "passed": self.passed,
             "lhs": self.lhs.to_json(),
@@ -271,7 +253,7 @@ def verify_local(inst: LocalInstance,
         cmp_rhs = series_equal(lhs, rhs)
     passed = all(c.match for c in (cmp_hq, cmp_rhs) if c is not None)
     return VerificationReport(
-        instance=inst.to_json(),
+        instance=inst,
         case=_CASE_LABELS[kind],
         lhs=lhs, hq=hq, rhs=rhs,
         lhs_vs_hq=cmp_hq, lhs_vs_rhs=cmp_rhs,

@@ -154,6 +154,26 @@ def test_datum_validation():
     BesselDatum(-1, rq(1, q), q=q)
 
 
+@pytest.mark.parametrize("legendre, values", [
+    (-1, [QScalar(0, 0, 4)]),                 # Lambda(varpi) = 0
+    (-1, [QScalar(2, -1, 4)]),                # 2 - sqrt(4): nonzero, norm 0
+    (-1, [2]),                                # not a QScalar
+    (0, [QScalar(4, 0, 4), 2]),               # 2 * 2 == Lambda(varpi)
+    (0, [QScalar(0, 0, 4), QScalar(0, 0, 4)]),
+    (1, [QScalar(0, 0, 4), QScalar(0, 0, 4), QScalar(3, 0, 4)]),
+    (1, [QScalar(6, 0, 4), QScalar(2, 0, 4), QScalar(3, 0, 5)]),
+])
+def test_datum_values_are_units(legendre, values):
+    # a character's values are invertible: each value the case uses must
+    # be a unit of the ring at q
+    lam, *rest = values
+    kwargs = dict(zip(("lambda_varpiL", "lambda_varpi_conj"), rest))
+    with pytest.raises(InvalidBesselDatum):
+        BesselDatum(legendre, lam, q=4, **kwargs)
+    with pytest.raises(InvalidBesselDatum):
+        BesselDatum(legendre, lam, **kwargs)
+
+
 def test_satake_json_roundtrip():
     q = 7
     p = _satake((2, 1, 1, 2), q)

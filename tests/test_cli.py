@@ -134,6 +134,19 @@ def test_bessel_table(tmp_path):
     assert table["coefficients"][1] == {"rat": "0", "sqrt": "3/8"}
 
 
+def test_bessel_zero_lambda_exit_2(tmp_path):
+    # a character's values are units, so Lambda(varpi) = 0 is no datum
+    path = tmp_path / "bessel.json"
+    path.write_text(json.dumps({
+        "q": 4,
+        "satake": WORKED_CASE2["satake"],
+        "bessel": {"legendre": -1, "lambda_varpi": {"rat": "0"}},
+    }))
+    proc = run_cli("bessel", "--params", str(path))
+    _assert_input_error(proc)
+    assert "lambda_varpi must be invertible" in proc.stderr
+
+
 def _assert_input_error(proc):
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
@@ -285,6 +298,9 @@ def test_global_constant_bad_spec_exit_2(tmp_path, spec):
 # 4,300 digits, the most Python's JSON decoder reads; 3 mod 4 and a
 # multiple of 23
 HUGE = 10**4299 + 3
+# as long, with no factor among the thirteen Miller-Rabin bases, so only
+# the bound on a bad prime stops a test that took seconds
+HUGE_PAST_THE_BASES = 10**4299 + 7
 
 
 @pytest.mark.parametrize("spec", [
@@ -293,6 +309,7 @@ HUGE = 10**4299 + 3
     {"l": 1000, "D": HUGE},
     {"l": 10, "D": 3, "a_lambda": HUGE},
     {"l": 10, "D": 3, "bad_primes": [[HUGE, 0.5]]},
+    {"l": 10, "D": 3, "bad_primes": [[HUGE_PAST_THE_BASES, 0.5]]},
 ])
 def test_global_constant_huge_integer_exit_2(tmp_path, spec):
     path = tmp_path / "global.json"
@@ -521,9 +538,11 @@ def test_arch_verify_tiny_inner_rows_pass(tmp_path, spec):
 
 
 # 2021 = 43 * 47 and the Carmichael number 151 * 751 * 28351, a strong
-# pseudoprime to the bases 2, 3, 5 and 7, pass trial division by the bases
+# pseudoprime to the bases 2, 3, 5 and 7, pass trial division by the bases;
+# the last, globalconst.PRIME_BOUND, is a strong pseudoprime to all thirteen
 @pytest.mark.parametrize("prime", [2.5, True, "7", -3, 1, 4, 91, 2021,
-                                   3_215_031_751])
+                                   3_215_031_751,
+                                   3_317_044_064_679_887_385_961_981])
 def test_global_constant_bad_prime_exit_2(tmp_path, prime):
     path = tmp_path / "global.json"
     path.write_text(json.dumps({"l": 10, "D": 3, "bad_primes": [[prime, 0.9]]}))

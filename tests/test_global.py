@@ -10,8 +10,9 @@ from localzeta import (INERT, RAMIFIED_PS_UNRAM_ALPHA, BesselDatum, Gl2Local,
 from localzeta.arch import ArchSpec, arch_zeta_closed
 from localzeta.cgamma import complex_gamma
 from localzeta.errors import PoleError
-from localzeta.globalconst import (MAX_L, GlobalSpec, SpecialValueResult,
-                                   a_lambda, special_value_constant, y_infty,
+from localzeta.globalconst import (MAX_L, PRIME_BOUND, GlobalSpec,
+                                   SpecialValueResult, _is_prime, a_lambda,
+                                   special_value_constant, y_infty,
                                    y_p_at_special_point)
 
 from conftest import rq
@@ -141,6 +142,15 @@ def test_global_spec_validation():
         GlobalSpec(l=10, D=5, a_lambda=1.0)  # 5 = 1 mod 4
     with pytest.raises(InvalidArgument, match="distinct"):
         GlobalSpec(l=10, D=3, a_lambda=1.0, bad_primes=((2, 0.9), (2, 0.8)))
+
+
+def test_bad_prime_bound():
+    # the bound is composite, yet a strong pseudoprime to all thirteen
+    # bases, so Miller-Rabin alone would take it for a prime
+    assert PRIME_BOUND == 1_287_836_182_261 * 2_575_672_364_521
+    assert _is_prime(PRIME_BOUND)
+    with pytest.raises(InvalidArgument, match="must be below"):
+        GlobalSpec(l=10, D=3, a_lambda=1.0, bad_primes=((PRIME_BOUND, 0.9),))
 
 
 def test_y_p_at_special_point_exact():
