@@ -77,6 +77,8 @@ class ArchSpec:
 
     @staticmethod
     def from_json(obj) -> "ArchSpec":
+        if "ir" in obj and "r" in obj:
+            raise InvalidArgument("give 'ir' or 'r', not both")
         if "ir" in obj:
             ir = require_complex("ir", obj["ir"])
         elif "r" in obj:

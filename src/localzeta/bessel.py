@@ -58,16 +58,22 @@ class SatakeParams:
         return SatakeParams([QScalar.from_json(g, q) for g in obj["gamma"]], q)
 
 
+# extension type -> the values of Lambda besides Lambda(varpi) it is given
+GIVEN = {INERT: (), RAMIFIED: ("lambda_varpiL",),
+         SPLIT: ("lambda_varpiL", "lambda_varpi_conj")}
+
+
 @dataclass(frozen=True, slots=True)
 class BesselDatum:
     """Quadratic-extension case plus unramified Hecke-character values.
 
     legendre is -1 (inert), 0 (ramified) or +1 (split).  lambda_varpi is
-    Lambda(varpi); the split case also needs Lambda(varpi_L) and
+    Lambda(varpi); the split case also takes Lambda(varpi_L) and
     Lambda(varpi varpi_L^{-1}) with product lambda_varpi, the ramified case
-    needs Lambda(varpi_L) with square lambda_varpi.  Each value the case
-    uses must be an invertible QScalar of the ring at q, as a character's
-    values are.  q defaults to that of lambda_varpi.
+    takes Lambda(varpi_L) with square lambda_varpi, and the inert case takes
+    neither.  A case takes exactly its values in GIVEN, each an invertible
+    QScalar of the ring at q, as a character's values are; any other value
+    is an InvalidBesselDatum.  q defaults to that of lambda_varpi.
     """
 
     legendre: int
@@ -78,56 +84,44 @@ class BesselDatum:
 
     def __post_init__(self):
         legendre, lambda_varpi = self.legendre, self.lambda_varpi
-        lambda_varpiL, lambda_varpi_conj = self.lambda_varpiL, self.lambda_varpi_conj
         require_int("legendre", legendre)
-        if legendre not in (INERT, RAMIFIED, SPLIT):
+        if legendre not in GIVEN:
             raise InvalidBesselDatum(f"legendre symbol must be -1, 0 or 1, got {legendre}")
         if self.q is None:
             object.__setattr__(self, "q", getattr(lambda_varpi, "q", None))
-        q = self.q
-
-        def unit(name, value):
-            require_unit(name, value, q, InvalidBesselDatum)
-
-        unit("lambda_varpi", lambda_varpi)
-        if legendre == RAMIFIED:
-            if lambda_varpiL is None:
-                raise InvalidBesselDatum("ramified case needs Lambda(varpi_L)")
-            unit("lambda_varpiL", lambda_varpiL)
-            if lambda_varpiL * lambda_varpiL != lambda_varpi:
-                raise InvalidBesselDatum(
-                    "ramified case requires Lambda(varpi) = Lambda(varpi_L)^2")
-        elif legendre == SPLIT:
-            if lambda_varpiL is None or lambda_varpi_conj is None:
-                raise InvalidBesselDatum(
-                    "split case needs Lambda(varpi_L) and Lambda(varpi varpi_L^-1)")
-            unit("lambda_varpiL", lambda_varpiL)
-            unit("lambda_varpi_conj", lambda_varpi_conj)
-            if lambda_varpiL * lambda_varpi_conj != lambda_varpi:
-                raise InvalidBesselDatum(
-                    "split case requires Lambda(varpi) = "
-                    "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)")
-        # inert: lambda_varpiL / lambda_varpi_conj are unused
+        require_unit("lambda_varpi", lambda_varpi, self.q, InvalidBesselDatum)
+        case = ("inert", "ramified", "split")[legendre + 1]
+        for name in GIVEN[SPLIT]:  # every optional value
+            value = getattr(self, name)
+            if name not in GIVEN[legendre]:
+                if value is not None:
+                    raise InvalidBesselDatum(f"{case} case takes no {name}")
+            elif value is None:
+                raise InvalidBesselDatum(f"{case} case needs {name}")
+            else:
+                require_unit(name, value, self.q, InvalidBesselDatum)
+        lambda_varpiL, lambda_varpi_conj = self.lambda_varpiL, self.lambda_varpi_conj
+        if legendre == RAMIFIED and lambda_varpiL * lambda_varpiL != lambda_varpi:
+            raise InvalidBesselDatum(
+                "ramified case requires Lambda(varpi) = Lambda(varpi_L)^2")
+        if legendre == SPLIT and lambda_varpiL * lambda_varpi_conj != lambda_varpi:
+            raise InvalidBesselDatum(
+                "split case requires Lambda(varpi) = "
+                "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)")
 
     def to_json(self):
         out = {"legendre": self.legendre, "lambda_varpi": self.lambda_varpi.to_json()}
-        if self.lambda_varpiL is not None:
-            out["lambda_varpiL"] = self.lambda_varpiL.to_json()
-        if self.lambda_varpi_conj is not None:
-            out["lambda_varpi_conj"] = self.lambda_varpi_conj.to_json()
+        for name in GIVEN[self.legendre]:
+            out[name] = getattr(self, name).to_json()
         return out
 
     @staticmethod
     def from_json(obj, q: int) -> "BesselDatum":
-        def dec(key):
-            return QScalar.from_json(obj[key], q) if key in obj else None
-        return BesselDatum(
-            obj["legendre"],
-            QScalar.from_json(obj["lambda_varpi"], q),
-            lambda_varpiL=dec("lambda_varpiL"),
-            lambda_varpi_conj=dec("lambda_varpi_conj"),
-            q=q,
-        )
+        values = {name: QScalar.from_json(obj[name], q)
+                  for name in GIVEN[SPLIT] if name in obj}
+        return BesselDatum(obj["legendre"],
+                           QScalar.from_json(obj["lambda_varpi"], q),
+                           **values, q=q)
 
 
 def sugano_H(d: BesselDatum) -> Poly:

@@ -3,8 +3,9 @@
 Exit codes: 0 all checks passed, 1 at least one mismatch, 2 invalid input,
 141 (128 + SIGPIPE) the reader closed the output early.
 Instance reports are emitted one JSON object per line so sweeps stream.
-Each subcommand handler yields (row, passed) pairs; main writes each row as
-it arrives and derives the exit code from the passed flags.
+Each subcommand handler yields (row, passed) pairs; main writes each row to
+stdout, the one output stream, as it arrives and derives the exit code from
+the passed flags.  Shell redirection sends it to a file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterator
 
 from . import arch, cgamma, cosets, globalconst, zeta
 from .bessel import BesselDatum, SatakeParams, bessel_coeffs
@@ -59,15 +60,6 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
     """Reject a command-line count below low before any work starts."""
     if value < low:
         raise _InputError(f"{flag} must be >= {low}, got {value}")
-
-
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    try:
-        return open(path, "w", encoding="utf-8"), True
-    except OSError as exc:
-        raise _InputError(f"cannot write {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +161,9 @@ def _cmd_global_constant(args):
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_plan(seed: int, order: int, repeat: int) -> list[zeta.LocalInstance]:
+def _sweep_plan(seed: int, order: int,
+                repeat: int) -> Iterator[zeta.LocalInstance]:
+    """The sweep's instances in draw order, each drawn when it is asked for."""
     import random
     rng = random.Random(seed)
     # (kind, legendre, beta_chi_unramified) per instance, in draw order
@@ -180,9 +174,9 @@ def _sweep_plan(seed: int, order: int, repeat: int) -> list[zeta.LocalInstance]:
               for _ in range(10 * repeat)]
            + [(STEINBERG_UNRAMIFIED, i % 3 - 1, False)
               for i in range(10 * repeat)])
-    return [zeta.random_local_instance(rng, kind, legendre,
-                                       beta_chi_unramified=flag, order=order)
-            for kind, legendre, flag in mix]
+    for kind, legendre, flag in mix:
+        yield zeta.random_local_instance(rng, kind, legendre,
+                                         beta_chi_unramified=flag, order=order)
 
 
 def _corrupted_y_factor(inst):
@@ -209,14 +203,14 @@ def _run_sweep_instance(inst, corrupt: bool) -> dict:
 def _cmd_sweep(args):
     _require_at_least("--order", args.order, 0)
     _require_at_least("--repeat", args.repeat, 1)
-    plan = _sweep_plan(args.seed, args.order, args.repeat)
-    failures = 0
-    for idx, inst in enumerate(plan):
+    instances = failures = 0
+    for inst in _sweep_plan(args.seed, args.order, args.repeat):
         result = _run_sweep_instance(inst, args.corrupt_y)
         passed = result["passed"]
         failures += not passed
-        yield dict(result, index=idx, seed=args.seed), passed
-    yield ({"summary": True, "seed": args.seed, "instances": len(plan),
+        yield dict(result, index=instances, seed=args.seed), passed
+        instances += 1
+    yield ({"summary": True, "seed": args.seed, "instances": instances,
             "failures": failures}, True)
 
 
@@ -226,7 +220,7 @@ def _cmd_sweep(args):
 
 # the input file and order that verify-nonarch and bessel both take
 _PARAMS = [("--params", dict(required=True)), ("--order", dict(type=int))]
-# (name, help, handler, arguments besides --out), in the order --help lists them
+# (name, help, handler, arguments), in the order --help lists them
 _COMMANDS = [
     ("verify-nonarch", "verify a local instance file", _cmd_verify_nonarch,
      _PARAMS),
@@ -259,10 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="localzeta",
         description="verify local zeta-integral identities and constants")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out")
     for name, help, func, arguments in _COMMANDS:
-        p = sub.add_parser(name, help=help, parents=[common])
+        p = sub.add_parser(name, help=help)
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.set_defaults(func=func)
@@ -272,15 +264,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out, close = sys.stdout, False
     status = EXIT_OK
     try:
-        out, close = _open_out(args.out)
         for row, passed in args.func(args):
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(row, sort_keys=True) + "\n")
             if not passed:
                 status = EXIT_MISMATCH
-        out.flush()
+        sys.stdout.flush()
         return status
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -290,9 +280,6 @@ def main(argv=None) -> int:
         # stdout at devnull so the interpreter's last flush cannot fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_OUTPUT
-    finally:
-        if close:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -21,8 +21,18 @@ STEINBERG_UNRAMIFIED = "SteinbergUnramified"   # Omega St, Omega unramified
 RAMIFIED_OTHER = "RamifiedOther"               # supercuspidal / ram. twist St /
                                                # principal series both ramified
 
-KINDS = (UNRAMIFIED_PS, RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED,
-         RAMIFIED_OTHER)
+# JSON key of each value at varpi that a kind may be given
+_KEYS = {"alpha_varpi": "alpha", "beta_varpi": "beta",
+         "omega_varpi": "omega", "omega_tau_varpi": "omega_tau"}
+# kind -> the values at varpi it is given; omega_tau_varpi is derived from
+# them where it is not given
+GIVEN = {
+    UNRAMIFIED_PS: ("alpha_varpi", "beta_varpi"),
+    RAMIFIED_PS_UNRAM_ALPHA: ("alpha_varpi", "beta_varpi"),
+    STEINBERG_UNRAMIFIED: ("omega_varpi",),
+    RAMIFIED_OTHER: ("omega_tau_varpi",),
+}
+KINDS = tuple(GIVEN)  # membership by ==, so a JSON list or object is no kind
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,8 +41,11 @@ class Gl2Local:
 
     Stored character values are the values at the uniformizer; they are
     well-defined nonzero numbers even when the character itself is
-    ramified (beta in the RamifiedPSUnramAlpha case).  omega_tau_varpi and
-    conductor_exp are derived from the kind where it fixes them.
+    ramified (beta in the RamifiedPSUnramAlpha case).  A kind takes exactly
+    its values in GIVEN, and only RamifiedPSUnramAlpha takes
+    beta_chi_unramified; any other value is an InvalidArgument.
+    omega_tau_varpi and conductor_exp are derived from the kind where it
+    fixes them, and are then accepted only when they equal the derived value.
     """
 
     kind: str
@@ -49,21 +62,21 @@ class Gl2Local:
         omega_tau_varpi, conductor_exp = self.omega_tau_varpi, self.conductor_exp
         if kind not in KINDS:
             raise InvalidArgument(f"unknown GL2 kind: {kind!r}")
+        for name in _KEYS:
+            value = getattr(self, name)
+            if name in GIVEN[kind]:
+                if value is None:
+                    raise InvalidArgument(f"{kind} requires {name}")
+                require_unit(name, value, q)
+            elif value is not None and name != "omega_tau_varpi":
+                raise InvalidArgument(f"{kind} takes no {name}")
 
-        def need(value, name):
-            if value is None:
-                raise InvalidArgument(f"{kind} requires {name}")
-            return require_unit(name, value, q)
-
-        if kind in (UNRAMIFIED_PS, RAMIFIED_PS_UNRAM_ALPHA):
-            derived_omega_tau = (need(self.alpha_varpi, "alpha_varpi")
-                                 * need(self.beta_varpi, "beta_varpi"))
-        elif kind == STEINBERG_UNRAMIFIED:
-            omega_varpi = need(self.omega_varpi, "omega_varpi")
-            derived_omega_tau = omega_varpi * omega_varpi
+        if kind == STEINBERG_UNRAMIFIED:
+            derived_omega_tau = self.omega_varpi * self.omega_varpi
+        elif kind == RAMIFIED_OTHER:
+            derived_omega_tau = omega_tau_varpi
         else:
-            derived_omega_tau = need(omega_tau_varpi, "omega_tau_varpi")
-
+            derived_omega_tau = self.alpha_varpi * self.beta_varpi
         if omega_tau_varpi is not None and omega_tau_varpi != derived_omega_tau:
             raise InvalidArgument(
                 "omega_tau_varpi inconsistent with the representation kind")
@@ -87,34 +100,26 @@ class Gl2Local:
         if not isinstance(self.beta_chi_unramified, bool):
             raise InvalidArgument("beta_chi_unramified must be a boolean, "
                                   f"got {self.beta_chi_unramified!r}")
+        if self.beta_chi_unramified and kind != RAMIFIED_PS_UNRAM_ALPHA:
+            raise InvalidArgument(f"{kind} takes no beta_chi_unramified")
 
         object.__setattr__(self, "omega_tau_varpi", derived_omega_tau)
         object.__setattr__(self, "conductor_exp", derived_n)
 
     def to_json(self):
         out = {"kind": self.kind, "n": self.conductor_exp}
-        if self.alpha_varpi is not None:
-            out["alpha"] = self.alpha_varpi.to_json()
-        if self.beta_varpi is not None:
-            out["beta"] = self.beta_varpi.to_json()
-        if self.omega_varpi is not None:
-            out["omega"] = self.omega_varpi.to_json()
-        if self.kind == RAMIFIED_OTHER:
-            out["omega_tau"] = self.omega_tau_varpi.to_json()
+        for name in GIVEN[self.kind]:
+            out[_KEYS[name]] = getattr(self, name).to_json()
         if self.kind == RAMIFIED_PS_UNRAM_ALPHA:
             out["beta_chi_unramified"] = self.beta_chi_unramified
         return out
 
     @staticmethod
     def from_json(obj, q: int) -> "Gl2Local":
-        def dec(key):
-            return QScalar.from_json(obj[key], q) if key in obj else None
+        values = {name: QScalar.from_json(obj[key], q)
+                  for name, key in _KEYS.items() if key in obj}
         return Gl2Local(
-            obj["kind"], q,
-            alpha_varpi=dec("alpha"),
-            beta_varpi=dec("beta"),
-            omega_varpi=dec("omega"),
-            omega_tau_varpi=dec("omega_tau"),
+            obj["kind"], q, **values,
             conductor_exp=obj.get("n"),
             beta_chi_unramified=obj.get("beta_chi_unramified", False),
         )

@@ -150,8 +150,20 @@ def test_datum_validation():
     with pytest.raises(InvalidBesselDatum):
         BesselDatum(1, rq(2, q), lambda_varpiL=rq(1, q),
                     lambda_varpi_conj=rq(3, q), q=q)  # product law violated
-    # the inert case ignores the extra values
+    # the inert case takes no value besides Lambda(varpi)
     BesselDatum(-1, rq(1, q), q=q)
+
+
+@pytest.mark.parametrize("legendre, extra", [
+    (-1, dict(lambda_varpiL=rq(1, 4))),
+    (-1, dict(lambda_varpi_conj=rq(1, 4))),
+    (-1, dict(lambda_varpiL=2)),
+    (0, dict(lambda_varpiL=rq(1, 4), lambda_varpi_conj=rq(1, 4))),
+    (0, dict(lambda_varpiL=rq(1, 4), lambda_varpi_conj=rq(0, 4))),
+])
+def test_datum_refuses_a_value_its_case_does_not_take(legendre, extra):
+    with pytest.raises(InvalidBesselDatum, match="takes no"):
+        BesselDatum(legendre, rq(1, 4), q=4, **extra)
 
 
 @pytest.mark.parametrize("legendre, values", [

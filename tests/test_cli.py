@@ -343,8 +343,9 @@ def test_empty_list_exit_2(tmp_path, command, flag):
 
 @pytest.mark.parametrize("field, value", [
     ("l", 10.5), ("l1", 10.5), ("D", 4.0),
-    # out of range: l < 2, D = 1 or 2 mod 4, neither ir nor r (None drops ir)
-    ("l", 1), ("D", 5), ("D", 6), ("ir", None)])
+    # out of range: l < 2, D = 1 or 2 mod 4, neither ir nor r (None drops ir),
+    # both ir and r
+    ("l", 1), ("D", 5), ("D", 6), ("ir", None), ("r", [0, 5])])
 def test_arch_verify_non_integer_weight_exit_2(tmp_path, field, value):
     spec = dict(ARCH_SPEC, **{field: value})
     if value is None:
@@ -393,6 +394,27 @@ def test_verify_nonarch_loose_field_exit_2(tmp_path, key, value, message):
     proc = run_cli("verify-nonarch", "--params", str(path))
     _assert_input_error(proc)
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rep", {"kind": "RamifiedOther", "omega_tau": {"rat": "1"}, "n": 1,
+             "alpha": {"rat": "0"}}),
+    ("rep", {"kind": "SteinbergUnramified", "omega": {"rat": "1"},
+             "beta_chi_unramified": True}),
+    ("bessel", {"legendre": 0, "lambda_varpi": {"rat": "1"},
+                "lambda_varpiL": {"rat": "1"},
+                "lambda_varpi_conj": {"rat": "0"}}),
+], ids=["alpha-case-i", "flag-steinberg", "conj-ramified"])
+def test_verify_nonarch_value_its_case_does_not_take_exit_2(tmp_path, key, value):
+    # each local datum takes exactly the values its case reads; with
+    # omega_pi = 1 = Lambda(varpi) the instance is valid but for value
+    obj = dict(WORKED_CASE2, satake={"gamma": [{"rat": "1"}] * 4},
+               bessel={"legendre": -1, "lambda_varpi": {"rat": "1"}})
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(obj, **{key: value})))
+    proc = run_cli("verify-nonarch", "--params", str(path))
+    _assert_input_error(proc)
+    assert "takes no" in proc.stderr
 
 
 @pytest.mark.parametrize("field, value", [("l", 10.5), ("l", True), ("D", 3.0)])
@@ -628,35 +650,14 @@ def test_sweep_failure_echo_is_rerunnable(tmp_path):
     assert _lines(rerun)[0]["passed"] is True  # instance itself is valid
 
 
-def test_out_flag_writes_file(tmp_path):
-    files = {"case2.json": WORKED_CASE2, "arch.json": ARCH_SPEC,
-             "global.json": {"l": 10, "D": 3, "a_lambda": 1.0}}
-    for name, obj in files.items():
-        (tmp_path / name).write_text(json.dumps(obj))
-    # every subcommand, each on an input it passes
-    commands = {
-        "verify-nonarch": ["--params", str(tmp_path / "case2.json")],
-        "bessel": ["--params", str(tmp_path / "case2.json"), "--order", "3"],
-        "dims": [],
-        "cosets": ["--p", "2", "--method", "quotient"],
-        "arch-verify": ["--spec", str(tmp_path / "arch.json")],
-        "gamma-selftest": [],
-        "global-constant": ["--spec", str(tmp_path / "global.json")],
-        "sweep": ["--order", "4"],
-    }
-    for command, args in commands.items():
-        out = tmp_path / f"{command}.jsonl"
-        proc = run_cli(command, *args, "--out", str(out), check=True)
-        assert proc.stdout == "", command
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
-        assert rows, command
-
-
-def test_out_flag_unwritable_path_exit_2(tmp_path):
-    for path in (tmp_path / "missing" / "x.json", tmp_path):
-        _assert_input_error(run_cli("dims", "--out", str(path)))
-
-
 def test_unknown_command_rejected():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+def test_out_flag_rejected():
+    # rows go to stdout only; a shell redirection writes them to a file
+    proc = run_cli("dims", "--out", "x")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --out x" in proc.stderr
+    assert proc.stdout == ""

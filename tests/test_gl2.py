@@ -120,6 +120,42 @@ def test_kind_validation():
                  omega_tau_varpi=rq(5, q))
 
 
+# kind -> the values each kind takes, as Gl2Local keyword arguments
+TAKES = {
+    RAMIFIED_OTHER: dict(omega_tau_varpi=rq(3, 4), conductor_exp=2),
+    RAMIFIED_PS_UNRAM_ALPHA: dict(alpha_varpi=rq(1, 4), beta_varpi=rq(3, 4),
+                                  conductor_exp=1),
+    STEINBERG_UNRAMIFIED: dict(omega_varpi=rq(-3, 4)),
+    UNRAMIFIED_PS: dict(alpha_varpi=rq(2, 4), beta_varpi=rq(5, 4)),
+}
+
+
+@pytest.mark.parametrize("kind, extra", [
+    (kind, extra) for kind, values in TAKES.items()
+    for extra in ("alpha_varpi", "beta_varpi", "omega_varpi")
+    if extra not in values])
+def test_kind_refuses_a_value_it_does_not_take(kind, extra):
+    Gl2Local(kind, 4, **TAKES[kind])
+    with pytest.raises(InvalidArgument, match="takes no"):
+        Gl2Local(kind, 4, **TAKES[kind], **{extra: rq(1, 4)})
+
+
+@pytest.mark.parametrize("kind", [RAMIFIED_OTHER, STEINBERG_UNRAMIFIED,
+                                  UNRAMIFIED_PS])
+def test_beta_chi_unramified_only_in_case_ii(kind):
+    Gl2Local(kind, 4, **TAKES[kind], beta_chi_unramified=False)
+    with pytest.raises(InvalidArgument, match="takes no beta_chi_unramified"):
+        Gl2Local(kind, 4, **TAKES[kind], beta_chi_unramified=True)
+
+
+@pytest.mark.parametrize("kind", ["Nonsense", [RAMIFIED_OTHER],
+                                  {RAMIFIED_OTHER: 1}])
+def test_unknown_kind_is_invalid_argument(kind):
+    # a JSON list or object as the kind is refused by type, not by hashing
+    with pytest.raises(InvalidArgument, match="unknown GL2 kind"):
+        Gl2Local(kind, 4)
+
+
 def test_steinberg_omega_tau_is_square():
     q = 4
     rep = Gl2Local(STEINBERG_UNRAMIFIED, q, omega_varpi=rq(-3, q))

@@ -80,6 +80,16 @@ def test_fields_are_frozen(name):
             setattr(x, field.name, getattr(x, field.name))
 
 
+# QScalar is built from (rat, sqrt, q), not from its stored fields, so
+# dataclasses.replace does not apply to it
+@pytest.mark.parametrize("name", [name for name in VALUES if name != "QScalar"])
+def test_replace_is_equal(name):
+    # dataclasses.replace passes every field back in, derived ones too
+    for inst in _instances():
+        x = VALUES[name](inst)
+        assert dataclasses.replace(x) == x
+
+
 def test_equal_instances_from_the_same_seed():
     a, b = _instances(7), _instances(7)
     assert a == b

@@ -14,7 +14,7 @@ from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        random_local_instance, unramified_closed,
                        verify_local, y_factor, zeta_closed_rhs,
                        zeta_series_lhs)
-from localzeta import cli
+from localzeta import cli, zeta
 from localzeta.zeta import _y_scale
 
 from conftest import embed, rq
@@ -284,7 +284,7 @@ SWEEP_PLAN_0_24_SHA256 = (
 
 
 def test_sweep_plan_reports_are_unchanged():
-    plan = cli._sweep_plan(0, 24, 1)
+    plan = list(cli._sweep_plan(0, 24, 1))
     assert len(plan) == 70
     text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
                      for inst in plan)
@@ -297,7 +297,7 @@ SWEEP_PLAN_0_48_SHA256 = (
 
 
 def test_sweep_plan_reports_are_unchanged_order_48():
-    plan = cli._sweep_plan(0, 48, 1)
+    plan = list(cli._sweep_plan(0, 48, 1))
     assert len(plan) == 70
     text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
                      for inst in plan)
@@ -312,9 +312,24 @@ SWEEP_PLAN_0_12_REPEAT_4_SHA256 = (
 
 
 def test_sweep_plan_reports_are_unchanged_repeat_4():
-    plan = cli._sweep_plan(0, 12, 4)
+    plan = list(cli._sweep_plan(0, 12, 4))
     assert len(plan) == 280
     text = "\n".join(json.dumps(verify_local(inst).to_json(), sort_keys=True)
                      for inst in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         SWEEP_PLAN_0_12_REPEAT_4_SHA256
+
+
+def test_sweep_plan_draws_each_instance_when_asked(monkeypatch):
+    draws = 0
+    real = zeta.random_local_instance
+
+    def counted(*args, **kwargs):
+        nonlocal draws
+        draws += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "random_local_instance", counted)
+    first = next(iter(cli._sweep_plan(0, 12, 100)))
+    assert draws == 1
+    assert first == next(iter(cli._sweep_plan(0, 12, 1)))
