@@ -13,10 +13,11 @@ needed by the zeta-integral verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import InvalidArgument, InvalidBesselDatum, require_int
+from .errors import (InvalidArgument, InvalidBesselDatum, require_int,
+                     require_known_keys)
 from .scalars import QScalar, require_unit
 from .series import Poly, RatFn, Series
 
@@ -33,6 +34,8 @@ class SatakeParams:
 
     gamma: tuple[QScalar, ...]
     q: int
+    # central character value omega_pi(varpi) = gamma1*gamma3, derived
+    omega_pi: QScalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gamma, q = tuple(self.gamma), self.q
@@ -40,21 +43,19 @@ class SatakeParams:
             raise InvalidArgument("exactly four Satake parameters required")
         for g in gamma:
             require_unit("a Satake parameter", g, q)
-        if gamma[0] * gamma[2] != gamma[1] * gamma[3]:
+        omega_pi = gamma[0] * gamma[2]
+        if omega_pi != gamma[1] * gamma[3]:
             raise InvalidArgument(
                 "pairing constraint gamma1*gamma3 = gamma2*gamma4 violated")
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def omega_pi(self) -> QScalar:
-        """Central character value omega_pi(varpi) = gamma1*gamma3."""
-        return self.gamma[0] * self.gamma[2]
+        object.__setattr__(self, "omega_pi", omega_pi)
 
     def to_json(self):
         return {"gamma": [g.to_json() for g in self.gamma]}
 
     @staticmethod
     def from_json(obj, q: int) -> "SatakeParams":
+        require_known_keys("satake", obj, ("gamma",))
         return SatakeParams([QScalar.from_json(g, q) for g in obj["gamma"]], q)
 
 
@@ -117,6 +118,9 @@ class BesselDatum:
 
     @staticmethod
     def from_json(obj, q: int) -> "BesselDatum":
+        require_known_keys("bessel", obj,
+                           ("legendre", "lambda_varpi", *GIVEN[SPLIT]),
+                           InvalidBesselDatum)
         values = {name: QScalar.from_json(obj[name], q)
                   for name in GIVEN[SPLIT] if name in obj}
         return BesselDatum(obj["legendre"],

@@ -71,6 +71,17 @@ def require_int(name: str, value) -> None:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
+def require_known_keys(name: str, obj, known, error=InvalidArgument) -> None:
+    """Raise error naming each key of the JSON object obj outside known, so
+    that a misspelt optional key is refused rather than read as absent."""
+    if isinstance(obj, dict):
+        unknown = [key for key in obj if key not in known]
+        if unknown:
+            raise error(f"{name} has unknown key{'s' * (len(unknown) > 1)} "
+                        f"{', '.join(map(repr, unknown))}; it takes "
+                        f"{', '.join(known)}")
+
+
 def require_complex(name: str, value) -> complex:
     """Decode a JSON complex value: a finite number or a list [re, im] of
     exactly two.  Anything else raises InvalidArgument (a bool is not a

@@ -9,6 +9,11 @@ A scalar is stored as four ints a, b, d, q standing for (a + b*sqrt(q)) / d,
 in the canonical form d > 0 and gcd(a, b, d) = 1 (zero is (0, 0, 1)).  Equal
 values therefore have equal fields, so equality and hashing compare ints,
 and each ring operation is integer arithmetic plus one gcd.
+
+The exact core computes on unreduced int triples (u, v, d) instead, with
+the same meaning and no gcd: _mul multiplies two of them, and _reduced puts
+a finished one in canonical form once.  series, gl2 and zeta share these
+two helpers; a QScalar is what they read and what they hand back.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidArgument, InvalidInversion
+from .errors import InvalidArgument, InvalidInversion, require_known_keys
 
 
 def _as_fraction(x) -> Fraction:
@@ -42,8 +47,10 @@ def _check_q(q) -> None:
 class QScalar:
     """Element rat + sqrt * √q of the ring Q[x]/(x^2 - q), as (a + b√q)/d.
 
-    Values are immutable; arithmetic with plain ints/Fractions promotes
-    them to rational elements of the same ring.
+    Values are immutable.  The ring operations are +, -, unary -, *,
+    inverse() of a unit and integer powers; a plain int or Fraction on
+    either side of +, - or * is promoted to a rational element of the same
+    ring.
     """
 
     a: int
@@ -75,10 +82,6 @@ class QScalar:
     @staticmethod
     def one(q: int) -> "QScalar":
         return QScalar(1, 0, q)
-
-    @staticmethod
-    def root_q(q: int) -> "QScalar":
-        return QScalar(0, 1, q)
 
     @staticmethod
     def q_half_power(n: int, q: int) -> "QScalar":
@@ -153,11 +156,6 @@ class QScalar:
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        """rat^2 - q * sqrt^2; nonzero exactly for the invertible elements."""
-        return Fraction(self.a * self.a - self.q * self.b * self.b,
-                        self.d * self.d)
-
     def inverse(self) -> "QScalar":
         # d / (a + b sqrt(q)) = d (a - b sqrt(q)) / (a^2 - q b^2)
         a, b, d, q = self.a, self.b, self.d, self.q
@@ -167,18 +165,6 @@ class QScalar:
         if n < 0:
             d, n = -d, -n
         return _reduced(a * d, -b * d, n, q)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __pow__(self, k: int) -> "QScalar":
         if not isinstance(k, int):
@@ -202,9 +188,6 @@ class QScalar:
 
     def is_one(self) -> bool:
         return self.a == self.d == 1 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, QScalar) else other
@@ -233,6 +216,7 @@ class QScalar:
             return QScalar(obj, 0, q)
         if not isinstance(obj, dict):
             raise InvalidArgument(f"cannot decode QScalar from {obj!r}")
+        require_known_keys("a scalar", obj, ("rat", "sqrt"))
         return QScalar(obj.get("rat", 0), obj.get("sqrt", 0), q)
 
 
@@ -241,7 +225,8 @@ def require_unit(name: str, value, q, error=InvalidArgument) -> QScalar:
     character value is; else raise error."""
     if not isinstance(value, QScalar) or value.q != q:
         raise error(f"{name} must be a QScalar with q={q}")
-    if value.norm() == 0:
+    a, b = value.a, value.b
+    if a * a - q * b * b == 0:
         raise error(f"{name} must be invertible")
     return value
 
@@ -266,3 +251,11 @@ def _reduced(a: int, b: int, d: int, q: int) -> QScalar:
     _set_d(x, d)
     _set_q(x, q)
     return x
+
+
+def _mul(x: tuple[int, int, int], y: tuple[int, int, int],
+         q: int) -> tuple[int, int, int]:
+    """The product of two triples (u, v, d), each standing for
+    (u + v sqrt(q)) / d with d > 0, as an unreduced triple: no gcd."""
+    (a, b, d), (c, e, f) = x, y
+    return a * c + b * e * q, a * e + b * c, d * f

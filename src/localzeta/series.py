@@ -7,17 +7,20 @@ Rational functions are compared by expanding both sides into truncated
 series, never by cross-multiplication, so no polynomial gcd over a ring
 with zero divisors is ever needed.
 
-A Series keeps each coefficient as an unreduced int triple (u, v, d),
-standing for (u + v*sqrt(q)) / d with d > 0.  Series division runs on
+Both layers compute on unreduced int triples (u, v, d), standing for
+(u + v*sqrt(q)) / d with d > 0, and take no gcd inside their loops.  A Poly
+keeps canonical QScalar coefficients: Euler products, products,
+substitution and evaluation read their ints, compute on triples (over one
+common denominator where coefficients are summed), and reduce each finished
+coefficient once, so that the lcm denominators of series division stay
+small.  A Series keeps the triples themselves.  Series division runs on
 plain ints: with E the lcm of the denominator's coefficient denominators
 and A that of the numerator's, coefficient k is (u_k + v_k*sqrt(q)) /
 (A*E^k) for integers u_k, v_k obeying an integer recurrence.  Two series
 are compared by cross-multiplying the triples, which is exact because
-sqrt(q) stays formal, also for a perfect-square q.  A coefficient is put
-in canonical QScalar form only when it is read: through coeffs, to_json,
-or as the first mismatch of a comparison.  This is the only module that
-reads or builds the triples; other modules go through series_div,
-series_twist and series_equal.
+sqrt(q) stays formal, also for a perfect-square q.  A series coefficient is
+put in canonical QScalar form only when it is read: through coeffs,
+to_json, or as the first mismatch of a comparison.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
-from .scalars import QScalar, _reduced
+from .scalars import QScalar, _mul, _reduced
 
 DEFAULT_ORDER = 12
 
@@ -46,7 +49,11 @@ def _promote(values: Iterable, q: int) -> list[QScalar]:
 
 @dataclass(frozen=True, slots=True)
 class Poly:
-    """Polynomial with QScalar coefficients, trailing zeros trimmed."""
+    """Polynomial with canonical QScalar coefficients, trailing zeros trimmed.
+
+    Equality and hashing go by value.  euler, *, substitute_scaled and eval
+    compute on int triples and reduce each finished coefficient once.
+    """
 
     coeffs: tuple[QScalar, ...]
     q: int
@@ -69,21 +76,29 @@ class Poly:
     def euler(cs: Iterable[QScalar], q: int, step: int = 1) -> "Poly":
         """prod_c (1 - c T^step), the inverse of an Euler-product L-factor.
 
-        Each factor multiplies one coefficient list in place, from the top
-        down, so out[i - step] is still the old value when out[i] reads
-        it; zero entries of the list are skipped.
+        The product is kept as int pairs over one common denominator D.
+        Each factor c = (a + b sqrt(q))/e multiplies it by e - (a + b
+        sqrt(q)) T^step and D by e, in place from the top down, so the
+        pair at i - step is still the old one when the pair at i reads it.
+        No gcd is taken until _poly reduces the finished coefficients.
         """
-        zero = QScalar.zero(q)
-        out = [QScalar.one(q)]
+        us, vs, D = [1], [0], 1
         for c in _promote(cs, q):
-            if c.is_zero():
+            a, b, e = c.a, c.b, c.d
+            if not (a or b):
                 continue
-            out += [zero] * step
-            for i in range(len(out) - 1, step - 1, -1):
-                x = out[i - step]
-                if not x.is_zero():
-                    out[i] = out[i] - c * x
-        return Poly(out, q)
+            bq = b * q
+            us += [0] * step
+            vs += [0] * step
+            for i in range(len(us) - 1, -1, -1):
+                u, v = us[i] * e, vs[i] * e
+                if i >= step:
+                    x, y = us[i - step], vs[i - step]
+                    u -= a * x + bq * y
+                    v -= a * y + b * x
+                us[i], vs[i] = u, v
+            D *= e
+        return _poly([(u, v, D) for u, v in zip(us, vs)], q)
 
     @property
     def degree(self) -> int:
@@ -93,24 +108,78 @@ class Poly:
     def constant(self) -> QScalar:
         return self.coeffs[0] if self.coeffs else QScalar.zero(self.q)
 
+    def is_one(self) -> bool:
+        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.q)
-        out = [QScalar.zero(self.q)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.q)
+        """The product, by int convolution over the two common
+        denominators."""
+        if not isinstance(other, Poly):
+            return NotImplemented
+        q = self.q
+        if other.q != q:
+            raise InvalidArgument(
+                f"mixed ambient cardinalities: {q} vs {other.q}")
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        au, av, A = _over_lcm(self.coeffs)
+        bu, bv, B = _over_lcm(other.coeffs)
+        n = len(au) + len(bu) - 1
+        us, vs = [0] * n, [0] * n
+        for i, (x, y) in enumerate(zip(au, av)):
+            if not (x or y):
+                continue
+            yq = y * q
+            for j, (s, t) in enumerate(zip(bu, bv), i):
+                us[j] += x * s + yq * t
+                vs[j] += x * t + y * s
+        D = A * B
+        return _poly([(u, v, D) for u, v in zip(us, vs)], q)
 
     def substitute_scaled(self, c: QScalar) -> "Poly":
-        """p(y) -> p(c*T): multiply the k-th coefficient by c^k."""
-        return Poly([a * c**k for k, a in enumerate(self.coeffs)], self.q)
+        """p(y) -> p(c*T): multiply the k-th coefficient by c^k, with c^k
+        carried forward as one unreduced triple."""
+        q = self.q
+        c = _promote([c], q)[0]
+        unit, power = (c.a, c.b, c.d), (1, 0, 1)
+        terms = []
+        for x in self.coeffs:
+            terms.append(_mul((x.a, x.b, x.d), power, q))
+            power = _mul(power, unit, q)
+        return _poly(terms, q)
 
     def eval(self, t: QScalar) -> QScalar:
-        acc = QScalar.zero(self.q)
-        for a in reversed(self.coeffs):
-            acc = acc * t + a
-        return acc
+        """p(t) by Horner's rule on one unreduced triple, reduced once."""
+        q = self.q
+        t = _promote([t], q)[0]
+        t, acc = (t.a, t.b, t.d), (0, 0, 1)
+        for x in reversed(self.coeffs):
+            u, v, d = _mul(acc, t, q)
+            acc = (u * x.d + x.a * d, v * x.d + x.b * d, d * x.d)
+        return _reduced(*acc, q)
+
+
+def _over_lcm(coeffs: Sequence[QScalar]) -> tuple[list[int], list[int], int]:
+    """(us, vs, D) with coeffs[k] = (us[k] + vs[k] sqrt(q)) / D, over D the
+    lcm of the coefficients' denominators."""
+    D = lcm(*(c.d for c in coeffs))
+    return ([c.a * (D // c.d) for c in coeffs],
+            [c.b * (D // c.d) for c in coeffs], D)
+
+
+def _poly(terms: list[tuple[int, int, int]], q: int) -> Poly:
+    """The Poly whose coefficient k is the triple terms[k], each reduced
+    once; the public constructor's checks are skipped, since the triples
+    come from checked coefficients."""
+    while terms and not (terms[-1][0] or terms[-1][1]):
+        terms.pop()
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs",
+                       tuple(_reduced(u, v, d, q) for u, v, d in terms))
+    object.__setattr__(p, "q", q)
+    return p
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -208,7 +277,6 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
         raise DivisionByNonUnit(
             "series division needs a denominator with constant term 1")
     E = lcm(*(c.d for c in den.coeffs))
-    A = lcm(*(c.d for c in num.coeffs))
     # (j, u, v, v*q) of E^j c_j for the nonzero c_j, j >= 1
     den_terms = []
     Ej = 1
@@ -217,8 +285,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
         if not c.is_zero():
             s = Ej // c.d
             den_terms.append((j, c.a * s, c.b * s, c.b * s * q))
-    au = [c.a * (A // c.d) for c in num.coeffs[:order + 1]]
-    av = [c.b * (A // c.d) for c in num.coeffs[:order + 1]]
+    au, av, A = _over_lcm(num.coeffs[:order + 1])
     out: list[tuple[int, int, int]] = []
     Ek = 1  # E^k
     for k in range(order + 1):
@@ -250,22 +317,20 @@ def series_equal(a: Series, b: Series) -> SeriesComparison:
                             _reduced(*b.terms[i], b.q))
 
 
-def series_twist(s: Series, unit: QScalar, weights: Sequence[QScalar]) -> Series:
-    """The series with coefficient l equal to s_l * unit^l * weights[l]:
-    int arithmetic on the triples, with unit^l carried as one, no gcd."""
+def series_twist(s: Series, unit: QScalar,
+                 weights: Sequence[tuple[int, int, int]]) -> Series:
+    """The series with coefficient l equal to s_l * unit^l * weights[l], for
+    weights given as int triples: int arithmetic on the triples, with unit^l
+    carried as one, no gcd."""
     q = s.q
-    ua, ub, ud = unit.a, unit.b, unit.d
-    pa, pb, pd = 1, 0, 1  # unit^l
+    unit, power = (unit.a, unit.b, unit.d), (1, 0, 1)
     terms = []
-    for (u, v, d), w in zip(s.terms, weights):
-        if w.is_zero():
-            terms.append((0, 0, 1))
+    for t, w in zip(s.terms, weights):
+        if w[0] or w[1]:
+            terms.append(_mul(_mul(t, power, q), w, q))
         else:
-            # x = s_l * unit^l, then x * w_l
-            xa, xb = u * pa + v * pb * q, u * pb + v * pa
-            terms.append((xa * w.a + xb * w.b * q, xa * w.b + xb * w.a,
-                          d * pd * w.d))
-        pa, pb, pd = pa * ua + pb * ub * q, pa * ub + pb * ua, pd * ud
+            terms.append((0, 0, 1))
+        power = _mul(power, unit, q)
     return Series(tuple(terms), q)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
@@ -25,8 +24,8 @@ from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
 from .errors import InvalidArgument, UnsupportedCase, require_int
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local,
-                  newform_values)
-from .scalars import QScalar
+                  newform_terms)
+from .scalars import QScalar, _mul, _reduced
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_equal, series_twist)
 
@@ -90,7 +89,7 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
     w_unit = (inst.satake.omega_pi * rep.omega_tau_varpi).inverse() \
         * QScalar.q_half_power(3, inst.q)
     return series_twist(bessel_coeffs(inst.satake, inst.bessel, inst.order),
-                        w_unit, newform_values(rep, inst.order))
+                        w_unit, newform_terms(rep, inst.order))
 
 
 def _y_scale(inst: LocalInstance) -> QScalar:
@@ -282,12 +281,13 @@ def unramified_closed(satake: SatakeParams, rep: Gl2Local,
 # ---------------------------------------------------------------------------
 
 _SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+_NUMERATORS = tuple(n for n in range(-9, 10) if n != 0)
 
 
-def _nonzero_fraction(rng: random.Random) -> Fraction:
-    num = rng.choice([n for n in range(-9, 10) if n != 0])
-    den = rng.randint(1, 9)
-    return Fraction(num, den)
+def _inverse(t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """1/t for a nonzero rational triple t = (n, 0, d), kept with d > 0."""
+    n, _, d = t
+    return (d, 0, n) if n > 0 else (-d, 0, -n)
 
 
 def random_local_instance(rng: random.Random, kind: str, legendre: int,
@@ -296,46 +296,51 @@ def random_local_instance(rng: random.Random, kind: str, legendre: int,
                           order: int = DEFAULT_ORDER) -> LocalInstance:
     """Draw a valid instance with small nonzero rational parameters.
 
-    gamma4 is solved from the pairing constraint; for non-inert extensions
-    omega_pi is forced to the product/square of the drawn Lambda values so
-    that Bessel-model compatibility admits rational data.
+    Each drawn value is num/den with num in +-1..9 and den in 1..9, drawn in
+    that order.  gamma4 is solved from the pairing constraint; for
+    non-inert extensions omega_pi is forced to the product/square of the
+    drawn Lambda values so that Bessel-model compatibility admits rational
+    data.  The parameters are computed as rational int triples (n, 0, d)
+    and reduced once each, into QScalars.
     """
     if q is None:
         q = rng.choice(_SWEEP_QS)
 
     def draw():
-        return QScalar(_nonzero_fraction(rng), 0, q)
+        return rng.choice(_NUMERATORS), 0, rng.randint(1, 9)
+
+    def unit():
+        return _reduced(*draw(), q)
 
     lamL = lam_conj = None
     if legendre == INERT:
         g1, g2, g3 = draw(), draw(), draw()
-        omega_pi = g1 * g3
-    elif legendre == RAMIFIED:
-        lamL = draw()
-        omega_pi = lamL * lamL
-        g1, g2 = draw(), draw()
-        g3 = omega_pi / g1
+        omega_pi = _mul(g1, g3, q)
     else:
-        lamL, lam_conj = draw(), draw()
-        omega_pi = lamL * lam_conj
+        if legendre == RAMIFIED:
+            lamL = draw()
+            omega_pi = _mul(lamL, lamL, q)
+        else:
+            lamL, lam_conj = draw(), draw()
+            omega_pi = _mul(lamL, lam_conj, q)
         g1, g2 = draw(), draw()
-        g3 = omega_pi / g1
-    g4 = g1 * g3 / g2
-    satake = SatakeParams((g1, g2, g3, g4), q)
-    datum = BesselDatum(legendre, omega_pi, lambda_varpiL=lamL,
-                        lambda_varpi_conj=lam_conj, q=q)
+        g3 = _mul(omega_pi, _inverse(g1), q)
+    g4 = _mul(_mul(g1, g3, q), _inverse(g2), q)
+    satake = SatakeParams([_reduced(*g, q) for g in (g1, g2, g3, g4)], q)
+    lams = [None if t is None else _reduced(*t, q) for t in (lamL, lam_conj)]
+    datum = BesselDatum(legendre, _reduced(*omega_pi, q), *lams, q=q)
 
     if kind == RAMIFIED_PS_UNRAM_ALPHA:
-        rep = Gl2Local(kind, q, alpha_varpi=draw(), beta_varpi=draw(),
+        rep = Gl2Local(kind, q, alpha_varpi=unit(), beta_varpi=unit(),
                        conductor_exp=rng.randint(1, 4),
                        beta_chi_unramified=beta_chi_unramified)
     elif kind == STEINBERG_UNRAMIFIED:
-        rep = Gl2Local(kind, q, omega_varpi=draw())
+        rep = Gl2Local(kind, q, omega_varpi=unit())
     elif kind == RAMIFIED_OTHER:
-        rep = Gl2Local(kind, q, omega_tau_varpi=draw(),
+        rep = Gl2Local(kind, q, omega_tau_varpi=unit(),
                        conductor_exp=rng.randint(1, 4))
     elif kind == UNRAMIFIED_PS:
-        rep = Gl2Local(kind, q, alpha_varpi=draw(), beta_varpi=draw())
+        rep = Gl2Local(kind, q, alpha_varpi=unit(), beta_varpi=unit())
     else:
         raise InvalidArgument(f"unknown kind {kind!r}")
     return LocalInstance(satake, datum, rep, order=order)

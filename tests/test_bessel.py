@@ -102,7 +102,7 @@ def test_q_recurrence_property(legendre):
     q = 4
     for _ in range(10):
         g1, g2, g3 = (QScalar(nonzero_fraction(rng), 0, q) for _ in range(3))
-        p = SatakeParams((g1, g2, g3, g1 * g3 / g2), q)
+        p = SatakeParams((g1, g2, g3, g1 * g3 * g2.inverse()), q)
         d, _ = _random_datum(rng, legendre, q)
         order = 10
         B = bessel_coeffs(p, d, order)
@@ -122,7 +122,7 @@ def test_permutation_invariance():
     rng = random.Random(3)
     for _ in range(10):
         g1, g2, g3 = (QScalar(nonzero_fraction(rng), 0, q) for _ in range(3))
-        g4 = g1 * g3 / g2
+        g4 = g1 * g3 * g2.inverse()
         d = BesselDatum(-1, g1 * g3, q=q)
         a = bessel_coeffs(SatakeParams((g1, g2, g3, g4), q), d, 8)
         b = bessel_coeffs(SatakeParams((g1, g4, g3, g2), q), d, 8)

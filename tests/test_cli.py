@@ -417,6 +417,53 @@ def test_verify_nonarch_value_its_case_does_not_take_exit_2(tmp_path, key, value
     assert "takes no" in proc.stderr
 
 
+# a ramified-extension Case 2 instance, where beta_chi_unramified matters
+RAMIFIED_CASE2 = dict(
+    WORKED_CASE2,
+    satake={"gamma": [{"rat": "4"}, {"rat": "2"}, {"rat": "1"}, {"rat": "2"}]},
+    bessel={"legendre": 0, "lambda_varpi": {"rat": "4"},
+            "lambda_varpiL": {"rat": "2"}},
+    rep=dict(WORKED_CASE2["rep"], beta_chi_unramified=False))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rep", dict(RAMIFIED_CASE2["rep"], beta_chi_unramifed=True),
+     "rep has unknown key 'beta_chi_unramifed'"),
+    ("rep", dict(RAMIFIED_CASE2["rep"], alpha={"rat": "1", "sqrtt": "1"}),
+     "a scalar has unknown key 'sqrtt'"),
+    ("satake", dict(RAMIFIED_CASE2["satake"], omega_pi={"rat": "4"}),
+     "satake has unknown key 'omega_pi'"),
+    ("bessel", dict(RAMIFIED_CASE2["bessel"], lambda_varpi_L={"rat": "2"}),
+     "bessel has unknown key 'lambda_varpi_L'"),
+], ids=["rep-flag", "scalar-sqrtt", "satake", "bessel"])
+def test_verify_nonarch_unknown_key_exit_2(tmp_path, key, value, message):
+    # a misspelt optional key is refused, not read as absent
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(RAMIFIED_CASE2))
+    run_cli("verify-nonarch", "--params", str(path), check=True)
+    path.write_text(json.dumps(dict(RAMIFIED_CASE2, **{key: value})))
+    proc = run_cli("verify-nonarch", "--params", str(path))
+    _assert_input_error(proc)
+    assert message in proc.stderr
+
+
+def test_unknown_keys_inside_and_outside_the_local_objects(tmp_path):
+    # top-level keys stay lenient: bessel reads a verify-nonarch file and
+    # leaves its rep unread, so a bad key there does not reach it
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(WORKED_CASE2, note="README instance")))
+    run_cli("verify-nonarch", "--params", str(path), check=True)
+    path.write_text(json.dumps(dict(WORKED_CASE2, rep=dict(
+        WORKED_CASE2["rep"], n_=1))))
+    run_cli("bessel", "--params", str(path), check=True)
+    _assert_input_error(run_cli("verify-nonarch", "--params", str(path)))
+    path.write_text(json.dumps(dict(WORKED_CASE2, bessel=dict(
+        WORKED_CASE2["bessel"], legendr=-1))))
+    proc = run_cli("bessel", "--params", str(path))
+    _assert_input_error(proc)
+    assert "bessel has unknown key 'legendr'" in proc.stderr
+
+
 @pytest.mark.parametrize("field, value", [("l", 10.5), ("l", True), ("D", 3.0)])
 def test_global_constant_non_integer_exit_2(tmp_path, field, value):
     path = tmp_path / "global.json"

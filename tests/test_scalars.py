@@ -11,7 +11,7 @@ from conftest import nonzero_fraction, rq
 
 def test_defining_relation():
     # (0 + 1*sqrt(q))^2 = q
-    x = QScalar.root_q(5)
+    x = QScalar(0, 1, 5)
     assert x * x == rq(5, 5)
     assert x**2 == rq(5, 5)
 
@@ -25,7 +25,7 @@ def test_identity_powers():
 def test_sqrt_inverse_derived():
     # solve (a + b sqrt(q)) (0 + 1 sqrt(q)) = 1 componentwise: bq = 1, a = 0
     q = 4
-    x = QScalar.root_q(q)
+    x = QScalar(0, 1, q)
     expected = QScalar(0, Fraction(1, q), q)
     assert x**-1 == expected
     assert x * expected == QScalar.one(q)
@@ -42,8 +42,8 @@ def test_q_half_power():
 
 def test_formal_sqrt_not_collapsed():
     # over q = 4 the symbol sqrt(q) stays distinct from the integer 2
-    assert QScalar.root_q(4) != rq(2, 4)
-    assert QScalar.root_q(4) ** 2 == rq(4, 4)
+    assert QScalar(0, 1, 4) != rq(2, 4)
+    assert QScalar(0, 1, 4) ** 2 == rq(4, 4)
 
 
 def test_mixed_q_rejected():
@@ -54,13 +54,10 @@ def test_mixed_q_rejected():
 def test_non_invertible_inversion():
     # norm of 2 + sqrt(4) is 4 - 4 = 0
     x = QScalar(2, 1, 4)
-    assert x.norm() == 0
     with pytest.raises(InvalidInversion):
         x.inverse()
     with pytest.raises(InvalidInversion):
         x**-1
-    with pytest.raises(InvalidInversion):
-        QScalar.one(4) / x
 
 
 def test_zero_inversion():
@@ -90,14 +87,6 @@ def test_ring_axioms_random(q):
         assert a + b == b + a
 
 
-@pytest.mark.parametrize("q", [3, 4, 9])
-def test_norm_multiplicative(q):
-    rng = random.Random(q)
-    for _ in range(60):
-        a, b = _random_scalar(rng, q), _random_scalar(rng, q)
-        assert (a * b).norm() == a.norm() * b.norm()
-
-
 def test_inverse_roundtrip_random():
     rng = random.Random(5)
     for _ in range(40):
@@ -111,8 +100,6 @@ def test_int_promotion():
     assert a + 1 == rq(Fraction(3, 2), 5)
     assert 2 * a == rq(1, 5)
     assert 1 - a == rq(Fraction(1, 2), 5)
-    assert a / 2 == rq(Fraction(1, 4), 5)
-    assert 1 / a == rq(2, 5)
 
 
 def test_float_embedding():
@@ -211,10 +198,8 @@ def test_ring_operations_match_fraction_reference(q):
         assert_matches(sx - sy, (x[0] - y[0], x[1] - y[1]), q)
         assert_matches(-sx, (-x[0], -x[1]), q)
         assert_matches(sx * sy, ref_mul(x, y, q), q)
-        if sy.norm() != 0:
-            assert sy.norm() == y[0] ** 2 - q * y[1] ** 2
+        if y[0] ** 2 - q * y[1] ** 2 != 0:
             assert_matches(sy.inverse(), ref_inverse(y, q), q)
-            assert_matches(sx / sy, ref_mul(x, ref_inverse(y, q), q), q)
             k = rng.randint(-6, 6)
             assert_matches(sy ** k, ref_pow(y, k, q), q)
         else:
@@ -236,11 +221,6 @@ def test_mixed_operands_match_fraction_reference(q):
         assert_matches(c - sx, (c - x[0], -x[1]), q)
         assert_matches(sx * c, (x[0] * c, x[1] * c), q)
         assert_matches(c * sx, (x[0] * c, x[1] * c), q)
-        if c != 0:
-            assert_matches(sx / c, (x[0] / c, x[1] / c), q)
-        if sx.norm() != 0:
-            assert_matches(c / sx, ref_mul((Fraction(c), Fraction(0)),
-                                           ref_inverse(x, q), q), q)
 
 
 @pytest.mark.parametrize("q", DIFF_QS)

@@ -40,7 +40,7 @@ def test_sqrt_division_derived():
     # 1 / (1 - sqrt(q) T) at q = 2: verify by multiplying back
     q = 2
     one = QScalar.one(q)
-    root = QScalar.root_q(q)
+    root = QScalar(0, 1, q)
     num = Poly([one], q)
     den = Poly([one, -root], q)
     s = series_div(num, den, 2)
@@ -346,9 +346,9 @@ def test_series_equal_keeps_sqrt_formal_at_square_q(q):
     # c and c + r - sqrt(q), r = isqrt(q), agree once sqrt(q) is read as r;
     # c and c + sqrt(q) differ in the sqrt(q) part alone
     x = QScalar(Fraction(2, 3), Fraction(-5, 7), q)
-    shifted = x + math.isqrt(q) - QScalar.root_q(q)
+    shifted = x + math.isqrt(q) - QScalar(0, 1, q)
     assert embed(shifted) == embed(x)
-    for y in (shifted, x + QScalar.root_q(q)):
+    for y in (shifted, x + QScalar(0, 1, q)):
         a, b = series_of([1, x], q), series_of([1, y], q)
         report = series_equal(a, b)
         assert not report.match and report.index == 1
@@ -412,3 +412,82 @@ def test_poly_euler_matches_product_of_factors(q):
             assert _fields(got.coeffs) == _fields(want.coeffs)
     assert Poly.euler([Fraction(1, 2), 3], q) == \
         Poly([1, Fraction(-7, 2), Fraction(3, 2)], q)
+
+
+# ---------------------------------------------------------------------------
+# The int-backed Poly operations against schoolbook QScalar code
+# ---------------------------------------------------------------------------
+
+def _schoolbook_product(xs, ys, q) -> list[QScalar]:
+    """Convolution of two coefficient lists, one QScalar operation at a
+    time, with trailing zeros trimmed."""
+    if not xs or not ys:
+        return []
+    out = [QScalar.zero(q)] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            out[i + j] = out[i + j] + a * b
+    while out and out[-1].is_zero():
+        out.pop()
+    return out
+
+
+def _schoolbook_euler(cs, q, step) -> list[QScalar]:
+    out = [QScalar.one(q)]
+    for c in cs:
+        out = _schoolbook_product(
+            out, [QScalar.one(q)] + [QScalar.zero(q)] * (step - 1) + [-c], q)
+    return out
+
+
+def _random_coeffs(rng, q, n):
+    return [_random_scalar(rng, q, p_zero=0.3) for _ in range(n)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13])
+def test_poly_operations_match_schoolbook(q):
+    # zero coefficients, sqrt(q) parts, and at q = 4 and 9 products of
+    # nonzero elements that vanish, as (2 + sqrt(4))(2 - sqrt(4)) does
+    rng = random.Random(4000 + q)
+    r = math.isqrt(q)
+    for trial in range(40):
+        cs = _random_coeffs(rng, q, rng.randint(0, 5))
+        if r * r == q and trial % 4 == 0:
+            cs += [QScalar(r, 1, q), QScalar(r, -1, q)]
+        for step in (1, 2):
+            got = Poly.euler(cs, q, step)
+            want = _schoolbook_euler(cs, q, step)
+            assert _full_fields(got.coeffs) == _full_fields(want)
+            assert got == Poly(want, q) and hash(got) == hash(Poly(want, q))
+
+        a = Poly(_random_coeffs(rng, q, rng.randint(0, 6)), q)
+        b = Poly(_random_coeffs(rng, q, rng.randint(0, 6)), q)
+        want = _schoolbook_product(a.coeffs, b.coeffs, q)
+        assert _full_fields((a * b).coeffs) == _full_fields(want)
+        assert _full_fields((b * a).coeffs) == _full_fields(want)
+
+        c, t = _random_scalar(rng, q, p_zero=0.1), _random_scalar(rng, q)
+        power, scaled = QScalar.one(q), []
+        for x in a.coeffs:
+            scaled.append(x * power)
+            power = power * c
+        while scaled and scaled[-1].is_zero():
+            scaled.pop()
+        assert _full_fields(a.substitute_scaled(c).coeffs) == \
+            _full_fields(scaled)
+
+        acc = QScalar.zero(q)
+        for x in reversed(a.coeffs):
+            acc = acc * t + x
+        got = a.eval(t)
+        assert (got.a, got.b, got.d, got.q) == (acc.a, acc.b, acc.d, acc.q)
+
+
+def test_poly_product_checks_its_operand():
+    with pytest.raises(InvalidArgument, match="mixed"):
+        Poly([1, 1], 2) * Poly([1, 1], 3)
+    with pytest.raises(TypeError):
+        Poly([1, 1], 2) * 3
+    one, p = Poly.one(5), Poly([1, Fraction(1, 2)], 5)
+    assert p * one == one * p == p
+    assert (p * Poly.zero(5)).degree == -1

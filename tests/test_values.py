@@ -32,7 +32,7 @@ def _instances(seed=606):
 
 # type name -> the value of that type drawn from an instance
 VALUES = {
-    "QScalar": lambda i: i.satake.gamma[0] * QScalar.root_q(i.q) + 1,
+    "QScalar": lambda i: i.satake.gamma[0] * QScalar(0, 1, i.q) + 1,
     "Poly": lambda i: sugano_Q(i.satake),
     "Series": lambda i: bessel_coeffs(i.satake, i.bessel, i.order),
     "RatFn": y_factor,

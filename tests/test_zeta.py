@@ -8,6 +8,7 @@ import pytest
 from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED,
                        UNRAMIFIED_PS, BesselDatum, Gl2Local, InvalidArgument,
+                       InvalidBesselDatum,
                        LocalInstance, Poly, QScalar, SatakeParams,
                        UnsupportedCase, bessel_coeffs, euler_chi,
                        euler_pairing, euler_triple, hq_substituted,
@@ -216,13 +217,29 @@ def test_instance_validation():
         LocalInstance(satake, BesselDatum(INERT, rq(2, Q4), q=Q4), other_q)
 
 
+@pytest.mark.parametrize("decode, obj, key, error", [
+    (QScalar.from_json, {"rat": "1", "sqrt": "2"}, "sqrtt", InvalidArgument),
+    (SatakeParams.from_json, {"gamma": [1, 1, 1, 1]}, "gama",
+     InvalidArgument),
+    (BesselDatum.from_json, {"legendre": -1, "lambda_varpi": 1},
+     "lambda_varpi_L", InvalidBesselDatum),
+    (Gl2Local.from_json, {"kind": STEINBERG_UNRAMIFIED, "omega": 1}, "N",
+     InvalidArgument),
+], ids=["scalar", "satake", "bessel", "rep"])
+def test_from_json_refuses_unknown_keys(decode, obj, key, error):
+    decode(obj, 5)
+    with pytest.raises(error, match=f"has unknown key '{key}'"):
+        decode(dict(obj, **{key: obj[next(iter(obj))]}), 5)
+
+
 def test_unramified_closed_shape_and_split_specialization():
     q = 9
     alpha, beta = rq(2, q), rq(Fraction(1, 3), q)
     lamL, lamC = rq(3, q), rq(Fraction(-1, 2), q)
     omega_pi = lamL * lamC
     g1, g2 = rq(5, q), rq(7, q)
-    satake = SatakeParams((g1, g2, omega_pi / g1, omega_pi / g2), q)
+    satake = SatakeParams((g1, g2, omega_pi * g1.inverse(),
+                          omega_pi * g2.inverse()), q)
     datum = BesselDatum(SPLIT, omega_pi, lambda_varpiL=lamL,
                         lambda_varpi_conj=lamC, q=q)
     rep = Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=alpha, beta_varpi=beta)
@@ -333,3 +350,76 @@ def test_sweep_plan_draws_each_instance_when_asked(monkeypatch):
     first = next(iter(cli._sweep_plan(0, 12, 100)))
     assert draws == 1
     assert first == next(iter(cli._sweep_plan(0, 12, 1)))
+
+
+def _reference_draw(rng, kind, legendre, beta_chi_unramified):
+    """random_local_instance as it was first written: each value a Fraction
+    num/den, with num drawn from +-1..9 and den from 1..9, and the derived
+    parameters computed in Fractions."""
+    q = rng.choice((2, 3, 4, 5, 7, 8, 9, 11, 13))
+
+    def draw():
+        num = rng.choice([n for n in range(-9, 10) if n != 0])
+        return Fraction(num, rng.randint(1, 9))
+
+    def scalar(x):
+        return None if x is None else QScalar(x, 0, q)
+
+    lamL = lam_conj = None
+    if legendre == INERT:
+        g1, g2, g3 = draw(), draw(), draw()
+        omega_pi = g1 * g3
+    elif legendre == RAMIFIED:
+        lamL = draw()
+        omega_pi = lamL * lamL
+        g1, g2 = draw(), draw()
+        g3 = omega_pi / g1
+    else:
+        lamL, lam_conj = draw(), draw()
+        omega_pi = lamL * lam_conj
+        g1, g2 = draw(), draw()
+        g3 = omega_pi / g1
+    g4 = g1 * g3 / g2
+    satake = SatakeParams(tuple(map(scalar, (g1, g2, g3, g4))), q)
+    datum = BesselDatum(legendre, scalar(omega_pi), lambda_varpiL=scalar(lamL),
+                        lambda_varpi_conj=scalar(lam_conj), q=q)
+    if kind == RAMIFIED_PS_UNRAM_ALPHA:
+        rep = Gl2Local(kind, q, alpha_varpi=scalar(draw()),
+                       beta_varpi=scalar(draw()),
+                       conductor_exp=rng.randint(1, 4),
+                       beta_chi_unramified=beta_chi_unramified)
+    elif kind == STEINBERG_UNRAMIFIED:
+        rep = Gl2Local(kind, q, omega_varpi=scalar(draw()))
+    elif kind == RAMIFIED_OTHER:
+        rep = Gl2Local(kind, q, omega_tau_varpi=scalar(draw()),
+                       conductor_exp=rng.randint(1, 4))
+    else:
+        rep = Gl2Local(kind, q, alpha_varpi=scalar(draw()),
+                       beta_varpi=scalar(draw()))
+    return LocalInstance(satake, datum, rep)
+
+
+def test_random_local_instance_matches_the_fraction_draw(monkeypatch):
+    # the (kind, legendre, beta_chi_unramified) triples the sweep draws,
+    # read off its plan, and the unramified kind besides
+    mix = []
+    real = zeta.random_local_instance
+
+    def recorded(rng, kind, legendre, beta_chi_unramified=False, **kwargs):
+        mix.append((kind, legendre, beta_chi_unramified))
+        return real(rng, kind, legendre, beta_chi_unramified, **kwargs)
+
+    monkeypatch.setattr(zeta, "random_local_instance", recorded)
+    list(cli._sweep_plan(0, 12, 1))
+    kinds = sorted(set(mix)) + [(UNRAMIFIED_PS, legendre, False)
+                                for legendre in (INERT, RAMIFIED, SPLIT)]
+    assert len(kinds) == 13
+    for seed in range(20):
+        for kind, legendre, flag in kinds:
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = real(got_rng, kind, legendre, beta_chi_unramified=flag)
+            want = _reference_draw(want_rng, kind, legendre, flag)
+            assert got.to_json() == want.to_json()
+            assert got == want
+            # the same calls, in the same order, leave the same state
+            assert got_rng.getstate() == want_rng.getstate()
