@@ -6,18 +6,22 @@ Instance reports are emitted one JSON object per line so sweeps stream.
 Each subcommand handler yields (row, passed) pairs; main writes each row to
 stdout, the one output stream, as it arrives and derives the exit code from
 the passed flags.  Shell redirection sends it to a file.
+The parser is built once per process, on the first main call.  The
+arch-verify and cosets handlers import arch and cosets (and so numpy)
+themselves, so the exact subcommands never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from typing import Iterator
 
-from . import arch, cgamma, cosets, globalconst, zeta
+from . import cgamma, globalconst, zeta
 from .bessel import BesselDatum, SatakeParams, bessel_coeffs
 from .errors import LocalZetaError
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
@@ -108,6 +112,7 @@ def _cmd_dims(args):
 
 
 def _cmd_cosets(args):
+    from . import cosets
     try:
         report = cosets.double_coset_partition(args.p, method=args.method)
     except LocalZetaError as exc:
@@ -116,6 +121,7 @@ def _cmd_cosets(args):
 
 
 def _cmd_arch_verify(args):
+    from . import arch
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _InputError(f"--tol must be a finite number > 0, got {args.tol}")
     for idx, obj in enumerate(_load_items(args.spec)):
@@ -248,6 +254,7 @@ _COMMANDS = [
 ]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localzeta",

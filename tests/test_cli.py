@@ -1,11 +1,14 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,9 @@ WORKED_CASE2 = {
     "rep": {"kind": "RamifiedPSUnramAlpha", "alpha": {"rat": "1"},
             "beta": {"rat": "3"}, "n": 1},
 }
+
+# the package source, for a child interpreter that imports it fresh
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ARCH_SPEC = {"l": 10, "l1": 10, "D": 4, "q_exp": 0.0,
              "a_plus": 3.16652e-06, "s": 7 / 6, "ir": 9.0}
@@ -708,3 +714,65 @@ def test_out_flag_rejected():
     assert proc.returncode == 2
     assert "unrecognized arguments: --out x" in proc.stderr
     assert proc.stdout == ""
+
+
+# what only arch-verify and cosets may load: numpy and the numpy modules
+NUMPY_MODULES = ("numpy", "localzeta.arch", "localzeta.cosets",
+                 "localzeta.quadrature", "localzeta._kernels")
+
+
+def test_exact_routes_never_load_numpy(tmp_path):
+    path = tmp_path / "case2.json"
+    path.write_text(json.dumps(WORKED_CASE2))
+    script = f"""
+import contextlib, io, sys
+import localzeta.cli as cli
+
+def run(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(args))
+
+for args in (["sweep", "--order", "2"], ["dims"], ["gamma-selftest"],
+             ["verify-nonarch", "--params", {str(path)!r}],
+             ["bessel", "--params", {str(path)!r}]):
+    assert run(*args) == 0, args
+loaded = [m for m in {NUMPY_MODULES!r} if m in sys.modules]
+assert not loaded, loaded
+assert run("cosets", "--p", "2", "--method", "quotient") == 0
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cached_parser_keeps_no_state_between_calls():
+    assert cli._build_parser() is cli._build_parser()
+    run_cli("cosets", "--p", "2", "--method", "quotient", check=True)
+    # the default --method is the full route's, not the last call's
+    (report,) = _lines(run_cli("cosets", "--p", "2", check=True))
+    assert report["method"] == "full"
+    assert "group_order" in report and "flags" not in report
+    assert run_cli("cosets").returncode == 2  # --p is required
+    run_cli("dims", check=True)
+    assert run_cli("sweep", "--order", "2", "--corrupt-y").returncode == 1
+    summary = _lines(run_cli("sweep", "--order", "2", check=True))[-1]
+    assert summary["failures"] == 0
+    first, second = run_cli("--help"), run_cli("--help")
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout and "sweep" in first.stdout
+
+
+def test_warm_call_leaves_no_cyclic_garbage():
+    calls = [("dims",), ("cosets", "--p", "2", "--method", "quotient"),
+             ("sweep", "--order", "2")]
+    for args in calls:  # warm up: the parser and every module are built
+        run_cli(*args, check=True)
+    gc.collect()
+    gc.disable()
+    try:
+        for args in calls:
+            run_cli(*args, check=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
