@@ -9,15 +9,14 @@ from .errors import (DivergentParameters, DivisionByNonUnit, Infeasible,
                      UnsupportedCase, UnsupportedParameters)
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local,
-                  induced_invariant_dim, newform_space_dim, newform_value,
-                  newform_values)
+                  induced_invariant_dim, newform_space_dim, newform_value)
 from .scalars import QScalar
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_div, series_equal)
 from .zeta import (LocalInstance, VerificationReport, euler_chi,
                    euler_pairing, euler_triple, hq_substituted,
-                   random_local_instance, unramified_closed, verify_local,
-                   y_factor, zeta_closed_rhs, zeta_series_lhs)
+                   random_local_instance, verify_local, y_factor,
+                   zeta_closed_rhs, zeta_series_lhs)
 
 __version__ = "0.1.0"
 

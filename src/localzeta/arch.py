@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgamma import EXP_CEIL, EXP_FLOOR, digamma, exp_in_range, log_gamma
+from .cgamma import EXP_CEIL, EXP_FLOOR, exp_in_range, log_gamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
                      UnsupportedParameters, require_complex, require_int)
 from .quadrature import _nodes, quad_zero_to_inf
@@ -291,10 +291,3 @@ def arch_zeta_closed_simplified(spec: ArchSpec) -> complex:
     return _closed_form(spec, spec.l - spec.l1, -math.log(2.0)
                         - log_gamma(_gamma_args(spec)[2] + 1.0))
 
-
-def arch_zeta_closed_logderiv(spec: ArchSpec) -> complex:
-    """d/ds log of the closed form, for the holomorphy sanity check."""
-    z1, z2, z3 = _gamma_args(spec)
-    return (-3 * math.log(spec.D) - 3 * math.log(4 * math.pi)
-            - 6 / spec.gate
-            + 3 * digamma(z1) + 3 * digamma(z2) - 3 * digamma(z3))

@@ -1,4 +1,4 @@
-"""Complex log Gamma, Gamma and digamma by Lanczos with reflection."""
+"""Complex log Gamma and Gamma by Lanczos with reflection."""
 
 from __future__ import annotations
 
@@ -71,33 +71,6 @@ def exp_in_range(log_value: complex, what: str, name: str, value) -> complex:
 def complex_gamma(z: complex) -> complex:
     """exp(log_gamma(z)); InvalidArgument where it is not a normal double."""
     return exp_in_range(log_gamma(z), "Gamma", "z", complex(z))
-
-
-# Bernoulli numbers B_2 .. B_14 for the digamma asymptotic series.
-_BERNOULLI = (
-    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
-    5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0,
-)
-
-
-def digamma(z: complex) -> complex:
-    """psi(z): psi(1 - z) - pi cot(pi z) for Re z < 1/2 (DLMF 5.5.4; exact
-    reduction by round(Re z)), then <= 12 upward steps to the asymptotics."""
-    z = _checked(z, "digamma")
-    if z.real < 0.5:
-        return (digamma(1.0 - z)
-                - math.pi / cmath.tan(math.pi * (z - round(z.real))))
-    acc = 0.0 + 0.0j
-    while z.real < 12.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0.0 + 0.0j
-    power = inv2
-    for n, b in enumerate(_BERNOULLI, start=1):
-        series += b / (2 * n) * power
-        power *= inv2
-    return acc + cmath.log(z) - 0.5 / z - series
 
 
 _SELFTEST_SAMPLES = 100  # recurrence points on the test strip

@@ -31,11 +31,6 @@ T1 = ((0, 1, 0, 0),
       (0, 0, 1, 0),
       (0, 0, 0, 1))
 
-T2 = ((1, 0, 0, 0),
-      (0, 0, 0, 1),
-      (0, 0, 1, 0),
-      (0, -1, 0, 0))
-
 # Positions allowed to be nonzero in P4.
 _P4_MASK = np.array([[1, 1, 1, 1],
                      [0, 1, 1, 1],
@@ -45,14 +40,6 @@ _P4_MASK = np.array([[1, 1, 1, 1],
 
 def gl4_order(p: int) -> int:
     return (p**4 - 1) * (p**4 - p) * (p**4 - p**2) * (p**4 - p**3)
-
-
-def sp4_order(p: int) -> int:
-    return p**4 * (p**2 - 1) * (p**4 - 1)
-
-
-def gsp4_order(p: int) -> int:
-    return sp4_order(p) * (p - 1)
 
 
 def p4_order(p: int) -> int:
@@ -67,13 +54,6 @@ def _check_p(p: int) -> None:
 
 def _np_mat(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
-
-
-def _in_p4(mats: np.ndarray, p: int) -> np.ndarray:
-    """Which (N,4,4) matrices are invertible mod p and match the P4 pattern."""
-    m = np.asarray(mats, dtype=np.int64) % p
-    return ((m[:, ~_P4_MASK] == 0).all(axis=1)
-            & (_kernels.det_mod_batch(m, p) != 0))
 
 
 def _similitude_factors(mats: np.ndarray, p: int) -> np.ndarray:
@@ -141,37 +121,6 @@ def gsp4_generators(p: int) -> list[np.ndarray]:
     if not _similitude_factors(np.stack(gens), p).all():
         raise RuntimeError("a GSp4 generator is not a similitude")
     return gens
-
-
-_CLOSURE_LIMIT = 2_000_000  # elements a subgroup closure may reach
-
-
-def generated_subgroup_order(gens: list[np.ndarray], p: int) -> int:
-    """Order of the subgroup generated by gens, by batched BFS closure.
-
-    A matrix is held as its four row keys, row . (1, p, p^2, p^3); its
-    packed key, as _kernels.pack_keys makes it, is then rows . (1, p^4,
-    p^8, p^12).  Row r of m @ g is (row r of m) @ g, so one table per
-    generator over the p^4 row keys gives every product.  The keys seen
-    so far are one sorted int64 array.
-    """
-    digits = p ** np.arange(4, dtype=np.int64)
-    vecs = np.arange(p**4, dtype=np.int64)[:, None] // digits % p
-    step = np.stack([vecs @ (np.asarray(g, dtype=np.int64) % p) % p @ digits
-                     for g in gens])
-    weights = p ** (4 * np.arange(4, dtype=np.int64))
-    frontier = digits[None]  # the identity
-    seen = frontier @ weights
-    while len(frontier):
-        rows = step[:, frontier].reshape(-1, 4)
-        keys, idx = np.unique(rows @ weights, return_index=True)
-        fresh = ~np.isin(keys, seen, assume_unique=True)
-        seen = np.union1d(seen, keys[fresh])
-        if len(seen) > _CLOSURE_LIMIT:
-            raise Infeasible(
-                f"subgroup closure exceeded {_CLOSURE_LIMIT} elements")
-        frontier = rows[idx[fresh]]
-    return len(seen)
 
 
 @dataclass(frozen=True)

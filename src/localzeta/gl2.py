@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidArgument, require_int, require_known_keys
-from .scalars import QScalar, _mul, _reduced, require_unit
+from .errors import (InvalidArgument, UnsupportedCase, require_int,
+                     require_known_keys)
+from .scalars import QScalar, _mul, require_unit
 
 # Representation kinds.
 UNRAMIFIED_PS = "UnramifiedPS"                 # alpha x beta, both unramified
@@ -150,41 +151,21 @@ def newform_value(rep: Gl2Local, l: int) -> QScalar:
     return QScalar.q_half_power(-l, q) * acc
 
 
-def newform_values(rep: Gl2Local, order: int) -> list[QScalar]:
-    """[newform_value(rep, l) for l = 0..order], from newform_terms: each
-    value reduced once, the l-th power never raised afresh."""
-    return [_reduced(*t, rep.q) for t in newform_terms(rep, order)]
-
-
 def newform_terms(rep: Gl2Local, order: int) -> list[tuple[int, int, int]]:
-    """The values of newform_values as unreduced int triples (u, v, d),
-    standing for (u + v sqrt(q)) / d: each power carried forward from the
-    last, with no gcd taken."""
+    """[newform_value(rep, l) for l = 0..order] for a ramified kind, as
+    unreduced int triples (u, v, d), standing for (u + v sqrt(q)) / d:
+    each power carried forward from the last, with no gcd taken.  The m = 0
+    coset sum reads no UnramifiedPS values, so that kind is unsupported."""
     q = rep.q
     one = (1, 0, 1)
     if rep.kind == RAMIFIED_OTHER:
         return [one] + [(0, 0, 1)] * order
-    if rep.kind == UNRAMIFIED_PS:
-        # q^(-l/2) S_l with S_l = sum_k alpha^k beta^(l-k)
-        #                       = beta S_(l-1) + alpha^l,
-        # carried as e^l S_l, e = d_alpha d_beta: the same recurrence on
-        # e alpha and e beta, whose triples have denominator 1
-        alpha, beta = rep.alpha_varpi, rep.beta_varpi
-        ea = (alpha.a * beta.d, alpha.b * beta.d, 1)
-        eb = (beta.a * alpha.d, beta.b * alpha.d, 1)
-        step = (0, 1, q * alpha.d * beta.d)  # q^(-1/2) / e
-        out, s, a_pow, scale = [one], one, one, one
-        for _ in range(order):
-            a_pow = _mul(a_pow, ea, q)
-            u, v, _ = _mul(eb, s, q)
-            s = (u + a_pow[0], v + a_pow[1], 1)
-            scale = _mul(scale, step, q)
-            out.append(_mul(scale, s, q))
-        return out
     if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
         x, r = rep.beta_varpi, (0, 1, q)  # beta q^(-1/2)
-    else:
+    elif rep.kind == STEINBERG_UNRAMIFIED:
         x, r = rep.omega_varpi, (1, 0, q)  # Omega q^(-1)
+    else:
+        raise UnsupportedCase(f"no m = 0 newform values for kind {rep.kind}")
     ratio = _mul((x.a, x.b, x.d), r, q)
     out = [one]
     for _ in range(order):

@@ -85,26 +85,38 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
     if rep.kind == UNRAMIFIED_PS:
         raise UnsupportedCase(
             "the m = 0 reduction requires conductor n > 0; "
-            "use unramified_closed for the unramified principal series")
+            "use zeta_closed_rhs for the unramified principal series")
     w_unit = (inst.satake.omega_pi * rep.omega_tau_varpi).inverse() \
         * QScalar.q_half_power(3, inst.q)
     return series_twist(bessel_coeffs(inst.satake, inst.bessel, inst.order),
                         w_unit, newform_terms(rep, inst.order))
 
 
+# kind -> (k, name) with y = q^(k/2) (omega_pi x)^{-1}(varpi) T, x = rep.<name>:
+# y = q^(-3s+1) (omega_pi alpha)^{-1}(varpi) in Case 2,
+# y = q^(-3s+1/2) (omega_pi Omega)^{-1}(varpi) in Case 3
+_Y_SCALE = {
+    RAMIFIED_PS_UNRAM_ALPHA: (2, "alpha_varpi"),
+    STEINBERG_UNRAMIFIED: (1, "omega_varpi"),
+}
+
+# kind -> tau's unramified values at varpi, over which the closed form's
+# pairing and triple factors run; the Steinberg kind has no closed form
+_UNRAMIFIED_VALUES = {
+    RAMIFIED_OTHER: (),
+    RAMIFIED_PS_UNRAM_ALPHA: ("alpha_varpi",),
+    UNRAMIFIED_PS: ("alpha_varpi", "beta_varpi"),
+}
+
+
 def _y_scale(inst: LocalInstance) -> QScalar:
     """Scalar c with y = c*T in the H/Q substitution, per representation case."""
-    q = inst.q
     rep = inst.rep
-    if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
-        # y = q^(-3s+1) (omega_pi alpha)^{-1}(varpi)
-        return QScalar.q_half_power(2, q) \
-            * (inst.satake.omega_pi * rep.alpha_varpi).inverse()
-    if rep.kind == STEINBERG_UNRAMIFIED:
-        # y = q^(-3s+1/2) (omega_pi Omega)^{-1}(varpi)
-        return QScalar.q_half_power(1, q) \
-            * (inst.satake.omega_pi * rep.omega_varpi).inverse()
-    raise UnsupportedCase(f"no H/Q substitution for kind {rep.kind}")
+    if rep.kind not in _Y_SCALE:
+        raise UnsupportedCase(f"no H/Q substitution for kind {rep.kind}")
+    k, name = _Y_SCALE[rep.kind]
+    return QScalar.q_half_power(k, inst.q) \
+        * (inst.satake.omega_pi * getattr(rep, name)).inverse()
 
 
 def hq_substituted(inst: LocalInstance) -> Series:
@@ -172,24 +184,23 @@ def y_factor(inst: LocalInstance) -> RatFn:
 
 def zeta_closed_rhs(inst: LocalInstance,
                     y_factor_fn: Optional[Callable] = None) -> RatFn:
-    """Closed form L(3s+1/2)/(L(6s+1) L(3s+1, triple)) * Y(s), Cases 1-2.
+    """Closed form L(3s+1/2)/(L(6s+1) L(3s+1, triple)) * Y(s), for every
+    kind but the Steinberg one.
 
-    Case 1 takes the pairing and triple factors as 1.  Case 2 takes them
-    at tau's unramified value alpha, the triple factor also at the
-    _beta_units value, which Y(s) cancels.
+    The pairing factor runs over tau's unramified values t at varpi: none
+    in Case 1, alpha in Case 2, alpha and beta for the unramified principal
+    series, Furusawa's form with Y = 1, which no sum checks (the coset sum
+    is taken at m = 0 only).  The triple factor runs over the units
+    (omega_pi t)^{-1} and the _beta_units value, which Y(s) cancels.
     """
     rep, satake = inst.rep, inst.satake
-    if rep.kind == STEINBERG_UNRAMIFIED:
+    if rep.kind not in _UNRAMIFIED_VALUES:
         raise UnsupportedCase(
             "no explicit triple factor for the Steinberg case; "
             "verify against hq_substituted instead")
-    if rep.kind == UNRAMIFIED_PS:
-        raise UnsupportedCase("use unramified_closed for the unramified case")
     yf = (y_factor_fn or y_factor)(inst)
-    taus, units = [], []
-    if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
-        taus = [rep.alpha_varpi]
-        units = [(satake.omega_pi * rep.alpha_varpi).inverse(), *_beta_units(inst)]
+    taus = [getattr(rep, name) for name in _UNRAMIFIED_VALUES[rep.kind]]
+    units = [(satake.omega_pi * t).inverse() for t in taus] + _beta_units(inst)
     chi = euler_chi(satake, rep)
     triple = euler_triple(inst.bessel, units)
     return RatFn(chi * triple * yf.numer, euler_pairing(satake, taus) * yf.denom)
@@ -235,19 +246,20 @@ def verify_local(inst: LocalInstance,
                  y_factor_fn: Optional[Callable] = None) -> VerificationReport:
     """Compare LHS sum, substituted H/Q and the closed form, as applicable.
 
-    Cases 1-2 check LHS = series(RHS); Cases 2-3 additionally (resp. only)
-    check LHS = H/Q.  The optional y_factor_fn override exists as a
+    A kind checks LHS = H/Q where _Y_SCALE has its substitution (Cases 2
+    and 3), and LHS = series(RHS) where _UNRAMIFIED_VALUES has its closed
+    form (Cases 1 and 2).  The optional y_factor_fn override exists as a
     negative-control hook for the sweep driver.
     """
     kind = inst.rep.kind
-    if kind == UNRAMIFIED_PS:
+    if kind not in _CASE_LABELS:
         raise UnsupportedCase("verification needs a ramified GL2 representation")
     lhs = zeta_series_lhs(inst)
     hq = cmp_hq = rhs = cmp_rhs = None
-    if kind in (RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED):
+    if kind in _Y_SCALE:
         hq = hq_substituted(inst)
         cmp_hq = series_equal(lhs, hq)
-    if kind in (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA):
+    if kind in _UNRAMIFIED_VALUES:
         rhs = zeta_closed_rhs(inst, y_factor_fn=y_factor_fn).to_series(inst.order)
         cmp_rhs = series_equal(lhs, rhs)
     passed = all(c.match for c in (cmp_hq, cmp_rhs) if c is not None)
@@ -258,22 +270,6 @@ def verify_local(inst: LocalInstance,
         lhs_vs_hq=cmp_hq, lhs_vs_rhs=cmp_rhs,
         passed=passed,
     )
-
-
-def unramified_closed(satake: SatakeParams, rep: Gl2Local,
-                      bessel: BesselDatum) -> RatFn:
-    """Furusawa's closed form for fully unramified data, for global assembly.
-
-    Returns L(3s+1/2, pi~ x tau~) / (L(6s+1, chi|F^x) L(3s+1, triple)) as a
-    single rational function of T.  There is no series oracle at m > 0, so
-    this is not verified against a sum; only its building blocks are.
-    """
-    if rep.kind != UNRAMIFIED_PS:
-        raise UnsupportedCase("unramified_closed needs the unramified principal series")
-    taus = (rep.alpha_varpi, rep.beta_varpi)
-    chi = (satake.omega_pi * rep.omega_tau_varpi).inverse()
-    triple = euler_triple(bessel, [chi * t for t in taus])
-    return RatFn(euler_chi(satake, rep) * triple, euler_pairing(satake, taus))
 
 
 # ---------------------------------------------------------------------------

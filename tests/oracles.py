@@ -1,0 +1,105 @@
+"""Reference values that only the tests read, kept out of the package.
+
+digamma and the closed form's log-derivative check the archimedean Gamma
+quotient; the group orders, the P4 membership test, the second Weyl
+element T2 and the subgroup closure check the coset generators.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+import numpy as np
+
+from localzeta import _kernels
+from localzeta.arch import ArchSpec, _gamma_args
+from localzeta.cgamma import _checked
+from localzeta.cosets import _P4_MASK
+from localzeta.errors import Infeasible
+
+# Bernoulli numbers B_2 .. B_14 for the digamma asymptotic series.
+_BERNOULLI = (
+    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+    5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0,
+)
+
+
+def digamma(z: complex) -> complex:
+    """psi(z): psi(1 - z) - pi cot(pi z) for Re z < 1/2 (DLMF 5.5.4; exact
+    reduction by round(Re z)), then <= 12 upward steps to the asymptotics."""
+    z = _checked(z, "digamma")
+    if z.real < 0.5:
+        return (digamma(1.0 - z)
+                - math.pi / cmath.tan(math.pi * (z - round(z.real))))
+    acc = 0.0 + 0.0j
+    while z.real < 12.0:
+        acc -= 1.0 / z
+        z += 1.0
+    inv2 = 1.0 / (z * z)
+    series = 0.0 + 0.0j
+    power = inv2
+    for n, b in enumerate(_BERNOULLI, start=1):
+        series += b / (2 * n) * power
+        power *= inv2
+    return acc + cmath.log(z) - 0.5 / z - series
+
+
+def arch_zeta_closed_logderiv(spec: ArchSpec) -> complex:
+    """d/ds log of the closed form, for the holomorphy sanity check."""
+    z1, z2, z3 = _gamma_args(spec)
+    return (-3 * math.log(spec.D) - 3 * math.log(4 * math.pi)
+            - 6 / spec.gate
+            + 3 * digamma(z1) + 3 * digamma(z2) - 3 * digamma(z3))
+
+
+T2 = ((1, 0, 0, 0),
+      (0, 0, 0, 1),
+      (0, 0, 1, 0),
+      (0, -1, 0, 0))
+
+
+def sp4_order(p: int) -> int:
+    return p**4 * (p**2 - 1) * (p**4 - 1)
+
+
+def gsp4_order(p: int) -> int:
+    return sp4_order(p) * (p - 1)
+
+
+def _in_p4(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which (N,4,4) matrices are invertible mod p and match the P4 pattern."""
+    m = np.asarray(mats, dtype=np.int64) % p
+    return ((m[:, ~_P4_MASK] == 0).all(axis=1)
+            & (_kernels.det_mod_batch(m, p) != 0))
+
+
+_CLOSURE_LIMIT = 2_000_000  # elements a subgroup closure may reach
+
+
+def generated_subgroup_order(gens: list[np.ndarray], p: int) -> int:
+    """Order of the subgroup generated by gens, by batched BFS closure.
+
+    A matrix is held as its four row keys, row . (1, p, p^2, p^3); its
+    packed key, as _kernels.pack_keys makes it, is then rows . (1, p^4,
+    p^8, p^12).  Row r of m @ g is (row r of m) @ g, so one table per
+    generator over the p^4 row keys gives every product.  The keys seen
+    so far are one sorted int64 array.
+    """
+    digits = p ** np.arange(4, dtype=np.int64)
+    vecs = np.arange(p**4, dtype=np.int64)[:, None] // digits % p
+    step = np.stack([vecs @ (np.asarray(g, dtype=np.int64) % p) % p @ digits
+                     for g in gens])
+    weights = p ** (4 * np.arange(4, dtype=np.int64))
+    frontier = digits[None]  # the identity
+    seen = frontier @ weights
+    while len(frontier):
+        rows = step[:, frontier].reshape(-1, 4)
+        keys, idx = np.unique(rows @ weights, return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        seen = np.union1d(seen, keys[fresh])
+        if len(seen) > _CLOSURE_LIMIT:
+            raise Infeasible(
+                f"subgroup closure exceeded {_CLOSURE_LIMIT} elements")
+        frontier = rows[idx[fresh]]
+    return len(seen)

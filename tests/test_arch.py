@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from localzeta.arch import (ArchSpec, arch_zeta_closed,
-                            arch_zeta_closed_logderiv,
                             arch_zeta_closed_simplified, arch_zeta_quadrature,
                             mellin_whittaker_check, whittaker_W,
                             whittaker_w_array)
-from localzeta.cgamma import complex_gamma, digamma, gamma_selftest, log_gamma
+from localzeta.cgamma import complex_gamma, gamma_selftest, log_gamma
 from localzeta.errors import (DivergentParameters, InvalidArgument, PoleError,
                               QuadratureError, UnsupportedParameters)
 from localzeta.quadrature import _nodes, quad_zero_to_inf
+
+from oracles import arch_zeta_closed_logderiv, digamma
 
 
 # ---------------------------------------------------------------------------

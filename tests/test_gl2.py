@@ -5,8 +5,10 @@ import pytest
 
 from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local,
-                       InvalidArgument, QScalar, induced_invariant_dim,
-                       newform_space_dim, newform_value)
+                       InvalidArgument, QScalar, UnsupportedCase,
+                       induced_invariant_dim, newform_space_dim,
+                       newform_value)
+from localzeta.gl2 import newform_terms
 
 from conftest import nonzero_fraction, rq
 
@@ -47,6 +49,14 @@ def test_case_iv_values():
     # l = 2: q^-1 (a^2 + ab + b^2)
     assert newform_value(rep, 2) == rq(Fraction(19, 4), q)
     assert newform_value(rep, -3).is_zero()
+
+
+def test_newform_terms_unramified_is_unsupported():
+    # the m = 0 coset sum reads only the ramified kinds
+    q = 5
+    rep = Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=rq(2, q), beta_varpi=rq(3, q))
+    with pytest.raises(UnsupportedCase):
+        newform_terms(rep, 4)
 
 
 def test_newform_normalization_all_kinds(rng):

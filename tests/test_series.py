@@ -6,10 +6,11 @@ from functools import reduce
 import pytest
 
 from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
-                       STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, DivisionByNonUnit,
-                       Gl2Local, InvalidArgument, Poly, QScalar, RatFn, Series,
-                       newform_value, newform_values, series_div,
-                       series_equal)
+                       STEINBERG_UNRAMIFIED, DivisionByNonUnit, Gl2Local,
+                       InvalidArgument, Poly, QScalar, RatFn, Series,
+                       newform_value, series_div, series_equal)
+from localzeta.gl2 import newform_terms
+from localzeta.scalars import _reduced
 
 from conftest import embed, nonzero_fraction, rq, series_of
 
@@ -384,7 +385,6 @@ def _reps(q, rng):
         Gl2Local(RAMIFIED_PS_UNRAM_ALPHA, q, alpha_varpi=draw(),
                  beta_varpi=draw(), conductor_exp=1),
         Gl2Local(STEINBERG_UNRAMIFIED, q, omega_varpi=draw()),
-        Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=draw(), beta_varpi=draw()),
     ]
 
 
@@ -392,11 +392,13 @@ def _reps(q, rng):
 def test_newform_values_match_newform_value(q):
     rng = random.Random(70 + q)
     for rep in _reps(q, rng):
-        carried = newform_values(rep, 48)
+        def values(order):
+            return [_reduced(*t, q) for t in newform_terms(rep, order)]
+        carried = values(48)
         assert len(carried) == 49
         assert _fields(carried) == _fields(
             [newform_value(rep, l) for l in range(49)])
-        assert newform_values(rep, 0) == [QScalar.one(q)]
+        assert values(0) == [QScalar.one(q)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 9])

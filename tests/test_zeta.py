@@ -9,12 +9,11 @@ from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED,
                        UNRAMIFIED_PS, BesselDatum, Gl2Local, InvalidArgument,
                        InvalidBesselDatum,
-                       LocalInstance, Poly, QScalar, SatakeParams,
+                       LocalInstance, Poly, QScalar, RatFn, SatakeParams,
                        UnsupportedCase, bessel_coeffs, euler_chi,
                        euler_pairing, euler_triple, hq_substituted,
-                       random_local_instance, unramified_closed,
-                       verify_local, y_factor, zeta_closed_rhs,
-                       zeta_series_lhs)
+                       random_local_instance, verify_local, y_factor,
+                       zeta_closed_rhs, zeta_series_lhs)
 from localzeta import cli, zeta
 from localzeta.zeta import _y_scale
 
@@ -192,18 +191,12 @@ def test_unsupported_cases():
         zeta_series_lhs(unram)
     with pytest.raises(UnsupportedCase):
         verify_local(unram)
-    with pytest.raises(UnsupportedCase):
-        zeta_closed_rhs(unram)
     steinberg = random_local_instance(rng, STEINBERG_UNRAMIFIED, INERT)
     with pytest.raises(UnsupportedCase):
         zeta_closed_rhs(steinberg)
-    with pytest.raises(UnsupportedCase):
-        unramified_closed(steinberg.satake, steinberg.rep, steinberg.bessel)
     case1 = random_local_instance(rng, RAMIFIED_OTHER, INERT)
     with pytest.raises(UnsupportedCase):
         hq_substituted(case1)
-    with pytest.raises(UnsupportedCase):
-        unramified_closed(case1.satake, case1.rep, case1.bessel)
 
 
 def test_instance_validation():
@@ -243,7 +236,7 @@ def test_unramified_closed_shape_and_split_specialization():
     datum = BesselDatum(SPLIT, omega_pi, lambda_varpiL=lamL,
                         lambda_varpi_conj=lamC, q=q)
     rep = Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=alpha, beta_varpi=beta)
-    closed = unramified_closed(satake, rep, datum)
+    closed = zeta_closed_rhs(LocalInstance(satake, datum, rep))
     assert closed.denom.degree == 8
     assert closed.denom.constant().is_one()
     assert closed.numer.constant().is_one()
@@ -268,12 +261,49 @@ def test_unramified_inert_triple_is_even():
     q = 5
     rng = random.Random(2)
     inst = random_local_instance(rng, UNRAMIFIED_PS, INERT, q=q)
-    closed = unramified_closed(inst.satake, inst.rep, inst.bessel)
+    closed = zeta_closed_rhs(inst)
     chi_poly = euler_chi(inst.satake, inst.rep)
     # numer = chi_poly * triple with triple even of degree 4
     assert closed.numer.degree == chi_poly.degree + 4
     for c in closed.numer.coeffs:
         assert c.sqrt == 0
+
+
+def _furusawa_closed(inst):
+    """Furusawa's closed form, built independently of zeta_closed_rhs: the
+    triple factor over chi t for t = alpha, beta, with chi = (omega_pi
+    omega_tau)^{-1}, and no Y factor."""
+    satake, rep = inst.satake, inst.rep
+    taus = (rep.alpha_varpi, rep.beta_varpi)
+    chi = (satake.omega_pi * rep.omega_tau_varpi).inverse()
+    triple = euler_triple(inst.bessel, [chi * t for t in taus])
+    return RatFn(euler_chi(satake, rep) * triple, euler_pairing(satake, taus))
+
+
+@pytest.mark.parametrize("legendre", [INERT, RAMIFIED, SPLIT])
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_closed_form_unramified_is_furusawa(q, legendre):
+    rng = random.Random(100 * q + legendre)
+    for _ in range(10):
+        inst = random_local_instance(rng, UNRAMIFIED_PS, legendre, q=q)
+        assert zeta_closed_rhs(inst) == _furusawa_closed(inst)
+
+
+def test_beta_units_triple_factor_value():
+    # Case 2 over a ramified extension with beta chi unramified: Y carries
+    # chi = 1 - T^2/8 and the triple factor 1 - T/4 at the beta unit
+    # (omega_pi beta)^{-1} = 1/2, with Lambda(varpi_L) = 2 and q^-1 = 1/4
+    satake = SatakeParams(tuple(rq(v, Q4) for v in (2, 1, 2, 4)), Q4)
+    datum = BesselDatum(RAMIFIED, rq(4, Q4), lambda_varpiL=rq(2, Q4), q=Q4)
+    rep = Gl2Local(RAMIFIED_PS_UNRAM_ALPHA, Q4, alpha_varpi=rq(1, Q4),
+                   beta_varpi=rq(Fraction(1, 2), Q4), conductor_exp=1,
+                   beta_chi_unramified=True)
+    inst = LocalInstance(satake, datum, rep)
+    y = y_factor(inst)
+    assert y.numer.is_one()
+    assert [embed(c) for c in y.denom.coeffs] == [
+        1, Fraction(-1, 4), Fraction(-1, 8), Fraction(1, 32)]
+    assert verify_local(inst).passed
 
 
 def test_verification_report_json():
