@@ -129,23 +129,16 @@ class BesselDatum:
 
 
 def sugano_H(d: BesselDatum) -> Poly:
-    """Numerator H(y) of the generating function, by extension type."""
+    """Numerator H(y) of the generating function, an Euler product:
+    prod (1 - q^-2 lam y) over the values lam of Lambda that GIVEN lists
+    for the case (Lambda(varpi_L), and Lambda(varpi varpi_L^-1) when
+    split), and 1 - q^-4 Lambda(varpi) y^2 when inert."""
     q = d.q
     if d.legendre == INERT:
-        # 1 - q^-4 Lambda(varpi) y^2
-        return Poly([QScalar.one(q), QScalar.zero(q),
-                     -(QScalar.q_half_power(-8, q) * d.lambda_varpi)], q)
-    if d.legendre == RAMIFIED:
-        # 1 - q^-2 Lambda(varpi_L) y
-        return Poly([QScalar.one(q),
-                     -(QScalar.q_half_power(-4, q) * d.lambda_varpiL)], q)
-    # split: 1 - q^-2 (Lambda(varpi_L) + Lambda(varpi varpi_L^-1)) y
-    #          + q^-4 Lambda(varpi) y^2
-    return Poly([
-        QScalar.one(q),
-        -(QScalar.q_half_power(-4, q) * (d.lambda_varpiL + d.lambda_varpi_conj)),
-        QScalar.q_half_power(-8, q) * d.lambda_varpi,
-    ], q)
+        return Poly.euler([QScalar.q_half_power(-8, q) * d.lambda_varpi], q,
+                          step=2)
+    qm2 = QScalar.q_half_power(-4, q)
+    return Poly.euler([qm2 * getattr(d, name) for name in GIVEN[d.legendre]], q)
 
 
 def sugano_Q(p: SatakeParams) -> Poly:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import (InvalidArgument, UnsupportedCase, require_int,
                      require_known_keys)
-from .scalars import QScalar, _mul, require_unit
+from .scalars import QScalar, require_unit
 
 # Representation kinds.
 UNRAMIFIED_PS = "UnramifiedPS"                 # alpha x beta, both unramified
@@ -34,6 +34,8 @@ GIVEN = {
     RAMIFIED_OTHER: ("omega_tau_varpi",),
 }
 KINDS = tuple(GIVEN)  # membership by ==, so a JSON list or object is no kind
+# kind -> the conductor exponent it fixes; every other kind is given one >= 1
+CONDUCTOR = {UNRAMIFIED_PS: 0, STEINBERG_UNRAMIFIED: 1}
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,18 +86,12 @@ class Gl2Local:
 
         if conductor_exp is not None:
             require_int("conductor exponent", conductor_exp)
-        if kind == UNRAMIFIED_PS:
-            derived_n = 0
-        elif kind == STEINBERG_UNRAMIFIED:
-            derived_n = 1
-        else:
-            if conductor_exp is None:
-                raise InvalidArgument(f"{kind} requires a conductor exponent")
-            derived_n = conductor_exp
+        derived_n = CONDUCTOR.get(kind, conductor_exp)
+        if derived_n is None:
+            raise InvalidArgument(f"{kind} requires a conductor exponent")
         if conductor_exp is not None and conductor_exp != derived_n:
             raise InvalidArgument("conductor_exp inconsistent with kind")
-        if derived_n < 0 or (kind in (RAMIFIED_PS_UNRAM_ALPHA, RAMIFIED_OTHER)
-                             and derived_n < 1):
+        if kind not in CONDUCTOR and derived_n < 1:
             raise InvalidArgument(f"invalid conductor exponent {derived_n} for {kind}")
 
         if not isinstance(self.beta_chi_unramified, bool):
@@ -151,26 +147,21 @@ def newform_value(rep: Gl2Local, l: int) -> QScalar:
     return QScalar.q_half_power(-l, q) * acc
 
 
-def newform_terms(rep: Gl2Local, order: int) -> list[tuple[int, int, int]]:
-    """[newform_value(rep, l) for l = 0..order] for a ramified kind, as
-    unreduced int triples (u, v, d), standing for (u + v sqrt(q)) / d:
-    each power carried forward from the last, with no gcd taken.  The m = 0
-    coset sum reads no UnramifiedPS values, so that kind is unsupported."""
+def newform_ratio(rep: Gl2Local) -> QScalar:
+    """r with newform_value(rep, l) = r^l for every l >= 0, in the three
+    ramified kinds: 0 in Case i, beta(varpi) q^(-1/2) in Case ii and
+    Omega(varpi) q^(-1) in Case iii.  The m = 0 coset sum reads no
+    UnramifiedPS values, so that kind is unsupported."""
     q = rep.q
-    one = (1, 0, 1)
     if rep.kind == RAMIFIED_OTHER:
-        return [one] + [(0, 0, 1)] * order
+        return QScalar.zero(q)
     if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
-        x, r = rep.beta_varpi, (0, 1, q)  # beta q^(-1/2)
-    elif rep.kind == STEINBERG_UNRAMIFIED:
-        x, r = rep.omega_varpi, (1, 0, q)  # Omega q^(-1)
-    else:
-        raise UnsupportedCase(f"no m = 0 newform values for kind {rep.kind}")
-    ratio = _mul((x.a, x.b, x.d), r, q)
-    out = [one]
-    for _ in range(order):
-        out.append(_mul(out[-1], ratio, q))
-    return out
+        return rep.beta_varpi * QScalar.q_half_power(-1, q)
+    if rep.kind == STEINBERG_UNRAMIFIED:
+        return rep.omega_varpi * QScalar.q_half_power(-2, q)
+    raise UnsupportedCase(
+        "the m = 0 reduction requires conductor n > 0; "
+        "use zeta_closed_rhs for the unramified principal series")
 
 
 def newform_space_dim(n: int, r: int) -> int:

@@ -12,8 +12,9 @@ and each ring operation is integer arithmetic plus one gcd.
 
 The exact core computes on unreduced int triples (u, v, d) instead, with
 the same meaning and no gcd: _mul multiplies two of them, and _reduced puts
-a finished one in canonical form once.  series, gl2 and zeta share these
-two helpers; a QScalar is what they read and what they hand back.
+a finished one in canonical form once.  series and zeta (its sweep
+draws) share these two helpers; a QScalar is what they read and what they
+hand back.
 """
 
 from __future__ import annotations

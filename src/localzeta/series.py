@@ -13,14 +13,16 @@ keeps canonical QScalar coefficients: Euler products, products,
 substitution and evaluation read their ints, compute on triples (over one
 common denominator where coefficients are summed), and reduce each finished
 coefficient once, so that the lcm denominators of series division stay
-small.  A Series keeps the triples themselves.  Series division runs on
-plain ints: with E the lcm of the denominator's coefficient denominators
-and A that of the numerator's, coefficient k is (u_k + v_k*sqrt(q)) /
-(A*E^k) for integers u_k, v_k obeying an integer recurrence.  Two series
-are compared by cross-multiplying the triples, which is exact because
-sqrt(q) stays formal, also for a perfect-square q.  A series coefficient is
-put in canonical QScalar form only when it is read: through coeffs,
-to_json, or as the first mismatch of a comparison.
+small.  A Series keeps the triples themselves.  Triples are multiplied
+by scalars._mul, which this module shares only with zeta's sweep draws.
+Series division runs on plain ints: with E the lcm of the denominator's
+coefficient denominators and A that of the numerator's, coefficient k is
+(u_k + v_k*sqrt(q)) / (A*E^k) for integers u_k, v_k obeying an integer
+recurrence, and a twist multiplies coefficient k by the k-th power of one
+unit.  Two series are compared by cross-multiplying the triples, which is
+exact because sqrt(q) stays formal, also for a perfect-square q.  A series
+coefficient is put in canonical QScalar form only when it is read: through
+coeffs, to_json, or as the first mismatch of a comparison.
 """
 
 from __future__ import annotations
@@ -317,19 +319,14 @@ def series_equal(a: Series, b: Series) -> SeriesComparison:
                             _reduced(*b.terms[i], b.q))
 
 
-def series_twist(s: Series, unit: QScalar,
-                 weights: Sequence[tuple[int, int, int]]) -> Series:
-    """The series with coefficient l equal to s_l * unit^l * weights[l], for
-    weights given as int triples: int arithmetic on the triples, with unit^l
-    carried as one, no gcd."""
+def series_twist(s: Series, unit: QScalar) -> Series:
+    """The series with coefficient l equal to s_l * unit^l: each triple
+    multiplied once, by unit^l carried forward as one triple, no gcd."""
     q = s.q
     unit, power = (unit.a, unit.b, unit.d), (1, 0, 1)
     terms = []
-    for t, w in zip(s.terms, weights):
-        if w[0] or w[1]:
-            terms.append(_mul(_mul(t, power, q), w, q))
-        else:
-            terms.append((0, 0, 1))
+    for t in s.terms:
+        terms.append(_mul(t, power, q))
         power = _mul(power, unit, q)
     return Series(tuple(terms), q)
 

@@ -6,11 +6,13 @@ side is the (truncated) sum
     sum_l B(h(l,0)) * omega_pi(varpi)^-l * omega_tau(varpi)^-l
           * q^(-3l/2) * W^(0)(diag(varpi^l,1)) * q^(3l) * T^l,
 
-assembled from the Bessel coefficients and the newform values with no
-case-specific simplification: the collapse to H(y)/Q(y) with the printed
-substitution has to emerge from the arithmetic.  The right-hand side is the
-quotient of L-factors times the correction factor Y(s), built from entirely
-separate formulas.  A verification report compares the routes exactly.
+assembled from the Bessel coefficients and the newform values, r^l for
+the one ratio r of each ramified kind, with no other case-specific
+simplification: the collapse to H(y)/Q(y) with the printed substitution
+has to emerge from the arithmetic.  The right-hand side is the quotient of
+L-factors times the correction factor Y(s), built from entirely separate
+formulas.  A verification report compares the routes exactly.  The sweep
+draws compute on int triples with scalars._mul.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Callable, Optional, Sequence
 from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
                      bessel_coeffs, sugano_H, sugano_Q)
 from .errors import InvalidArgument, UnsupportedCase, require_int
-from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
-                  STEINBERG_UNRAMIFIED, UNRAMIFIED_PS, Gl2Local,
-                  newform_terms)
+from .gl2 import (CONDUCTOR, GIVEN, KINDS, RAMIFIED_OTHER,
+                  RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, UNRAMIFIED_PS,
+                  Gl2Local, newform_ratio)
 from .scalars import QScalar, _mul, _reduced
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
                      series_equal, series_twist)
@@ -80,16 +82,14 @@ class LocalInstance:
 
 def zeta_series_lhs(inst: LocalInstance) -> Series:
     """The zeta integral as a series in T, from the m = 0 coset sum:
-    coefficient l is b_l * w_unit^l * w_l, built by series_twist."""
+    coefficient l is b_l * w_unit^l * r^l, for the newform values r^l,
+    built by series_twist."""
     rep = inst.rep
-    if rep.kind == UNRAMIFIED_PS:
-        raise UnsupportedCase(
-            "the m = 0 reduction requires conductor n > 0; "
-            "use zeta_closed_rhs for the unramified principal series")
+    ratio = newform_ratio(rep)  # before any series: UnramifiedPS has none
     w_unit = (inst.satake.omega_pi * rep.omega_tau_varpi).inverse() \
         * QScalar.q_half_power(3, inst.q)
     return series_twist(bessel_coeffs(inst.satake, inst.bessel, inst.order),
-                        w_unit, newform_terms(rep, inst.order))
+                        w_unit * ratio)
 
 
 # kind -> (k, name) with y = q^(k/2) (omega_pi x)^{-1}(varpi) T, x = rep.<name>:
@@ -297,16 +297,16 @@ def random_local_instance(rng: random.Random, kind: str, legendre: int,
     non-inert extensions omega_pi is forced to the product/square of the
     drawn Lambda values so that Bessel-model compatibility admits rational
     data.  The parameters are computed as rational int triples (n, 0, d)
-    and reduced once each, into QScalars.
+    and reduced once each, into QScalars.  The representation's values
+    follow gl2.GIVEN and gl2.CONDUCTOR; an unknown kind draws nothing.
     """
+    if kind not in KINDS:
+        raise InvalidArgument(f"unknown kind {kind!r}")
     if q is None:
         q = rng.choice(_SWEEP_QS)
 
     def draw():
         return rng.choice(_NUMERATORS), 0, rng.randint(1, 9)
-
-    def unit():
-        return _reduced(*draw(), q)
 
     lamL = lam_conj = None
     if legendre == INERT:
@@ -326,17 +326,8 @@ def random_local_instance(rng: random.Random, kind: str, legendre: int,
     lams = [None if t is None else _reduced(*t, q) for t in (lamL, lam_conj)]
     datum = BesselDatum(legendre, _reduced(*omega_pi, q), *lams, q=q)
 
-    if kind == RAMIFIED_PS_UNRAM_ALPHA:
-        rep = Gl2Local(kind, q, alpha_varpi=unit(), beta_varpi=unit(),
-                       conductor_exp=rng.randint(1, 4),
-                       beta_chi_unramified=beta_chi_unramified)
-    elif kind == STEINBERG_UNRAMIFIED:
-        rep = Gl2Local(kind, q, omega_varpi=unit())
-    elif kind == RAMIFIED_OTHER:
-        rep = Gl2Local(kind, q, omega_tau_varpi=unit(),
-                       conductor_exp=rng.randint(1, 4))
-    elif kind == UNRAMIFIED_PS:
-        rep = Gl2Local(kind, q, alpha_varpi=unit(), beta_varpi=unit())
-    else:
-        raise InvalidArgument(f"unknown kind {kind!r}")
+    values = {name: _reduced(*draw(), q) for name in GIVEN[kind]}
+    if kind not in CONDUCTOR:
+        values["conductor_exp"] = rng.randint(1, 4)
+    rep = Gl2Local(kind, q, **values, beta_chi_unramified=beta_chi_unramified)
     return LocalInstance(satake, datum, rep, order=order)

@@ -30,6 +30,15 @@ def nonzero_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, rng.randint(1, 9))
 
 
+def sqrt_unit(rng: random.Random, q: int) -> QScalar:
+    """An invertible (a + b sqrt(q))/d with a, b != 0, redrawn while its norm
+    a^2 - q b^2 vanishes, which only a perfect-square q allows."""
+    while True:
+        x = QScalar(nonzero_fraction(rng), nonzero_fraction(rng), q)
+        if x.a * x.a != q * x.b * x.b:
+            return x
+
+
 @pytest.fixture
 def rng():
     return random.Random(20160)

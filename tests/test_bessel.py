@@ -8,7 +8,7 @@ from localzeta import (BesselDatum, InvalidArgument, InvalidBesselDatum, Poly,
                        QScalar, SatakeParams, bessel_coeffs, sugano_H,
                        sugano_Q)
 
-from conftest import nonzero_fraction, rq
+from conftest import nonzero_fraction, rq, sqrt_unit
 
 
 def _satake(vals, q):
@@ -34,6 +34,40 @@ def test_H_split_derived():
                     lambda_varpi_conj=rq(1, q), q=q)
     lin = Poly([1, Fraction(-1, 16)], q)
     assert sugano_H(d) == lin * lin
+
+
+def _hand_expanded_H(d):
+    """H(y) written out coefficient by coefficient, per extension type: the
+    reference for the Euler product sugano_H builds."""
+    q = d.q
+    if d.legendre == -1:
+        # 1 - q^-4 Lambda(varpi) y^2
+        return Poly([QScalar.one(q), QScalar.zero(q),
+                     -(QScalar.q_half_power(-8, q) * d.lambda_varpi)], q)
+    if d.legendre == 0:
+        # 1 - q^-2 Lambda(varpi_L) y
+        return Poly([QScalar.one(q),
+                     -(QScalar.q_half_power(-4, q) * d.lambda_varpiL)], q)
+    # split: 1 - q^-2 (Lambda(varpi_L) + Lambda(varpi varpi_L^-1)) y
+    #          + q^-4 Lambda(varpi) y^2
+    return Poly([
+        QScalar.one(q),
+        -(QScalar.q_half_power(-4, q) * (d.lambda_varpiL + d.lambda_varpi_conj)),
+        QScalar.q_half_power(-8, q) * d.lambda_varpi,
+    ], q)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 13])
+def test_H_euler_product_matches_hand_expansion(q):
+    rng = random.Random(40 + q)
+    for _ in range(10):
+        lamL, lamC = sqrt_unit(rng, q), sqrt_unit(rng, q)
+        for d in (BesselDatum(-1, lamL, q=q),
+                  BesselDatum(0, lamL * lamL, lambda_varpiL=lamL, q=q),
+                  BesselDatum(1, lamL * lamC, lambda_varpiL=lamL,
+                              lambda_varpi_conj=lamC, q=q)):
+            assert sugano_H(d) == _hand_expanded_H(d)
+            assert sugano_H(d).degree == (2, 1, 2)[d.legendre + 1]
 
 
 def test_Q_product_derived():

@@ -8,7 +8,7 @@ from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        InvalidArgument, QScalar, UnsupportedCase,
                        induced_invariant_dim, newform_space_dim,
                        newform_value)
-from localzeta.gl2 import newform_terms
+from localzeta.gl2 import newform_ratio
 
 from conftest import nonzero_fraction, rq
 
@@ -51,12 +51,12 @@ def test_case_iv_values():
     assert newform_value(rep, -3).is_zero()
 
 
-def test_newform_terms_unramified_is_unsupported():
+def test_newform_ratio_unramified_is_unsupported():
     # the m = 0 coset sum reads only the ramified kinds
     q = 5
     rep = Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=rq(2, q), beta_varpi=rq(3, q))
     with pytest.raises(UnsupportedCase):
-        newform_terms(rep, 4)
+        newform_ratio(rep)
 
 
 def test_newform_normalization_all_kinds(rng):

@@ -9,8 +9,8 @@ from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        STEINBERG_UNRAMIFIED, DivisionByNonUnit, Gl2Local,
                        InvalidArgument, Poly, QScalar, RatFn, Series,
                        newform_value, series_div, series_equal)
-from localzeta.gl2 import newform_terms
-from localzeta.scalars import _reduced
+from localzeta.gl2 import newform_ratio
+from localzeta.series import series_twist
 
 from conftest import embed, nonzero_fraction, rq, series_of
 
@@ -392,13 +392,26 @@ def _reps(q, rng):
 def test_newform_values_match_newform_value(q):
     rng = random.Random(70 + q)
     for rep in _reps(q, rng):
-        def values(order):
-            return [_reduced(*t, q) for t in newform_terms(rep, order)]
-        carried = values(48)
-        assert len(carried) == 49
-        assert _fields(carried) == _fields(
+        ratio = newform_ratio(rep)
+        assert _fields([ratio ** l for l in range(49)]) == _fields(
             [newform_value(rep, l) for l in range(49)])
-        assert values(0) == [QScalar.one(q)]
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 13])
+def test_series_twist_matches_schoolbook(q):
+    rng = random.Random(110 + q)
+    units = [QScalar(Fraction(-3, 7), 0, q),
+             _random_scalar(rng, q, p_sqrt=1.0), QScalar.zero(q)]
+    assert units[1].b != 0
+    for unit in units:
+        cs = [_random_scalar(rng, q, p_zero=0.2) for _ in range(25)]
+        # unreduced triples, as series_div leaves them
+        s = Series(tuple((c.a * k, c.b * k, c.d * k)
+                         for k, c in enumerate(cs, 1)), q)
+        got = series_twist(s, unit)
+        assert got.order == 24
+        assert _fields(got.coeffs) == _fields(
+            [c * unit ** l for l, c in enumerate(cs)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 9])

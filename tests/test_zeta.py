@@ -453,3 +453,22 @@ def test_random_local_instance_matches_the_fraction_draw(monkeypatch):
             assert got == want
             # the same calls, in the same order, leave the same state
             assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("kind", [STEINBERG_UNRAMIFIED, RAMIFIED_OTHER,
+                                  UNRAMIFIED_PS])
+def test_random_local_instance_refuses_the_flag_on_other_kinds(kind):
+    # only RamifiedPSUnramAlpha takes beta_chi_unramified; no draw drops it
+    for legendre in (INERT, RAMIFIED, SPLIT):
+        with pytest.raises(InvalidArgument, match="takes no beta_chi_unramified"):
+            random_local_instance(random.Random(legendre), kind, legendre,
+                                  beta_chi_unramified=True)
+
+
+@pytest.mark.parametrize("kind", ["Supercuspidal", None, [RAMIFIED_OTHER]])
+def test_random_local_instance_refuses_an_unknown_kind_before_drawing(kind):
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(InvalidArgument, match="unknown kind"):
+        random_local_instance(rng, kind, INERT)
+    assert rng.getstate() == state
