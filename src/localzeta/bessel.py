@@ -64,6 +64,14 @@ GIVEN = {INERT: (), RAMIFIED: ("lambda_varpiL",),
          SPLIT: ("lambda_varpiL", "lambda_varpi_conj")}
 
 
+def require_legendre(legendre) -> None:
+    """Raise unless legendre is the int -1, 0 or 1: InvalidArgument for a
+    value that is no int (a bool is none), else InvalidBesselDatum."""
+    require_int("legendre", legendre)
+    if legendre not in GIVEN:
+        raise InvalidBesselDatum(f"legendre symbol must be -1, 0 or 1, got {legendre}")
+
+
 @dataclass(frozen=True, slots=True)
 class BesselDatum:
     """Quadratic-extension case plus unramified Hecke-character values.
@@ -85,9 +93,7 @@ class BesselDatum:
 
     def __post_init__(self):
         legendre, lambda_varpi = self.legendre, self.lambda_varpi
-        require_int("legendre", legendre)
-        if legendre not in GIVEN:
-            raise InvalidBesselDatum(f"legendre symbol must be -1, 0 or 1, got {legendre}")
+        require_legendre(legendre)
         if self.q is None:
             object.__setattr__(self, "q", getattr(lambda_varpi, "q", None))
         require_unit("lambda_varpi", lambda_varpi, self.q, InvalidBesselDatum)

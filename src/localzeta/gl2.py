@@ -38,6 +38,16 @@ KINDS = tuple(GIVEN)  # membership by ==, so a JSON list or object is no kind
 CONDUCTOR = {UNRAMIFIED_PS: 0, STEINBERG_UNRAMIFIED: 1}
 
 
+def require_beta_flag(kind, beta_chi_unramified) -> None:
+    """Raise InvalidArgument unless beta_chi_unramified is a bool, and true
+    only for RamifiedPSUnramAlpha."""
+    if not isinstance(beta_chi_unramified, bool):
+        raise InvalidArgument("beta_chi_unramified must be a boolean, "
+                              f"got {beta_chi_unramified!r}")
+    if beta_chi_unramified and kind != RAMIFIED_PS_UNRAM_ALPHA:
+        raise InvalidArgument(f"{kind} takes no beta_chi_unramified")
+
+
 @dataclass(frozen=True, slots=True)
 class Gl2Local:
     """Tagged local GL(2) representation datum.
@@ -94,11 +104,7 @@ class Gl2Local:
         if kind not in CONDUCTOR and derived_n < 1:
             raise InvalidArgument(f"invalid conductor exponent {derived_n} for {kind}")
 
-        if not isinstance(self.beta_chi_unramified, bool):
-            raise InvalidArgument("beta_chi_unramified must be a boolean, "
-                                  f"got {self.beta_chi_unramified!r}")
-        if self.beta_chi_unramified and kind != RAMIFIED_PS_UNRAM_ALPHA:
-            raise InvalidArgument(f"{kind} takes no beta_chi_unramified")
+        require_beta_flag(kind, self.beta_chi_unramified)
 
         object.__setattr__(self, "omega_tau_varpi", derived_omega_tau)
         object.__setattr__(self, "conductor_exp", derived_n)

@@ -10,11 +10,10 @@ in the canonical form d > 0 and gcd(a, b, d) = 1 (zero is (0, 0, 1)).  Equal
 values therefore have equal fields, so equality and hashing compare ints,
 and each ring operation is integer arithmetic plus one gcd.
 
-The exact core computes on unreduced int triples (u, v, d) instead, with
-the same meaning and no gcd: _mul multiplies two of them, and _reduced puts
-a finished one in canonical form once.  series and zeta (its sweep
-draws) share these two helpers; a QScalar is what they read and what they
-hand back.
+_reduced builds the canonical QScalar of ints (a, b, d), d > 0, with one
+gcd and none of the constructor's checks.  series puts each finished int
+triple of the exact core in canonical form with it, and zeta's sweep draws
+build their values with it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,9 @@ def _as_fraction(x) -> Fraction:
     raise InvalidArgument(f"not a rational value: {x!r}")
 
 
-def _check_q(q) -> None:
+def require_q(q) -> None:
+    """Raise InvalidArgument unless q, the residue field cardinality, is an
+    int >= 2."""
     if q is None:
         raise InvalidArgument("QScalar requires the ambient cardinality q")
     if not isinstance(q, int) or q < 2:
@@ -60,7 +61,7 @@ class QScalar:
     q: int
 
     def __init__(self, rat, sqrt=0, q=None):
-        _check_q(q)
+        require_q(q)
         if rat.__class__ is int and sqrt.__class__ is int:
             a, b, d = rat, sqrt, 1
         else:
@@ -87,7 +88,7 @@ class QScalar:
     @staticmethod
     def q_half_power(n: int, q: int) -> "QScalar":
         """q^(n/2) for any integer n (n may be negative)."""
-        _check_q(q)
+        require_q(q)
         k = n // 2
         p = q ** abs(k)
         num, d = (p, 1) if k >= 0 else (1, p)
@@ -253,10 +254,3 @@ def _reduced(a: int, b: int, d: int, q: int) -> QScalar:
     _set_q(x, q)
     return x
 
-
-def _mul(x: tuple[int, int, int], y: tuple[int, int, int],
-         q: int) -> tuple[int, int, int]:
-    """The product of two triples (u, v, d), each standing for
-    (u + v sqrt(q)) / d with d > 0, as an unreduced triple: no gcd."""
-    (a, b, d), (c, e, f) = x, y
-    return a * c + b * e * q, a * e + b * c, d * f

@@ -13,8 +13,8 @@ keeps canonical QScalar coefficients: Euler products, products,
 substitution and evaluation read their ints, compute on triples (over one
 common denominator where coefficients are summed), and reduce each finished
 coefficient once, so that the lcm denominators of series division stay
-small.  A Series keeps the triples themselves.  Triples are multiplied
-by scalars._mul, which this module shares only with zeta's sweep draws.
+small.  A Series keeps the triples themselves.  The triples are this
+module's alone: the other modules read and build QScalars.
 Series division runs on plain ints: with E the lcm of the denominator's
 coefficient denominators and A that of the numerator's, coefficient k is
 (u_k + v_k*sqrt(q)) / (A*E^k) for integers u_k, v_k obeying an integer
@@ -32,9 +32,37 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
-from .scalars import QScalar, _mul, _reduced
+from .scalars import QScalar, _reduced, require_q
 
 DEFAULT_ORDER = 12
+
+
+def require_order(order) -> None:
+    """Raise InvalidArgument unless order, a truncation order, is an int
+    >= 0."""
+    require_int("order", order)
+    if order < 0:
+        raise InvalidArgument("order must be >= 0")
+
+
+def _mul(x: tuple[int, int, int], y: tuple[int, int, int],
+         q: int) -> tuple[int, int, int]:
+    """The product of two triples (u, v, d), each standing for
+    (u + v sqrt(q)) / d with d > 0, as an unreduced triple: no gcd."""
+    (a, b, d), (c, e, f) = x, y
+    return a * c + b * e * q, a * e + b * c, d * f
+
+
+def _twisted(terms: Iterable[tuple[int, int, int]], unit: QScalar,
+             q: int) -> list[tuple[int, int, int]]:
+    """terms[k] * unit^k for each k: each triple multiplied once, by unit^k
+    carried forward as one triple, no gcd."""
+    unit, power = (unit.a, unit.b, unit.d), (1, 0, 1)
+    out = []
+    for t in terms:
+        out.append(_mul(t, power, q))
+        power = _mul(power, unit, q)
+    return out
 
 
 def _promote(values: Iterable, q: int) -> list[QScalar]:
@@ -61,6 +89,7 @@ class Poly:
     q: int
 
     def __post_init__(self):
+        require_q(self.q)
         cs = _promote(self.coeffs, self.q)
         while cs and cs[-1].is_zero():
             cs.pop()
@@ -84,6 +113,7 @@ class Poly:
         pair at i - step is still the old one when the pair at i reads it.
         No gcd is taken until _poly reduces the finished coefficients.
         """
+        require_q(q)
         us, vs, D = [1], [0], 1
         for c in _promote(cs, q):
             a, b, e = c.a, c.b, c.d
@@ -141,16 +171,10 @@ class Poly:
         return _poly([(u, v, D) for u, v in zip(us, vs)], q)
 
     def substitute_scaled(self, c: QScalar) -> "Poly":
-        """p(y) -> p(c*T): multiply the k-th coefficient by c^k, with c^k
-        carried forward as one unreduced triple."""
+        """p(y) -> p(c*T): the k-th coefficient times c^k, by _twisted."""
         q = self.q
         c = _promote([c], q)[0]
-        unit, power = (c.a, c.b, c.d), (1, 0, 1)
-        terms = []
-        for x in self.coeffs:
-            terms.append(_mul((x.a, x.b, x.d), power, q))
-            power = _mul(power, unit, q)
-        return _poly(terms, q)
+        return _poly(_twisted([(x.a, x.b, x.d) for x in self.coeffs], c, q), q)
 
     def eval(self, t: QScalar) -> QScalar:
         """p(t) by Horner's rule on one unreduced triple, reduced once."""
@@ -268,9 +292,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     while k <= deg(num).  The loop takes no gcd and builds no QScalar: the
     result keeps the triples (u_k, v_k, A E^k) unreduced.
     """
-    require_int("order", order)
-    if order < 0:
-        raise InvalidArgument("order must be >= 0")
+    require_order(order)
     q = num.q
     if den.q != q:
         raise InvalidArgument(
@@ -278,15 +300,16 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     if not den.constant().is_one():
         raise DivisionByNonUnit(
             "series division needs a denominator with constant term 1")
-    E = lcm(*(c.d for c in den.coeffs))
-    # (j, u, v, v*q) of E^j c_j for the nonzero c_j, j >= 1
+    # (j, u, v, v*q) of E^j c_j = E^(j-1) (du_j + dv_j sqrt(q)) for the
+    # nonzero c_j, j >= 1
+    du, dv, E = _over_lcm(den.coeffs)
     den_terms = []
-    Ej = 1
-    for j, c in enumerate(den.coeffs[1:], 1):
+    Ej = 1  # E^(j-1)
+    for j in range(1, len(du)):
+        if du[j] or dv[j]:
+            u, v = du[j] * Ej, dv[j] * Ej
+            den_terms.append((j, u, v, v * q))
         Ej *= E
-        if not c.is_zero():
-            s = Ej // c.d
-            den_terms.append((j, c.a * s, c.b * s, c.b * s * q))
     au, av, A = _over_lcm(num.coeffs[:order + 1])
     out: list[tuple[int, int, int]] = []
     Ek = 1  # E^k
@@ -320,15 +343,8 @@ def series_equal(a: Series, b: Series) -> SeriesComparison:
 
 
 def series_twist(s: Series, unit: QScalar) -> Series:
-    """The series with coefficient l equal to s_l * unit^l: each triple
-    multiplied once, by unit^l carried forward as one triple, no gcd."""
-    q = s.q
-    unit, power = (unit.a, unit.b, unit.d), (1, 0, 1)
-    terms = []
-    for t in s.terms:
-        terms.append(_mul(t, power, q))
-        power = _mul(power, unit, q)
-    return Series(tuple(terms), q)
+    """The series with coefficient l equal to s_l * unit^l, by _twisted."""
+    return Series(tuple(_twisted(s.terms, unit, s.q)), s.q)
 
 
 @dataclass(frozen=True, slots=True)

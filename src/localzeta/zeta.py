@@ -11,8 +11,7 @@ the one ratio r of each ramified kind, with no other case-specific
 simplification: the collapse to H(y)/Q(y) with the printed substitution
 has to emerge from the arithmetic.  The right-hand side is the quotient of
 L-factors times the correction factor Y(s), built from entirely separate
-formulas.  A verification report compares the routes exactly.  The sweep
-draws compute on int triples with scalars._mul.
+formulas.  A verification report compares the routes exactly.
 """
 
 from __future__ import annotations
@@ -21,15 +20,16 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bessel import (INERT, RAMIFIED, BesselDatum, SatakeParams,
-                     bessel_coeffs, sugano_H, sugano_Q)
-from .errors import InvalidArgument, UnsupportedCase, require_int
+from .bessel import (GIVEN as LAMBDA_GIVEN, INERT, RAMIFIED, BesselDatum,
+                     SatakeParams, bessel_coeffs, require_legendre, sugano_H,
+                     sugano_Q)
+from .errors import InvalidArgument, UnsupportedCase
 from .gl2 import (CONDUCTOR, GIVEN, KINDS, RAMIFIED_OTHER,
                   RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, UNRAMIFIED_PS,
-                  Gl2Local, newform_ratio)
-from .scalars import QScalar, _mul, _reduced
+                  Gl2Local, newform_ratio, require_beta_flag)
+from .scalars import QScalar, _reduced, require_q
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
-                     series_equal, series_twist)
+                     require_order, series_equal, series_twist)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,9 +49,7 @@ class LocalInstance:
         satake, bessel = self.satake, self.bessel
         if not (satake.q == bessel.q == self.rep.q):
             raise InvalidArgument("components disagree on the residue cardinality")
-        require_int("order", self.order)
-        if self.order < 0:
-            raise InvalidArgument("order must be >= 0")
+        require_order(self.order)
         if bessel.lambda_varpi != satake.omega_pi:
             raise InvalidArgument(
                 "Bessel-model compatibility requires Lambda(varpi) = omega_pi(varpi)")
@@ -280,12 +278,6 @@ _SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 _NUMERATORS = tuple(n for n in range(-9, 10) if n != 0)
 
 
-def _inverse(t: tuple[int, int, int]) -> tuple[int, int, int]:
-    """1/t for a nonzero rational triple t = (n, 0, d), kept with d > 0."""
-    n, _, d = t
-    return (d, 0, n) if n > 0 else (-d, 0, -n)
-
-
 def random_local_instance(rng: random.Random, kind: str, legendre: int,
                           beta_chi_unramified: bool = False,
                           q: Optional[int] = None,
@@ -296,37 +288,35 @@ def random_local_instance(rng: random.Random, kind: str, legendre: int,
     that order.  gamma4 is solved from the pairing constraint; for
     non-inert extensions omega_pi is forced to the product/square of the
     drawn Lambda values so that Bessel-model compatibility admits rational
-    data.  The parameters are computed as rational int triples (n, 0, d)
-    and reduced once each, into QScalars.  The representation's values
-    follow gl2.GIVEN and gl2.CONDUCTOR; an unknown kind draws nothing.
+    data.  The Lambda values follow bessel.GIVEN, and the representation's
+    values gl2.GIVEN and gl2.CONDUCTOR.  Every argument is checked before
+    the first draw, so a refused call leaves rng as it was.
     """
     if kind not in KINDS:
         raise InvalidArgument(f"unknown kind {kind!r}")
+    require_legendre(legendre)
+    require_beta_flag(kind, beta_chi_unramified)
+    require_order(order)
     if q is None:
         q = rng.choice(_SWEEP_QS)
+    require_q(q)
 
     def draw():
-        return rng.choice(_NUMERATORS), 0, rng.randint(1, 9)
+        return _reduced(rng.choice(_NUMERATORS), 0, rng.randint(1, 9), q)
 
-    lamL = lam_conj = None
+    lams = [draw() for _ in LAMBDA_GIVEN[legendre]]
     if legendre == INERT:
         g1, g2, g3 = draw(), draw(), draw()
-        omega_pi = _mul(g1, g3, q)
+        omega_pi = g1 * g3
     else:
-        if legendre == RAMIFIED:
-            lamL = draw()
-            omega_pi = _mul(lamL, lamL, q)
-        else:
-            lamL, lam_conj = draw(), draw()
-            omega_pi = _mul(lamL, lam_conj, q)
+        # Lambda(varpi_L)^2, or Lambda(varpi_L) Lambda(varpi varpi_L^-1)
+        omega_pi = lams[0] * lams[-1]
         g1, g2 = draw(), draw()
-        g3 = _mul(omega_pi, _inverse(g1), q)
-    g4 = _mul(_mul(g1, g3, q), _inverse(g2), q)
-    satake = SatakeParams([_reduced(*g, q) for g in (g1, g2, g3, g4)], q)
-    lams = [None if t is None else _reduced(*t, q) for t in (lamL, lam_conj)]
-    datum = BesselDatum(legendre, _reduced(*omega_pi, q), *lams, q=q)
+        g3 = omega_pi * g1.inverse()
+    satake = SatakeParams([g1, g2, g3, g1 * g3 * g2.inverse()], q)
+    datum = BesselDatum(legendre, omega_pi, *lams, q=q)
 
-    values = {name: _reduced(*draw(), q) for name in GIVEN[kind]}
+    values = {name: draw() for name in GIVEN[kind]}
     if kind not in CONDUCTOR:
         values["conductor_exp"] = rng.randint(1, 4)
     rep = Gl2Local(kind, q, **values, beta_chi_unramified=beta_chi_unramified)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,8 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from localzeta import cli, zeta
+from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
+                       RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, cli,
+                       zeta)
 from localzeta.series import Poly, RatFn
+
+from test_sqrt_regime import sqrt_instance
 
 WORKED_CASE2 = {
     "q": 4,
@@ -72,6 +77,24 @@ def test_verify_nonarch_worked_instance(tmp_path):
     assert report["case"] == "case2"
     assert report["lhs_vs_hq"] == {"match": True}
     assert report["lhs_vs_rhs"] == {"match": True}
+
+
+@pytest.mark.parametrize("q, kind, legendre, flag", [
+    (4, RAMIFIED_OTHER, SPLIT, False),
+    (9, RAMIFIED_PS_UNRAM_ALPHA, INERT, False),
+    (7, RAMIFIED_PS_UNRAM_ALPHA, RAMIFIED, True),
+    (5, STEINBERG_UNRAMIFIED, RAMIFIED, False)])
+def test_verify_nonarch_on_a_sqrt_instance(tmp_path, q, kind, legendre, flag):
+    # every value has a sqrt(q) part: the instance passes, and is echoed
+    # exactly as it was read
+    obj = sqrt_instance(random.Random(q), q, kind, legendre, flag).to_json()
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli("verify-nonarch", "--params", str(path))
+    assert proc.returncode == 0, proc.stderr
+    (report,) = _lines(proc)
+    assert report["passed"] is True
+    assert report["instance"] == obj
 
 
 def test_verify_nonarch_order_flag(tmp_path):

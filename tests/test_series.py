@@ -207,6 +207,17 @@ def test_poly_coefficients_follow_the_qscalar_rule():
     assert Poly(["1/2", 3], 5) == Poly([Fraction(1, 2), 3], 5)
 
 
+@pytest.mark.parametrize("q", [None, 1, 0, -3, 2.5, True])
+def test_poly_checks_q_as_qscalar_does(q):
+    # also where no coefficient is built to check it
+    with pytest.raises(InvalidArgument):
+        QScalar(1, 0, q)
+    with pytest.raises(InvalidArgument):
+        Poly([], q)
+    with pytest.raises(InvalidArgument):
+        Poly.euler([], q)
+
+
 def test_poly_substitute_scaled():
     q = 4
     p = Poly([1, 2, 3], q)
@@ -282,6 +293,28 @@ def test_series_div_matches_schoolbook(q):
             got = series_div(num, den, order)
             assert got.order == order
             assert _fields(got.coeffs) == want[:order + 1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13])
+def test_series_div_denominators_are_A_times_E_to_the_k(q):
+    # the speed of series_div rests on this: term k's denominator is
+    # A*E^k, for E the lcm of the reduced denominators of den's
+    # coefficients and A that of num's, not a product of them
+    rng = random.Random(5000 + q)
+    order = 16
+    for trial in range(12):
+        # step 2 and 3 leave zero middle coefficients in den
+        step = 1 + trial % 3
+        den = Poly.euler([_random_scalar(rng, q) * Fraction(1, d)
+                          for d in rng.sample(range(2, 10), 3)], q, step)
+        num = Poly(_random_coeffs(rng, q, rng.randint(1, 6)), q)
+        E = math.lcm(*(c.d for c in den.coeffs))
+        A = math.lcm(*(c.d for c in num.coeffs))
+        assert len({c.d for c in den.coeffs}) >= 3  # mixed denominators
+        got = series_div(num, den, order)
+        assert [d for _, _, d in got.terms] == [A * E ** k
+                                                for k in range(order + 1)]
+        assert _fields(got.coeffs) == _fields(_schoolbook_div(num, den, order))
 
 
 def _full_fields(xs):

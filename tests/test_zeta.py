@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -465,10 +466,36 @@ def test_random_local_instance_refuses_the_flag_on_other_kinds(kind):
                                   beta_chi_unramified=True)
 
 
-@pytest.mark.parametrize("kind", ["Supercuspidal", None, [RAMIFIED_OTHER]])
-def test_random_local_instance_refuses_an_unknown_kind_before_drawing(kind):
+def _refused(id, error, match, kind=RAMIFIED_OTHER, legendre=INERT, **kwargs):
+    return pytest.param(dict(kind=kind, legendre=legendre, **kwargs), error,
+                        match, id=id)
+
+
+@pytest.mark.parametrize("args, error, match", [
+    _refused("Supercuspidal", InvalidArgument, "unknown kind",
+             kind="Supercuspidal"),
+    _refused("None", InvalidArgument, "unknown kind", kind=None),
+    _refused("kind2", InvalidArgument, "unknown kind", kind=[RAMIFIED_OTHER]),
+    _refused("legendre=5", InvalidBesselDatum,
+             "legendre symbol must be -1, 0 or 1, got 5", legendre=5),
+    _refused("legendre=True", InvalidArgument,
+             "legendre must be an integer, got True", legendre=True),
+    _refused("order=-1", InvalidArgument, "order must be >= 0", order=-1),
+    _refused("order=2.5", InvalidArgument,
+             "order must be an integer, got 2.5", order=2.5),
+    _refused("flag-on-Steinberg", InvalidArgument,
+             "SteinbergUnramified takes no beta_chi_unramified",
+             kind=STEINBERG_UNRAMIFIED, beta_chi_unramified=True),
+    *(_refused(f"q={q}", InvalidArgument,
+               f"q must be an integer >= 2, got {q}", q=q)
+      for q in (1, 0, -3)),
+])
+def test_random_local_instance_refuses_an_unknown_kind_before_drawing(
+        args, error, match):
+    # each refused argument raises its error before the first draw, so
+    # the RNG state is left as it was (the first three ids are a kind's)
     rng = random.Random(5)
     state = rng.getstate()
-    with pytest.raises(InvalidArgument, match="unknown kind"):
-        random_local_instance(rng, kind, INERT)
+    with pytest.raises(error, match=re.escape(match)):
+        random_local_instance(rng, **args)
     assert rng.getstate() == state
