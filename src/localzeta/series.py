@@ -7,28 +7,26 @@ Rational functions are compared by expanding both sides into truncated
 series, never by cross-multiplication, so no polynomial gcd over a ring
 with zero divisors is ever needed.
 
-Both layers compute on unreduced int triples (u, v, d), standing for
-(u + v*sqrt(q)) / d with d > 0, and take no gcd inside their loops.  A Poly
-keeps canonical QScalar coefficients: Euler products, products,
-substitution and evaluation read their ints, compute on triples (over one
-common denominator where coefficients are summed), and reduce each finished
-coefficient once, so that the lcm denominators of series division stay
-small.  A Series keeps the triples themselves.  The triples are this
-module's alone: the other modules read and build QScalars.
-Series division runs on plain ints: with E the lcm of the denominator's
-coefficient denominators and A that of the numerator's, coefficient k is
-(u_k + v_k*sqrt(q)) / (A*E^k) for integers u_k, v_k obeying an integer
-recurrence, and a twist multiplies coefficient k by the k-th power of one
-unit.  Two series are compared by cross-multiplying the triples, which is
-exact because sqrt(q) stays formal, also for a perfect-square q.  A series
-coefficient is put in canonical QScalar form only when it is read: through
-coeffs, to_json, or as the first mismatch of a comparison.
+Both layers compute on ints standing for (u + v*sqrt(q)) / d, d > 0, with
+no gcd in a loop; the ints are this module's alone.  A Poly keeps one
+denominator d, reduced with its pairs by one gcd per polynomial, so d is
+the lcm of the reduced coefficients' denominators (for each prime p, the
+largest v_p(d) - v_p(g_k) over g_k = gcd(us[k], vs[k], d) is v_p(d) -
+min_k v_p(g_k)).  A Series keeps one unreduced triple per coefficient.
+Series division runs on plain ints: with E the denominator's d and A the
+numerator's, coefficient k is (u_k + v_k*sqrt(q)) / (A*E^k) for integers
+u_k, v_k obeying an integer recurrence, and a twist multiplies coefficient
+k by the k-th power of one unit.  Two series are compared by
+cross-multiplying the triples, which is exact because sqrt(q) stays formal,
+also for a perfect-square q.  A coefficient is put in canonical QScalar
+form only when it is read: through coeffs, to_json, constant or eval, or
+as the first mismatch of a comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DivisionByNonUnit, InvalidArgument, require_int
@@ -53,10 +51,20 @@ def _mul(x: tuple[int, int, int], y: tuple[int, int, int],
     return a * c + b * e * q, a * e + b * c, d * f
 
 
+def _scalar(v, q: int) -> QScalar:
+    """v in the ring at q: a QScalar with that q, or a rational value."""
+    if not isinstance(v, QScalar):
+        return QScalar(v, 0, q)
+    if v.q != q:
+        raise InvalidArgument(f"mixed ambient cardinalities: {q} vs {v.q}")
+    return v
+
+
 def _twisted(terms: Iterable[tuple[int, int, int]], unit: QScalar,
              q: int) -> list[tuple[int, int, int]]:
     """terms[k] * unit^k for each k: each triple multiplied once, by unit^k
     carried forward as one triple, no gcd."""
+    unit = _scalar(unit, q)
     unit, power = (unit.a, unit.b, unit.d), (1, 0, 1)
     out = []
     for t in terms:
@@ -65,35 +73,23 @@ def _twisted(terms: Iterable[tuple[int, int, int]], unit: QScalar,
     return out
 
 
-def _promote(values: Iterable, q: int) -> list[QScalar]:
-    out = []
-    for v in values:
-        if isinstance(v, QScalar):
-            if v.q != q:
-                raise InvalidArgument("coefficient with mismatched q")
-            out.append(v)
-        else:
-            out.append(QScalar(v, 0, q))
-    return out
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Poly:
-    """Polynomial with canonical QScalar coefficients, trailing zeros trimmed.
-
-    Equality and hashing go by value.  euler, *, substitute_scaled and eval
-    compute on int triples and reduce each finished coefficient once.
+    """Polynomial with coefficient k = (us[k] + vs[k]*sqrt(q)) / d, in the
+    canonical form d > 0, gcd(us, vs, d) = 1, no trailing zero pair, so
+    equality and hashing compare ints.  Poly(coeffs, q) takes rational
+    values or QScalars, and coeffs gives canonical QScalars back.
     """
 
-    coeffs: tuple[QScalar, ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
+    d: int
     q: int
 
-    def __post_init__(self):
-        require_q(self.q)
-        cs = _promote(self.coeffs, self.q)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable, q: int):
+        require_q(q)
+        cs = [_scalar(c, q) for c in coeffs]
+        _poly(*_over_lcm([(c.a, c.b, c.d) for c in cs]), q, self)
 
     @staticmethod
     def one(q: int) -> "Poly":
@@ -111,11 +107,11 @@ class Poly:
         Each factor c = (a + b sqrt(q))/e multiplies it by e - (a + b
         sqrt(q)) T^step and D by e, in place from the top down, so the
         pair at i - step is still the old one when the pair at i reads it.
-        No gcd is taken until _poly reduces the finished coefficients.
+        No gcd is taken until _poly reduces the finished polynomial.
         """
         require_q(q)
         us, vs, D = [1], [0], 1
-        for c in _promote(cs, q):
+        for c in (_scalar(c, q) for c in cs):
             a, b, e = c.a, c.b, c.d
             if not (a or b):
                 continue
@@ -130,21 +126,28 @@ class Poly:
                     v -= a * y + b * x
                 us[i], vs[i] = u, v
             D *= e
-        return _poly([(u, v, D) for u, v in zip(us, vs)], q)
+        return _poly(us, vs, D, q)
+
+    @property
+    def coeffs(self) -> tuple[QScalar, ...]:
+        """The coefficients as canonical QScalars, reduced on each read."""
+        d, q = self.d, self.q
+        return tuple(_reduced(u, v, d, q) for u, v in zip(self.us, self.vs))
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
+        return len(self.us) - 1
 
     def constant(self) -> QScalar:
-        return self.coeffs[0] if self.coeffs else QScalar.zero(self.q)
+        us, vs = self.us or (0,), self.vs or (0,)
+        return _reduced(us[0], vs[0], self.d, self.q)
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return self.d == 1 and self.us == (1,) and self.vs == (0,)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """The product, by int convolution over the two common
+        """The product, by int convolution over the product of the two
         denominators."""
         if not isinstance(other, Poly):
             return NotImplemented
@@ -156,54 +159,52 @@ class Poly:
             return self
         if self.is_one():
             return other
-        au, av, A = _over_lcm(self.coeffs)
-        bu, bv, B = _over_lcm(other.coeffs)
-        n = len(au) + len(bu) - 1
+        n = len(self.us) + len(other.us) - 1
         us, vs = [0] * n, [0] * n
-        for i, (x, y) in enumerate(zip(au, av)):
+        for i, (x, y) in enumerate(zip(self.us, self.vs)):
             if not (x or y):
                 continue
             yq = y * q
-            for j, (s, t) in enumerate(zip(bu, bv), i):
+            for j, (s, t) in enumerate(zip(other.us, other.vs), i):
                 us[j] += x * s + yq * t
                 vs[j] += x * t + y * s
-        D = A * B
-        return _poly([(u, v, D) for u, v in zip(us, vs)], q)
+        return _poly(us, vs, self.d * other.d, q)
 
     def substitute_scaled(self, c: QScalar) -> "Poly":
-        """p(y) -> p(c*T): the k-th coefficient times c^k, by _twisted."""
-        q = self.q
-        c = _promote([c], q)[0]
-        return _poly(_twisted([(x.a, x.b, x.d) for x in self.coeffs], c, q), q)
+        """p(y) -> p(c*T): coefficient k times c^k, by _twisted."""
+        d, q = self.d, self.q
+        terms = _twisted([(u, v, d) for u, v in zip(self.us, self.vs)], c, q)
+        return _poly(*_over_lcm(terms), q)
 
     def eval(self, t: QScalar) -> QScalar:
         """p(t) by Horner's rule on one unreduced triple, reduced once."""
         q = self.q
-        t = _promote([t], q)[0]
+        t = _scalar(t, q)
         t, acc = (t.a, t.b, t.d), (0, 0, 1)
-        for x in reversed(self.coeffs):
-            u, v, d = _mul(acc, t, q)
-            acc = (u * x.d + x.a * d, v * x.d + x.b * d, d * x.d)
-        return _reduced(*acc, q)
+        for u, v in zip(reversed(self.us), reversed(self.vs)):
+            x, y, e = _mul(acc, t, q)
+            acc = (x + u * e, y + v * e, e)
+        return _reduced(acc[0], acc[1], acc[2] * self.d, q)
 
 
-def _over_lcm(coeffs: Sequence[QScalar]) -> tuple[list[int], list[int], int]:
-    """(us, vs, D) with coeffs[k] = (us[k] + vs[k] sqrt(q)) / D, over D the
-    lcm of the coefficients' denominators."""
-    D = lcm(*(c.d for c in coeffs))
-    return ([c.a * (D // c.d) for c in coeffs],
-            [c.b * (D // c.d) for c in coeffs], D)
+def _over_lcm(terms: Sequence[tuple]) -> tuple[list[int], list[int], int]:
+    """(us, vs, D): terms[k] = (us[k] + vs[k] sqrt(q)) / D, D their lcm."""
+    D = lcm(*(d for _, _, d in terms))
+    return ([u * (D // d) for u, _, d in terms],
+            [v * (D // d) for _, v, d in terms], D)
 
 
-def _poly(terms: list[tuple[int, int, int]], q: int) -> Poly:
-    """The Poly whose coefficient k is the triple terms[k], each reduced
-    once; the public constructor's checks are skipped, since the triples
-    come from checked coefficients."""
-    while terms and not (terms[-1][0] or terms[-1][1]):
-        terms.pop()
-    p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs",
-                       tuple(_reduced(u, v, d, q) for u, v, d in terms))
+def _poly(us: list, vs: list, d: int, q: int, p: Optional[Poly] = None):
+    """The canonical Poly (us + vs sqrt(q)) / d, d > 0, by one gcd, written
+    into p or, skipping the constructor's checks, into a new Poly."""
+    while us and not (us[-1] or vs[-1]):
+        us.pop()
+        vs.pop()
+    g = gcd(*us, *vs, d)
+    p = object.__new__(Poly) if p is None else p
+    object.__setattr__(p, "us", tuple(u // g for u in us))
+    object.__setattr__(p, "vs", tuple(v // g for v in vs))
+    object.__setattr__(p, "d", d // g)
     object.__setattr__(p, "q", q)
     return p
 
@@ -215,11 +216,23 @@ class Series:
     Coefficient k is (u + v*sqrt(q)) / d for (u, v, d) = terms[k], with
     d > 0 and the triple not necessarily reduced; series_div and
     series_twist build the triples with int arithmetic alone.  Equality
-    and hashing go by value.
+    and hashing go by value.  The constructor checks q and each triple;
+    series_div and series_twist skip the checks, through _series.
     """
 
     terms: tuple[tuple[int, int, int], ...]
     q: int
+
+    def __post_init__(self):
+        require_q(self.q)
+        terms = tuple(self.terms)
+        for t in terms:
+            # type(x) is int: a bool is not an int
+            if not (isinstance(t, tuple) and len(t) == 3
+                    and all(type(x) is int for x in t) and t[2] > 0):
+                raise InvalidArgument("a series term must be three ints "
+                                      f"(u, v, d) with d > 0, got {t!r}")
+        object.__setattr__(self, "terms", terms)
 
     @property
     def coeffs(self) -> tuple[QScalar, ...]:
@@ -242,6 +255,15 @@ class Series:
 
     def __hash__(self):
         return hash((self.coeffs, self.q))
+
+
+def _series(terms: tuple[tuple[int, int, int], ...], q: int) -> Series:
+    """The Series of terms, without the constructor's checks: the triples
+    come from checked values."""
+    s = object.__new__(Series)
+    object.__setattr__(s, "terms", terms)
+    object.__setattr__(s, "q", q)
+    return s
 
 
 def _first_mismatch(xs, ys) -> Optional[int]:
@@ -281,8 +303,8 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     coefficient is ever divided; any other den raises DivisionByNonUnit.
 
     The recurrence out[k] = a_k - sum_j c_j out[k-j] runs on int pairs.
-    With E the lcm of the denominators of the c_j and A that of the a_k,
-    out[k] = (u_k + v_k sqrt(q)) / (A E^k), where
+    With E = den.d and A = num.d, the lcms of the denominators of the c_j
+    and of the a_k, out[k] = (u_k + v_k sqrt(q)) / (A E^k), where
 
         u_k + v_k sqrt(q) = A E^k a_k
                             - sum_j (E^j c_j) (u_{k-j} + v_{k-j} sqrt(q))
@@ -302,7 +324,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
             "series division needs a denominator with constant term 1")
     # (j, u, v, v*q) of E^j c_j = E^(j-1) (du_j + dv_j sqrt(q)) for the
     # nonzero c_j, j >= 1
-    du, dv, E = _over_lcm(den.coeffs)
+    du, dv, E = den.us, den.vs, den.d
     den_terms = []
     Ej = 1  # E^(j-1)
     for j in range(1, len(du)):
@@ -310,7 +332,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
             u, v = du[j] * Ej, dv[j] * Ej
             den_terms.append((j, u, v, v * q))
         Ej *= E
-    au, av, A = _over_lcm(num.coeffs[:order + 1])
+    au, av, A = num.us, num.vs, num.d
     out: list[tuple[int, int, int]] = []
     Ek = 1  # E^k
     for k in range(order + 1):
@@ -326,7 +348,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
             v -= cu * y + cv * x
         out.append((u, v, A * Ek))
         Ek *= E
-    return Series(tuple(out), q)
+    return _series(tuple(out), q)
 
 
 def series_equal(a: Series, b: Series) -> SeriesComparison:
@@ -344,7 +366,7 @@ def series_equal(a: Series, b: Series) -> SeriesComparison:
 
 def series_twist(s: Series, unit: QScalar) -> Series:
     """The series with coefficient l equal to s_l * unit^l, by _twisted."""
-    return Series(tuple(_twisted(s.terms, unit, s.q)), s.q)
+    return _series(tuple(_twisted(s.terms, unit, s.q)), s.q)
 
 
 @dataclass(frozen=True, slots=True)

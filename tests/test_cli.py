@@ -697,6 +697,38 @@ def test_sweep_corrupt_y_output_is_unchanged(order, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+# the README instance and the Case-3 instance at q = 5, whose values all
+# have sqrt(q) parts, that the CI smoke runs
+README_INSTANCE = dict(WORKED_CASE2, rep=dict(WORKED_CASE2["rep"],
+                                              beta_chi_unramified=False))
+CASE3_SQRT_Q5 = {
+    "q": 5, "order": 12,
+    "satake": {"gamma": [{"rat": "1", "sqrt": "1"}, {"sqrt": "1"},
+                         {"rat": "2", "sqrt": "1"},
+                         {"rat": "3", "sqrt": "7/5"}]},
+    "bessel": {"legendre": -1, "lambda_varpi": {"rat": "7", "sqrt": "3"}},
+    "rep": {"kind": "SteinbergUnramified", "n": 1,
+            "omega": {"rat": "1/2", "sqrt": "1/2"}},
+}
+
+
+# sha256 of the stdout of a command on an instance: pins every printed LHS,
+# H/Q and RHS coefficient, or every Bessel coefficient
+@pytest.mark.parametrize("instance, args, digest", [
+    (README_INSTANCE, ["verify-nonarch", "--order", "60"],
+     "49e15dc14165fa67d34bd19ef436e80010e2974fd97fe3e66eca17735f4c546e"),
+    (README_INSTANCE, ["bessel", "--order", "40"],
+     "e96911d9f6f0b04cffbd9f149e2d35d120a84a91cd3e3073c088b127e0ac44f6"),
+    (CASE3_SQRT_Q5, ["verify-nonarch"],
+     "af1f2e7f7cde49b19266726844832d0da3af04a7d1617239055d3cf0f18cd812"),
+], ids=["readme-verify-o60", "readme-bessel-o40", "case3-sqrt-q5-verify"])
+def test_printed_series_are_unchanged(tmp_path, instance, args, digest):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    proc = run_cli(*args, "--params", str(path), check=True)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_closed_stdout_stops_quietly():
     # about 300 KB of rows, more than a pipe holds, so the child is still
     # writing when the reader closes the pipe after the first line

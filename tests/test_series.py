@@ -195,6 +195,9 @@ def test_poly_trimming_and_degree():
     assert Poly([1, 2, 0, 0], q).degree == 1
     assert Poly([], q).degree == -1
     assert Poly([0, 0], q) == Poly([], q)
+    # the zero polynomial has one form, however it is reached
+    for zero in (Poly.zero(q), Poly([0, 0], q), Poly([1, 2], q) * Poly([], q)):
+        assert (zero.us, zero.vs, zero.d) == ((), (), 1)
 
 
 def test_poly_coefficients_follow_the_qscalar_rule():
@@ -447,6 +450,38 @@ def test_series_twist_matches_schoolbook(q):
             [c * unit ** l for l, c in enumerate(cs)])
 
 
+def test_twist_checks_the_units_q():
+    unit = QScalar(0, 1, 7)
+    with pytest.raises(InvalidArgument, match="mixed"):
+        series_twist(series_of([1, 1], 5), unit)
+    with pytest.raises(InvalidArgument, match="mixed"):
+        Poly([1, 1], 5).substitute_scaled(unit)
+
+
+@pytest.mark.parametrize("terms, q", [
+    (((1, 0, 0),), 1),                   # q by QScalar's rule
+    (((1, 0, 1),), 5.0),
+    (((1, 0, 0),), 5),                   # a zero denominator
+    (((2, 0, -3),), 5),                  # a negative one
+    (((True, 0, 1),), 5),                # a bool is not an int
+    (((Fraction(1, 2), 0, 1),), 5),
+    (((1, 0),), 5),                      # not a triple
+    (([1, 0, 1],), 5),
+    ((1, 0, 1), 5),
+], ids=["q1", "q-float", "d0", "d-negative", "bool", "fraction", "pair",
+        "list", "flat"])
+def test_series_checks_its_terms(terms, q):
+    with pytest.raises(InvalidArgument):
+        Series(terms, q)
+
+
+def test_series_keeps_its_terms_as_a_tuple():
+    s = Series([(2, 0, 6), (0, -3, 9)], 5)
+    assert s.terms == ((2, 0, 6), (0, -3, 9))
+    assert s.coeffs == (QScalar("1/3", 0, 5), QScalar(0, "-1/3", 5))
+    assert s == series_of([Fraction(1, 3), QScalar(0, "-1/3", 5)], 5)
+
+
 @pytest.mark.parametrize("q", [2, 3, 9])
 def test_poly_euler_matches_product_of_factors(q):
     rng = random.Random(90 + q)
@@ -492,43 +527,63 @@ def _random_coeffs(rng, q, n):
     return [_random_scalar(rng, q, p_zero=0.3) for _ in range(n)]
 
 
+def _assert_canonical(p: Poly):
+    """p's ints are in canonical form, over the lcm of its reduced
+    coefficients' denominators, and p is rebuilt from its coefficients."""
+    assert p.d > 0 and math.gcd(*p.us, *p.vs, p.d) == 1
+    assert len(p.us) == len(p.vs)
+    assert not p.us or p.us[-1] or p.vs[-1]
+    assert p.d == math.lcm(*(c.d for c in p.coeffs))
+    back = Poly(p.coeffs, p.q)
+    assert back == p and hash(back) == hash(p)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 13])
 def test_poly_operations_match_schoolbook(q):
-    # zero coefficients, sqrt(q) parts, and at q = 4 and 9 products of
-    # nonzero elements that vanish, as (2 + sqrt(4))(2 - sqrt(4)) does
+    # zero coefficients, sqrt(q) parts, mixed denominators, and at q = 4
+    # and 9 products of nonzero elements that vanish, as
+    # (2 + sqrt(4))(2 - sqrt(4)) does
     rng = random.Random(4000 + q)
     r = math.isqrt(q)
     for trial in range(40):
         cs = _random_coeffs(rng, q, rng.randint(0, 5))
         if r * r == q and trial % 4 == 0:
             cs += [QScalar(r, 1, q), QScalar(r, -1, q)]
-        for step in (1, 2):
+        eulers = []
+        for step in (1, 2, 3):
             got = Poly.euler(cs, q, step)
             want = _schoolbook_euler(cs, q, step)
             assert _full_fields(got.coeffs) == _full_fields(want)
             assert got == Poly(want, q) and hash(got) == hash(Poly(want, q))
+            _assert_canonical(got)
+            eulers.append(got)
 
         a = Poly(_random_coeffs(rng, q, rng.randint(0, 6)), q)
         b = Poly(_random_coeffs(rng, q, rng.randint(0, 6)), q)
-        want = _schoolbook_product(a.coeffs, b.coeffs, q)
-        assert _full_fields((a * b).coeffs) == _full_fields(want)
-        assert _full_fields((b * a).coeffs) == _full_fields(want)
+        e = eulers[trial % 3]
+        for x, y in ((a, b), (eulers[0], eulers[2]), (e, a)):
+            want = _schoolbook_product(x.coeffs, y.coeffs, q)
+            assert _full_fields((x * y).coeffs) == _full_fields(want)
+            assert _full_fields((y * x).coeffs) == _full_fields(want)
+            _assert_canonical(x * y)
 
         c, t = _random_scalar(rng, q, p_zero=0.1), _random_scalar(rng, q)
-        power, scaled = QScalar.one(q), []
-        for x in a.coeffs:
-            scaled.append(x * power)
-            power = power * c
-        while scaled and scaled[-1].is_zero():
-            scaled.pop()
-        assert _full_fields(a.substitute_scaled(c).coeffs) == \
-            _full_fields(scaled)
+        for p in (a, e, e * b):
+            power, scaled = QScalar.one(q), []
+            for x in p.coeffs:
+                scaled.append(x * power)
+                power = power * c
+            while scaled and scaled[-1].is_zero():
+                scaled.pop()
+            assert _full_fields(p.substitute_scaled(c).coeffs) == \
+                _full_fields(scaled)
+            _assert_canonical(p.substitute_scaled(c))
 
-        acc = QScalar.zero(q)
-        for x in reversed(a.coeffs):
-            acc = acc * t + x
-        got = a.eval(t)
-        assert (got.a, got.b, got.d, got.q) == (acc.a, acc.b, acc.d, acc.q)
+            acc = QScalar.zero(q)
+            for x in reversed(p.coeffs):
+                acc = acc * t + x
+            got = p.eval(t)
+            assert (got.a, got.b, got.d, got.q) == (acc.a, acc.b, acc.d, acc.q)
 
 
 def test_poly_product_checks_its_operand():
