@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import (InvalidArgument, InvalidBesselDatum, require_int,
                      require_known_keys)
 from .scalars import QScalar, require_unit
-from .series import Poly, RatFn, Series
+from .series import Poly, RatFn, Series, euler_product
 
 INERT, RAMIFIED, SPLIT = -1, 0, 1
 
@@ -30,12 +30,15 @@ class SatakeParams:
 
     The pairing gamma^(1) gamma^(3) = gamma^(2) gamma^(4) is the central
     character value omega_pi(varpi) and is enforced at construction.
+    Derived at construction, and not compared: omega_pi, and Q, Sugano's
+    denominator sugano_Q(self), built once for every route that reads it.
     """
 
     gamma: tuple[QScalar, ...]
     q: int
     # central character value omega_pi(varpi) = gamma1*gamma3, derived
     omega_pi: QScalar = field(init=False, repr=False, compare=False)
+    Q: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gamma, q = tuple(self.gamma), self.q
@@ -49,6 +52,7 @@ class SatakeParams:
                 "pairing constraint gamma1*gamma3 = gamma2*gamma4 violated")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "omega_pi", omega_pi)
+        object.__setattr__(self, "Q", sugano_Q(self))
 
     def to_json(self):
         return {"gamma": [g.to_json() for g in self.gamma]}
@@ -82,7 +86,9 @@ class BesselDatum:
     takes Lambda(varpi_L) with square lambda_varpi, and the inert case takes
     neither.  A case takes exactly its values in GIVEN, each an invertible
     QScalar of the ring at q, as a character's values are; any other value
-    is an InvalidBesselDatum.  q defaults to that of lambda_varpi.
+    is an InvalidBesselDatum.  q defaults to that of lambda_varpi.  H,
+    Sugano's numerator sugano_H(self), is derived at construction, built
+    once for every route that reads it, and not compared.
     """
 
     legendre: int
@@ -90,6 +96,7 @@ class BesselDatum:
     lambda_varpiL: Optional[QScalar] = None
     lambda_varpi_conj: Optional[QScalar] = None
     q: Optional[int] = None
+    H: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         legendre, lambda_varpi = self.legendre, self.lambda_varpi
@@ -115,6 +122,7 @@ class BesselDatum:
             raise InvalidBesselDatum(
                 "split case requires Lambda(varpi) = "
                 "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)")
+        object.__setattr__(self, "H", sugano_H(self))
 
     def to_json(self):
         out = {"legendre": self.legendre, "lambda_varpi": self.lambda_varpi.to_json()}
@@ -139,22 +147,20 @@ def sugano_H(d: BesselDatum) -> Poly:
     prod (1 - q^-2 lam y) over the values lam of Lambda that GIVEN lists
     for the case (Lambda(varpi_L), and Lambda(varpi varpi_L^-1) when
     split), and 1 - q^-4 Lambda(varpi) y^2 when inert."""
-    q = d.q
     if d.legendre == INERT:
-        return Poly.euler([QScalar.q_half_power(-8, q) * d.lambda_varpi], q,
-                          step=2)
-    qm2 = QScalar.q_half_power(-4, q)
-    return Poly.euler([qm2 * getattr(d, name) for name in GIVEN[d.legendre]], q)
+        return euler_product([(d.lambda_varpi,)], d.q, -8, step=2)
+    return euler_product([(getattr(d, name),) for name in GIVEN[d.legendre]],
+                         d.q, -4)
 
 
 def sugano_Q(p: SatakeParams) -> Poly:
     """Q(y) = prod_{i=1}^{4} (1 - gamma^(i) q^(-3/2) y), degree exactly 4."""
-    qm32 = QScalar.q_half_power(-3, p.q)
-    return Poly.euler([g * qm32 for g in p.gamma], p.q)
+    return euler_product([(g,) for g in p.gamma], p.q, -3)
 
 
 def bessel_coeffs(p: SatakeParams, d: BesselDatum, order: int) -> Series:
-    """Coefficients B(h(l,0)) for l = 0..order; B(h(0,0)) = 1."""
+    """Coefficients B(h(l,0)) for l = 0..order; B(h(0,0)) = 1: the series
+    of d.H / p.Q."""
     if p.q != d.q:
         raise InvalidArgument("Satake parameters and Bessel datum q mismatch")
-    return RatFn(sugano_H(d), sugano_Q(p)).to_series(order)
+    return RatFn(d.H, p.Q).to_series(order)

@@ -8,7 +8,10 @@ series, never by cross-multiplication, so no polynomial gcd over a ring
 with zero divisors is ever needed.
 
 Both layers compute on ints standing for (u + v*sqrt(q)) / d, d > 0, with
-no gcd in a loop; the ints are this module's alone.  A Poly keeps one
+no gcd in a loop; the ints are this module's alone.  An Euler product
+takes each root as QScalars to multiply, optionally inverted, times
+q^(n/2) for an integer n, and multiplies it out as one triple, so the
+L-factor modules build no root with QScalar arithmetic.  A Poly keeps one
 denominator d, reduced with its pairs by one gcd per polynomial, so d is
 the lcm of the reduced coefficients' denominators (for each prime p, the
 largest v_p(d) - v_p(g_k) over g_k = gcd(us[k], vs[k], d) is v_p(d) -
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DivisionByNonUnit, InvalidArgument, require_int
+from .errors import (DivisionByNonUnit, InvalidArgument, InvalidInversion,
+                     require_int)
 from .scalars import QScalar, _reduced, require_q
 
 DEFAULT_ORDER = 12
@@ -101,32 +105,9 @@ class Poly:
 
     @staticmethod
     def euler(cs: Iterable[QScalar], q: int, step: int = 1) -> "Poly":
-        """prod_c (1 - c T^step), the inverse of an Euler-product L-factor.
-
-        The product is kept as int pairs over one common denominator D.
-        Each factor c = (a + b sqrt(q))/e multiplies it by e - (a + b
-        sqrt(q)) T^step and D by e, in place from the top down, so the
-        pair at i - step is still the old one when the pair at i reads it.
-        No gcd is taken until _poly reduces the finished polynomial.
-        """
-        require_q(q)
-        us, vs, D = [1], [0], 1
-        for c in (_scalar(c, q) for c in cs):
-            a, b, e = c.a, c.b, c.d
-            if not (a or b):
-                continue
-            bq = b * q
-            us += [0] * step
-            vs += [0] * step
-            for i in range(len(us) - 1, -1, -1):
-                u, v = us[i] * e, vs[i] * e
-                if i >= step:
-                    x, y = us[i - step], vs[i - step]
-                    u -= a * x + bq * y
-                    v -= a * y + b * x
-                us[i], vs[i] = u, v
-            D *= e
-        return _poly(us, vs, D, q)
+        """prod_c (1 - c T^step), the inverse of an Euler-product L-factor:
+        euler_product with each root one value c."""
+        return euler_product([(c,) for c in cs], q, step=step)
 
     @property
     def coeffs(self) -> tuple[QScalar, ...]:
@@ -185,6 +166,65 @@ class Poly:
             x, y, e = _mul(acc, t, q)
             acc = (x + u * e, y + v * e, e)
         return _reduced(acc[0], acc[1], acc[2] * self.d, q)
+
+
+def euler_product(roots: Iterable[Sequence], q: int, half_power: int = 0,
+                  invert: bool = False, step: int = 1) -> Poly:
+    """prod_xs (1 - c T^step) over the roots c = x^(+-1) q^(half_power/2),
+    x the product of the values xs and -1 the exponent when invert: the
+    inverse of an Euler-product L-factor.  step must be an int >= 1.
+
+    Each root is multiplied out as one unreduced triple (a, b, e), with c
+    = (a + b sqrt(q))/e; its inverse is e (a - b sqrt(q)) / (a^2 - q b^2).
+    The product is kept as int pairs over one common denominator D.  Each
+    root multiplies it by e - (a + b sqrt(q)) T^step and D by e, in place
+    from the top down, so the pair at i - step is still the old one when
+    the pair at i reads it.  No gcd is taken until _poly reduces the
+    finished polynomial.
+    """
+    require_q(q)
+    require_int("step", step)
+    if step < 1:
+        raise InvalidArgument(f"step must be >= 1, got {step}")
+    k, odd = divmod(half_power, 2)
+    p = q ** abs(k)
+    num, den = (p, 1) if k >= 0 else (1, p)
+    us, vs, D = [1], [0], 1
+    for xs in roots:
+        a, b, e = 1, 0, 1
+        for c in xs:
+            c = _scalar(c, q)
+            x, y = c.a, c.b
+            a, b, e = a * x + b * y * q, a * y + b * x, e * c.d
+        if invert:
+            n = a * a - q * b * b
+            if n == 0:
+                raise InvalidInversion(
+                    f"{_reduced(a, b, e, q)!r} has vanishing norm")
+            a, b, e = (a * e, -b * e, n) if n > 0 else (-a * e, b * e, -n)
+        if odd:  # times sqrt(q)
+            a, b = b * q, a
+        a, b, e = a * num, b * num, e * den
+        if not (a or b):
+            continue
+        bq = b * q
+        us += [0] * step
+        vs += [0] * step
+        for i in range(len(us) - 1, -1, -1):
+            u, v = us[i] * e, vs[i] * e
+            if i >= step:
+                x, y = us[i - step], vs[i - step]
+                u -= a * x + bq * y
+                v -= a * y + b * x
+            us[i], vs[i] = u, v
+        D *= e
+    return _poly(us, vs, D, q)
+
+
+def _constant_is_one(p: Poly) -> bool:
+    """Whether p's constant term is 1: in canonical form, exactly when
+    us[0] = d and vs[0] = 0, since sqrt(q) is formal."""
+    return p.us[:1] == (p.d,) and p.vs[:1] == (0,)
 
 
 def _over_lcm(terms: Sequence[tuple]) -> tuple[list[int], list[int], int]:
@@ -319,7 +359,7 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     if den.q != q:
         raise InvalidArgument(
             f"mixed ambient cardinalities: {q} vs {den.q}")
-    if not den.constant().is_one():
+    if not _constant_is_one(den):
         raise DivisionByNonUnit(
             "series division needs a denominator with constant term 1")
     # (j, u, v, v*q) of E^j c_j = E^(j-1) (du_j + dv_j sqrt(q)) for the
@@ -384,7 +424,7 @@ class RatFn:
     def __post_init__(self):
         if self.numer.q != self.denom.q:
             raise InvalidArgument("numerator and denominator q mismatch")
-        if not self.denom.constant().is_one():
+        if not _constant_is_one(self.denom):
             raise InvalidArgument("denominator constant term must be 1")
 
     def to_series(self, order: int = DEFAULT_ORDER) -> Series:

@@ -17,19 +17,19 @@ formulas.  A verification report compares the routes exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .bessel import (GIVEN as LAMBDA_GIVEN, INERT, RAMIFIED, BesselDatum,
-                     SatakeParams, bessel_coeffs, require_legendre, sugano_H,
-                     sugano_Q)
+                     SatakeParams, bessel_coeffs, require_legendre)
 from .errors import InvalidArgument, UnsupportedCase
 from .gl2 import (CONDUCTOR, GIVEN, KINDS, RAMIFIED_OTHER,
                   RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, UNRAMIFIED_PS,
                   Gl2Local, newform_ratio, require_beta_flag)
 from .scalars import QScalar, _reduced, require_q
 from .series import (DEFAULT_ORDER, Poly, RatFn, Series, SeriesComparison,
-                     require_order, series_equal, series_twist)
+                     euler_product, require_order, series_equal,
+                     series_twist)
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,13 +37,17 @@ class LocalInstance:
     """All local data entering one verification run.
 
     Enforces the shared residue cardinality and the Bessel-model
-    compatibility Lambda(varpi) = omega_pi(varpi).
+    compatibility Lambda(varpi) = omega_pi(varpi).  chi, the inverse
+    L(6s+1, chi|F^x) factor euler_chi(satake, rep), is derived at
+    construction, built once for Y(s) and the closed form both, and not
+    compared; H and Q live on bessel and satake.
     """
 
     satake: SatakeParams
     bessel: BesselDatum
     rep: Gl2Local
     order: int = DEFAULT_ORDER
+    chi: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         satake, bessel = self.satake, self.bessel
@@ -53,6 +57,7 @@ class LocalInstance:
         if bessel.lambda_varpi != satake.omega_pi:
             raise InvalidArgument(
                 "Bessel-model compatibility requires Lambda(varpi) = omega_pi(varpi)")
+        object.__setattr__(self, "chi", euler_chi(satake, self.rep))
 
     @property
     def q(self) -> int:
@@ -118,41 +123,39 @@ def _y_scale(inst: LocalInstance) -> QScalar:
 
 
 def hq_substituted(inst: LocalInstance) -> Series:
-    """H(y)/Q(y) expanded in T after the case-specific substitution y = c*T."""
+    """H(y)/Q(y) expanded in T after the case-specific substitution y = c*T:
+    the instance's own H and Q, which bessel_coeffs reads too."""
     c = _y_scale(inst)
-    H = sugano_H(inst.bessel).substitute_scaled(c)
-    Q = sugano_Q(inst.satake).substitute_scaled(c)
+    H = inst.bessel.H.substitute_scaled(c)
+    Q = inst.satake.Q.substitute_scaled(c)
     return RatFn(H, Q).to_series(inst.order)
 
 
 def euler_pairing(satake: SatakeParams, taus: Sequence[QScalar]) -> Poly:
     """Inverse of L(3s+1/2, pi~ x tau~) in T, over the unramified values t
     of tau: prod_{gamma, t} (1 - (gamma t)^{-1}(varpi) q^(-1/2) T)."""
-    qm1 = QScalar.q_half_power(-1, satake.q)
-    return Poly.euler(
-        [(g * t).inverse() * qm1 for g in satake.gamma for t in taus], satake.q)
+    return euler_product([(g, t) for g in satake.gamma for t in taus],
+                         satake.q, -1, invert=True)
 
 
 def euler_chi(satake: SatakeParams, rep: Gl2Local) -> Poly:
     """Inverse of L(6s+1, chi|F^x): 1 - (omega_pi omega_tau)^{-1} q^-1 T^2."""
-    x = (satake.omega_pi * rep.omega_tau_varpi).inverse() \
-        * QScalar.q_half_power(-2, satake.q)
-    return Poly.euler([x], satake.q, step=2)
+    return euler_product([(satake.omega_pi, rep.omega_tau_varpi)], satake.q,
+                         -2, invert=True, step=2)
 
 
 def euler_triple(bessel: BesselDatum, units: Sequence[QScalar]) -> Poly:
     """Inverse of L(3s+1, tau x AI(Lambda) x chi|F^x) in T, over the
     unramified values u of tau x chi at varpi, per Legendre case."""
     q = bessel.q
-    qm2 = QScalar.q_half_power(-2, q)
     if bessel.legendre == INERT:
-        return Poly.euler(
-            [bessel.lambda_varpi * u * u * qm2 * qm2 for u in units], q, step=2)
+        return euler_product([(bessel.lambda_varpi, u, u) for u in units], q,
+                             -4, step=2)
     if bessel.legendre == RAMIFIED:
-        return Poly.euler([bessel.lambda_varpiL * u * qm2 for u in units], q)
-    return Poly.euler(
-        [lam * u * qm2 for u in units
-         for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q)
+        return euler_product([(bessel.lambda_varpiL, u) for u in units], q, -2)
+    return euler_product(
+        [(lam, u) for u in units
+         for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q, -2)
 
 
 def _beta_units(inst: LocalInstance) -> list[QScalar]:
@@ -176,8 +179,7 @@ def y_factor(inst: LocalInstance) -> RatFn:
     one = Poly.one(inst.q)
     if inst.rep.kind == UNRAMIFIED_PS:
         return RatFn(one, one)
-    return RatFn(one, euler_chi(inst.satake, inst.rep)
-                 * euler_triple(inst.bessel, _beta_units(inst)))
+    return RatFn(one, inst.chi * euler_triple(inst.bessel, _beta_units(inst)))
 
 
 def zeta_closed_rhs(inst: LocalInstance,
@@ -199,9 +201,9 @@ def zeta_closed_rhs(inst: LocalInstance,
     yf = (y_factor_fn or y_factor)(inst)
     taus = [getattr(rep, name) for name in _UNRAMIFIED_VALUES[rep.kind]]
     units = [(satake.omega_pi * t).inverse() for t in taus] + _beta_units(inst)
-    chi = euler_chi(satake, rep)
     triple = euler_triple(inst.bessel, units)
-    return RatFn(chi * triple * yf.numer, euler_pairing(satake, taus) * yf.denom)
+    return RatFn(inst.chi * triple * yf.numer,
+                 euler_pairing(satake, taus) * yf.denom)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ import pytest
 
 from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        STEINBERG_UNRAMIFIED, DivisionByNonUnit, Gl2Local,
-                       InvalidArgument, Poly, QScalar, RatFn, Series,
-                       newform_value, series_div, series_equal)
+                       InvalidArgument, InvalidInversion, Poly, QScalar,
+                       RatFn, Series, newform_value, series_div, series_equal)
 from localzeta.gl2 import newform_ratio
-from localzeta.series import series_twist
+from localzeta.series import euler_product, series_twist
 
 from conftest import embed, nonzero_fraction, rq, series_of
 
@@ -495,6 +495,72 @@ def test_poly_euler_matches_product_of_factors(q):
             assert _fields(got.coeffs) == _fields(want.coeffs)
     assert Poly.euler([Fraction(1, 2), 3], q) == \
         Poly([1, Fraction(-7, 2), Fraction(3, 2)], q)
+
+
+@pytest.mark.parametrize("step", [0, -1, 1.5, True, "2", None])
+def test_euler_checks_its_step(step):
+    # -1 raised a bare IndexError, 1.5 a TypeError, and True was read as 1
+    q = 5
+    for cs in ([], [QScalar(1, 1, q)]):
+        with pytest.raises(InvalidArgument, match="step"):
+            Poly.euler(cs, q, step)
+        with pytest.raises(InvalidArgument, match="step"):
+            euler_product([(c,) for c in cs], q, step=step)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_euler_product_matches_schoolbook_roots(q):
+    # each root multiplied, inverted and scaled one QScalar operation at a
+    # time, then Poly.euler and the schoolbook expansion over those roots;
+    # the factors are QScalars, with and without sqrt(q) parts, and plain
+    # Fractions
+    rng = random.Random(700 + q)
+
+    def factor():
+        if rng.random() < 0.2:
+            return nonzero_fraction(rng)
+        return _random_scalar(rng, q, p_zero=0.05)
+
+    for half_power in range(-8, 4):
+        scale = QScalar.q_half_power(half_power, q)
+        for invert in (False, True):
+            for step in (1, 2):
+                roots = [[factor() for _ in range(rng.randint(0, 3))]
+                         for _ in range(rng.randint(0, 4))]
+                xs = [reduce(lambda x, y: x * y, r, QScalar.one(q))
+                      for r in roots]
+                if invert and any(x.a * x.a == q * x.b * x.b for x in xs):
+                    # a zero or, at q = 4 and 9, a zero divisor
+                    with pytest.raises(InvalidInversion):
+                        euler_product(roots, q, half_power, invert, step)
+                    continue
+                cs = [(x.inverse() if invert else x) * scale for x in xs]
+                got = euler_product(roots, q, half_power, invert, step)
+                want = Poly.euler(cs, q, step)
+                assert (got.us, got.vs, got.d, got.q) == \
+                    (want.us, want.vs, want.d, want.q)
+                assert _full_fields(got.coeffs) == \
+                    _full_fields(_schoolbook_euler(cs, q, step))
+                _assert_canonical(got)
+
+
+def test_constant_term_one_is_read_from_the_ints():
+    q = 5
+    one = Poly.one(q)
+    for den in (Poly.zero(q), Poly([2], q), Poly([QScalar(0, 1, q)], q)):
+        with pytest.raises(InvalidArgument,
+                           match="^denominator constant term must be 1$"):
+            RatFn(one, den)
+        with pytest.raises(DivisionByNonUnit,
+                           match="^series division needs a denominator "
+                                 "with constant term 1$"):
+            series_div(one, den, 3)
+    # constant term 2/2: d = 2 is no obstacle
+    den = Poly([1, Fraction(1, 2)], q)
+    assert (den.us, den.vs, den.d) == ((2, 1), (0, 0), 2)
+    want = series_of([Fraction(-1, 2) ** k for k in range(4)], q)
+    assert RatFn(one, den).to_series(3) == want
+    assert series_div(one, den, 3) == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        euler_pairing, euler_triple, hq_substituted,
                        random_local_instance, verify_local, y_factor,
                        zeta_closed_rhs, zeta_series_lhs)
-from localzeta import cli, zeta
+from localzeta import bessel, cli, zeta
 from localzeta.zeta import _y_scale
 
 from conftest import embed, rq
@@ -366,6 +367,56 @@ def test_sweep_plan_reports_are_unchanged_repeat_4():
                      for inst in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         SWEEP_PLAN_0_12_REPEAT_4_SHA256
+
+
+# sha256 of the (us, vs, d) of y_factor(inst).denom and of the numerator and
+# denominator of zeta_closed_rhs(inst), one JSON line per Case-1/2 instance
+# of the seed-0, order-12 sweep plan.  Y(s) divides by the chi and
+# _beta_units triple factors that the closed form multiplies in, so no
+# series pin sees them; this one does.
+CLOSED_FACTORS_0_12_SHA256 = (
+    "61c8138080cfbe4051907feb6b98fad8a5097dfb5ed9a0b838e3160361784978")
+
+
+def test_closed_route_factors_are_unchanged():
+    plan = [inst for inst in cli._sweep_plan(0, 12, 1)
+            if inst.rep.kind in (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA)]
+    assert len(plan) == 60
+
+    def ints(p):
+        return [list(p.us), list(p.vs), p.d]
+
+    lines = []
+    for inst in plan:
+        rhs = zeta_closed_rhs(inst)
+        lines.append(json.dumps([ints(y_factor(inst).denom), ints(rhs.numer),
+                                 ints(rhs.denom)]))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        CLOSED_FACTORS_0_12_SHA256
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_each_instance_builds_its_factors_once(monkeypatch, corrupt):
+    # H, Q and chi are built with the instance, and verification, also
+    # through --corrupt-y's hook, reads them without building them again
+    calls = Counter()
+    for module, name in ((bessel, "sugano_H"), (bessel, "sugano_Q"),
+                         (zeta, "euler_chi")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    once = {"sugano_H": 1, "sugano_Q": 1, "euler_chi": 1}
+    fn = cli._corrupted_y_factor if corrupt else None
+    flagged = seen = 0
+    for inst in cli._sweep_plan(0, 12, 1):
+        assert calls == once
+        flagged += not verify_local(inst, y_factor_fn=fn).passed
+        assert calls == once
+        calls.clear()
+        seen += 1
+    assert seen == 70
+    assert flagged == (60 if corrupt else 0)
 
 
 def test_sweep_plan_draws_each_instance_when_asked(monkeypatch):
