@@ -16,14 +16,15 @@ denominator d, reduced with its pairs by one gcd per polynomial, so d is
 the lcm of the reduced coefficients' denominators (for each prime p, the
 largest v_p(d) - v_p(g_k) over g_k = gcd(us[k], vs[k], d) is v_p(d) -
 min_k v_p(g_k)).  A Series keeps one unreduced triple per coefficient.
-Series division runs on plain ints: with E the denominator's d and A the
-numerator's, coefficient k is (u_k + v_k*sqrt(q)) / (A*E^k) for integers
-u_k, v_k obeying an integer recurrence, and a twist multiplies coefficient
-k by the k-th power of one unit.  Two series are compared by
-cross-multiplying the triples, which is exact because sqrt(q) stays formal,
-also for a perfect-square q.  A coefficient is put in canonical QScalar
-form only when it is read: through coeffs, to_json, constant or eval, or
-as the first mismatch of a comparison.
+Series division runs on plain ints: with A the numerator's d and D a
+divisor of the denominator's d, found by gcds so that D^j clears the
+denominator of coefficient j, coefficient k is (u_k + v_k*sqrt(q)) /
+(A*D^k) for integers u_k, v_k obeying an integer recurrence, and a twist
+multiplies coefficient k by the k-th power of one unit.  Two series are
+compared by cross-multiplying the triples, which is exact because sqrt(q)
+stays formal, also for a perfect-square q.  A coefficient is put in
+canonical QScalar form only when it is read: through coeffs, to_json,
+constant or eval, or as the first mismatch of a comparison.
 """
 
 from __future__ import annotations
@@ -343,16 +344,24 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     coefficient is ever divided; any other den raises DivisionByNonUnit.
 
     The recurrence out[k] = a_k - sum_j c_j out[k-j] runs on int pairs.
-    With E = den.d and A = num.d, the lcms of the denominators of the c_j
-    and of the a_k, out[k] = (u_k + v_k sqrt(q)) / (A E^k), where
+    With A = num.d, the lcm of the denominators of the a_k, and D an int
+    such that every D^j c_j is an int pair, out[k] = (u_k + v_k sqrt(q)) /
+    (A D^k), where
 
-        u_k + v_k sqrt(q) = A E^k a_k
-                            - sum_j (E^j c_j) (u_{k-j} + v_{k-j} sqrt(q))
+        u_k + v_k sqrt(q) = A D^k a_k
+                            - sum_j (D^j c_j) (u_{k-j} + v_{k-j} sqrt(q))
 
-    and every E^j c_j is an int pair, computed once.  The sum runs over the
-    nonzero c_j, 1 <= j <= min(k, deg(den)), only, and a_k is read only
-    while k <= deg(num).  The loop takes no gcd and builds no QScalar: the
-    result keeps the triples (u_k, v_k, A E^k) unreduced.
+    and every D^j c_j = D^j (du_j + dv_j sqrt(q)) / den.d is computed once.
+    D is found with gcds alone.  With d_j = den.d // gcd(du_j, dv_j, den.d),
+    the reduced denominator of c_j, D starts at 1 and, for each nonzero c_j
+    in turn, is multiplied by d_j // gcd(d_j, D^j), after which d_j divides
+    D^j.  At each prime p that factor raises v_p(D) to at most v_p(d_j), so
+    D divides den.d.  It is usually much smaller, since den.d clears every
+    c_j by itself while D clears c_j with its j-th power: on Sugano's Q, D
+    has about half of den.d's bits.  The sum runs over the nonzero c_j,
+    1 <= j <= min(k, deg(den)), only, and a_k is read only while k <=
+    deg(num).  The loop takes no gcd and builds no QScalar: the result
+    keeps the triples (u_k, v_k, A D^k) unreduced.
     """
     require_order(order)
     q = num.q
@@ -362,22 +371,26 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
     if not _constant_is_one(den):
         raise DivisionByNonUnit(
             "series division needs a denominator with constant term 1")
-    # (j, u, v, v*q) of E^j c_j = E^(j-1) (du_j + dv_j sqrt(q)) for the
-    # nonzero c_j, j >= 1
     du, dv, E = den.us, den.vs, den.d
+    nonzero = [j for j in range(1, len(du)) if du[j] or dv[j]]
+    # one factor per c_j: at a prime p with v_p(d_j) = e > j v_p(D) = j a,
+    # it raises a to a + e - j a <= e, and j times that is at least e
+    D = 1
+    for j in nonzero:
+        dj = E // gcd(du[j], dv[j], E)
+        D *= dj // gcd(dj, D ** j)
+    # (j, u, v, v*q) of D^j c_j for the nonzero c_j, j >= 1
     den_terms = []
-    Ej = 1  # E^(j-1)
-    for j in range(1, len(du)):
-        if du[j] or dv[j]:
-            u, v = du[j] * Ej, dv[j] * Ej
-            den_terms.append((j, u, v, v * q))
-        Ej *= E
+    for j in nonzero:
+        Dj = D ** j
+        u, v = du[j] * Dj // E, dv[j] * Dj // E
+        den_terms.append((j, u, v, v * q))
     au, av, A = num.us, num.vs, num.d
     out: list[tuple[int, int, int]] = []
-    Ek = 1  # E^k
+    Dk = 1  # D^k
     for k in range(order + 1):
         if k < len(au):
-            u, v = au[k] * Ek, av[k] * Ek
+            u, v = au[k] * Dk, av[k] * Dk
         else:
             u = v = 0
         for j, cu, cv, cvq in den_terms:
@@ -386,8 +399,8 @@ def series_div(num: Poly, den: Poly, order: int) -> Series:
             x, y, _ = out[k - j]
             u -= cu * x + cvq * y
             v -= cu * y + cv * x
-        out.append((u, v, A * Ek))
-        Ek *= E
+        out.append((u, v, A * Dk))
+        Dk *= D
     return _series(tuple(out), q)
 
 

@@ -196,7 +196,14 @@ def test_datum_validation():
     (0, dict(lambda_varpiL=rq(1, 4), lambda_varpi_conj=rq(0, 4))),
 ])
 def test_datum_refuses_a_value_its_case_does_not_take(legendre, extra):
-    with pytest.raises(InvalidBesselDatum, match="takes no"):
+    # the message names the case and the first value it does not take,
+    # e.g. "inert case takes no lambda_varpiL"
+    case, takes = {-1: ("inert", ()),
+                   0: ("ramified", ("lambda_varpiL",))}[legendre]
+    name = next(k for k in ("lambda_varpiL", "lambda_varpi_conj")
+                if k in extra and k not in takes)
+    with pytest.raises(InvalidBesselDatum,
+                       match=f"^{case} case takes no {name}$"):
         BesselDatum(legendre, rq(1, 4), q=4, **extra)
 
 

@@ -16,7 +16,7 @@ import pytest
 from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
                        RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, cli,
                        zeta)
-from localzeta.series import Poly, RatFn
+from localzeta.series import DEFAULT_ORDER, Poly, RatFn
 
 from test_sqrt_regime import sqrt_instance
 
@@ -831,3 +831,14 @@ def test_warm_call_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_default_order_is_12():
+    # the order a LocalInstance, its JSON form and sweep take when none
+    # is given
+    assert DEFAULT_ORDER == 12
+    inst = zeta.LocalInstance.from_json(
+        {k: v for k, v in WORKED_CASE2.items() if k != "order"})
+    assert inst.order == 12
+    assert zeta.LocalInstance(inst.satake, inst.bessel, inst.rep).order == 12
+    assert cli._build_parser().parse_args(["sweep"]).order == 12

@@ -51,6 +51,23 @@ def test_mixed_q_rejected():
         rq(1, 4) + rq(1, 5)
 
 
+@pytest.mark.parametrize("op", ["sub", "mul"])
+def test_mixed_q_rejected_by_sub_and_mul(op):
+    f = {"sub": lambda x, y: x - y, "mul": lambda x, y: x * y}[op]
+    for x, y in ((rq(1, 4), rq(1, 5)), (QScalar(2, 1, 5), QScalar(3, 0, 7))):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(InvalidArgument,
+                               match="mixed ambient cardinalities"):
+                f(a, b)
+
+
+def test_sqrt_part_defaults_to_zero():
+    x = QScalar(3, q=5)
+    assert (x.a, x.b, x.d, x.q) == (3, 0, 1, 5)
+    assert x.sqrt == 0 and x == QScalar(3, 0, 5)
+    assert QScalar(Fraction(3, 4), q=5).sqrt == 0
+
+
 def test_non_invertible_inversion():
     # norm of 2 + sqrt(4) is 4 - 4 = 0
     x = QScalar(2, 1, 4)

@@ -5,10 +5,12 @@ from functools import reduce
 
 import pytest
 
-from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
+from localzeta import (RAMIFIED, RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        STEINBERG_UNRAMIFIED, DivisionByNonUnit, Gl2Local,
                        InvalidArgument, InvalidInversion, Poly, QScalar,
-                       RatFn, Series, newform_value, series_div, series_equal)
+                       RatFn, SatakeParams, Series, newform_value,
+                       random_local_instance, series_div, series_equal,
+                       zeta_closed_rhs)
 from localzeta.gl2 import newform_ratio
 from localzeta.series import euler_product, series_twist
 
@@ -298,11 +300,38 @@ def test_series_div_matches_schoolbook(q):
             assert _fields(got.coeffs) == want[:order + 1]
 
 
+def _checked_scale(num: Poly, den: Poly, order: int) -> int:
+    """The scale D of series_div, read from term 1 of an order-1 division,
+    after checking series_div(num, den, order) against it: term k has
+    denominator A*D^k, A the lcm of num's reduced denominators, D divides
+    den.d, D^j c_j is integral for every coefficient c_j of den, and the
+    values are the schoolbook ones."""
+    A = math.lcm(*(c.d for c in num.coeffs))
+    D, r = divmod(series_div(num, den, 1).terms[1][2], A)
+    assert r == 0
+    assert den.d % D == 0
+    assert all(D ** j % c.d == 0 for j, c in enumerate(den.coeffs))
+    got = series_div(num, den, order)
+    assert [d for _, _, d in got.terms] == [A * D ** k
+                                            for k in range(order + 1)]
+    assert _fields(got.coeffs) == _fields(_schoolbook_div(num, den, order))
+    return D
+
+
+def _sugano_q(q: int) -> Poly:
+    """Sugano's Q at q for Satake parameters with denominators 5, 3 and 7,
+    the first and third with sqrt(q) parts, and the fourth from the
+    pairing."""
+    g1, g2, g3 = (QScalar(1, Fraction(1, 5), q), rq(Fraction(4, 3), q),
+                  QScalar(Fraction(1, 7), 1, q))
+    return SatakeParams([g1, g2, g3, g1 * g3 * g2.inverse()], q).Q
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 13])
-def test_series_div_denominators_are_A_times_E_to_the_k(q):
+def test_series_div_denominators_are_A_times_D_to_the_k(q):
     # the speed of series_div rests on this: term k's denominator is
-    # A*E^k, for E the lcm of the reduced denominators of den's
-    # coefficients and A that of num's, not a product of them
+    # A*D^k, for A the lcm of the reduced denominators of num's
+    # coefficients and D a divisor of den.d with every D^j c_j integral
     rng = random.Random(5000 + q)
     order = 16
     for trial in range(12):
@@ -311,13 +340,51 @@ def test_series_div_denominators_are_A_times_E_to_the_k(q):
         den = Poly.euler([_random_scalar(rng, q) * Fraction(1, d)
                           for d in rng.sample(range(2, 10), 3)], q, step)
         num = Poly(_random_coeffs(rng, q, rng.randint(1, 6)), q)
-        E = math.lcm(*(c.d for c in den.coeffs))
-        A = math.lcm(*(c.d for c in num.coeffs))
         assert len({c.d for c in den.coeffs}) >= 3  # mixed denominators
-        got = series_div(num, den, order)
-        assert [d for _, _, d in got.terms] == [A * E ** k
-                                                for k in range(order + 1)]
-        assert _fields(got.coeffs) == _fields(_schoolbook_div(num, den, order))
+        _checked_scale(num, den, order)
+    # Q's top coefficient carries every root's denominator, which D^4
+    # clears with a fourth power
+    Q = _sugano_q(q)
+    assert len({g.d for g in Q.coeffs}) >= 4  # mixed denominators
+    assert _checked_scale(Poly.one(q), Q, order) < Q.d
+
+
+@pytest.mark.parametrize("label", ["large-prime", "step-2", "step-3", "q4",
+                                   "q9", "order-0", "long-numerator",
+                                   "cancelling-closed-form"])
+def test_series_div_scale_edge_cases(label):
+    q, order = 5, 20
+    num = Poly([1, QScalar(2, Fraction(1, 3), q), Fraction(-5, 6)], q)
+    if label == "large-prime":
+        big = 1000003
+        den = Poly([1, Fraction(-1, big), 0, QScalar(3, Fraction(1, big), q)],
+                   q)
+        # every nonzero c_j has denominator big: nothing shrinks
+        assert _checked_scale(num, den, order) == den.d == big
+        return
+    if label in ("step-2", "step-3"):
+        step = int(label[-1])
+        den = Poly.euler([rq(Fraction(2, 3), q),
+                          QScalar(Fraction(1, 5), Fraction(1, 7), q)], q, step)
+        assert all(c == 0 for j, c in enumerate(den.coeffs) if j % step)
+    elif label in ("q4", "q9"):
+        q = int(label[1:])
+        num, den = Poly([QScalar(1, 1, q), Fraction(1, 2)], q), _sugano_q(q)
+    elif label == "order-0":
+        den, order = _sugano_q(q), 0
+    elif label == "long-numerator":
+        den, order = _sugano_q(q), 3
+        num = Poly([QScalar(k, Fraction(1, k + 2), q) for k in range(1, 11)],
+                   q)
+    else:
+        # Case 2 with beta chi unramified over a ramified extension: chi and
+        # the _beta_units triple factor are in both num and den
+        q, order = 7, 24
+        inst = random_local_instance(random.Random(q), RAMIFIED_PS_UNRAM_ALPHA,
+                                     RAMIFIED, beta_chi_unramified=True, q=q)
+        f = zeta_closed_rhs(inst)
+        num, den = f.numer, f.denom
+    _checked_scale(num, den, order)
 
 
 def _full_fields(xs):
@@ -542,6 +609,12 @@ def test_euler_product_matches_schoolbook_roots(q):
                 assert _full_fields(got.coeffs) == \
                     _full_fields(_schoolbook_euler(cs, q, step))
                 _assert_canonical(got)
+
+
+def test_constant_of_the_zero_polynomial():
+    for q in (4, 5):
+        assert Poly.zero(q).constant() == QScalar.zero(q)
+        assert Poly([0, 0], q).constant() == QScalar.zero(q)
 
 
 def test_constant_term_one_is_read_from_the_ints():
