@@ -11,6 +11,11 @@ The double integral (with u = (zeta^2 + zeta^-2)/2 already substituted) is
 convergent for Re(6s + 2l + l2 - q - 1) > 0, and the closed form is the
 Gamma expression it evaluates to.  All complex powers have positive real
 bases, so principal branches carry no ambiguity.
+
+The quadrature's dtype follows its parameters: float64 from end to end
+where kappa, mu, s and q (and sigma, for the Mellin check) have imaginary
+part 0, complex128 otherwise.  Each such parameter enters the arrays as a
+float, and numpy's type promotion does the rest.
 """
 
 from __future__ import annotations
@@ -95,11 +100,18 @@ class ArchSpec:
 # Whittaker function
 # ---------------------------------------------------------------------------
 
+def _narrow(z: complex) -> complex:
+    """z as a float where its imaginary part is 0, else as a complex."""
+    z = complex(z)
+    return z.real if z.imag == 0 else z
+
+
 def _whittaker_params(kappa: complex,
                       mu: complex) -> tuple[complex, complex, str]:
     """(kappa, mu, regime) with Re mu >= 0, by W_{kappa,mu} = W_{kappa,-mu}
-    (DLMF 13.14.31); raises UnsupportedParameters outside both regimes."""
-    kappa, mu = complex(kappa), complex(mu)
+    (DLMF 13.14.31), each a float where it is real; raises
+    UnsupportedParameters outside both regimes."""
+    kappa, mu = _narrow(kappa), _narrow(mu)
     if mu.real < 0:
         mu = -mu
     if (abs(kappa.imag) <= _TOL and abs(mu.imag) <= _TOL
@@ -128,6 +140,9 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
     product that does raises InvalidArgument.  In the integral regime the
     values are accurate relative to the batch's largest x * |W * factor|,
     which is each x's contribution to a DE sum over x.
+
+    The dtype follows the inputs: float64 where kappa, mu and log_factor are
+    all real, complex128 where any of them is complex.
     """
     kappa, mu, regime = _whittaker_params(kappa, mu)
     xs = np.asarray(xs, dtype=float)
@@ -137,15 +152,18 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
     if regime == "closed":
         # W_{l/2,(l-1)/2}(x) = e^(-x/2) x^(l/2)
         return _guarded_exp(-xs / 2.0 + kappa * logx + log_factor)
-    if xs.size == 0:
-        return np.zeros(xs.shape, dtype=complex)
     # x * W * factor = x^(3/2-mu) e^(-x/2) factor / Gamma(mu-kappa+1/2)
     #   * int_0^inf e^-t t^(mu-kappa-1/2) (x+t)^(mu+kappa-1/2) dt,
     # one row per x.  Shifting the exponent by its largest value on the
     # level-2 nodes puts the largest contribution near 1, so the batch
     # converges relative to it and no row is computed in the subnormals.
+    log_norm = log_gamma(mu - kappa + 0.5)
+    if isinstance(mu - kappa, float):  # Gamma > 0 at a real argument > 0
+        log_norm = log_norm.real
     row = (-xs / 2.0 + (1.5 - mu) * logx + log_factor
-           - log_gamma(mu - kappa + 0.5)).reshape(-1, 1)
+           - log_norm).reshape(-1, 1)
+    if xs.size == 0:
+        return np.zeros(xs.shape, dtype=row.dtype)
     col = xs.reshape(-1, 1)
 
     def expo(t):
@@ -188,9 +206,10 @@ def mellin_whittaker_check(kappa: complex, mu: complex,
         if (sigma + kappa).real <= 0:
             raise InvalidArgument("Re(sigma + kappa) > 0 required")
 
+    power = _narrow(sigma - 1)
     integral = quad_zero_to_inf(
         lambda xs: whittaker_w_array(
-            kappa, m, xs, log_factor=-xs / 2.0 + (sigma - 1) * np.log(xs)),
+            kappa, m, xs, log_factor=-xs / 2.0 + power * np.log(xs)),
         target=1e-11)
     log_value = log_gamma(sigma + 0.5 + m)
     if abs(m - (kappa - 0.5)) >= 1e-10:  # else the ratio cancels exactly
@@ -206,11 +225,24 @@ def mellin_whittaker_check(kappa: complex, mu: complex,
 # The archimedean zeta integral
 # ---------------------------------------------------------------------------
 
-def _prefactor_integral(spec: ArchSpec) -> complex:
+def _times_prefactor(spec: ArchSpec, integral: complex) -> complex:
+    """i^(l+l2) a+ pi D^(-3s/2-3/4+q/4) (4 pi)^(q/2) times the integral.
+
+    The size is one log sum, exponentiated once, so a prefactor past the
+    doubles gives no inf or NaN where the product is a double, and a product
+    that is not raises InvalidArgument.  The units i^(l+l2) and a+/|a+| stay
+    outside the sum, so a real a+, s and q give a real value.
+    """
+    if integral == 0:  # every row underflowed, and log 0 is undefined
+        return 0j
     s, q = complex(spec.s), complex(spec.q_exp)
-    return ((1j) ** (spec.l + spec.l2) * complex(spec.a_plus) * math.pi
-            * cmath.exp((-1.5 * s - 0.75 + q / 4) * math.log(spec.D))
-            * cmath.exp((q / 2) * math.log(4 * math.pi)))
+    a = complex(spec.a_plus)
+    a /= max(abs(a.real), abs(a.imag))  # so that abs(a) cannot overflow
+    log_size = (cmath.log(spec.a_plus).real + math.log(math.pi)
+                + (-1.5 * s - 0.75 + q / 4) * math.log(spec.D)
+                + (q / 2) * math.log(4 * math.pi) + cmath.log(integral))
+    return ((1j) ** (spec.l + spec.l2) * (a / abs(a))
+            * exp_in_range(log_size, "the quadrature value", "s", spec.s))
 
 
 def arch_zeta_quadrature(spec: ArchSpec) -> complex:
@@ -223,11 +255,10 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     contribution is negligible needs no relative accuracy of its own.
     """
     s, q = complex(spec.s), complex(spec.q_exp)
-    kappa = spec.l1 / 2.0
-    mu = complex(spec.ir) / 2.0
-    _whittaker_params(kappa, mu)  # fails before any quadrature if unsupported
-    u_pow = -3 * s - 1.5 + q / 2 - spec.l - spec.l2
-    lam_pow = 3 * s - 1.5 + spec.l - q / 2
+    # fails before any quadrature if unsupported
+    kappa, mu, _ = _whittaker_params(spec.l1 / 2.0, complex(spec.ir) / 2.0)
+    u_pow = _narrow(-3 * s - 1.5 + q / 2 - spec.l - spec.l2)
+    lam_pow = _narrow(3 * s - 1.5 + spec.l - q / 2)
     c0 = 4 * math.pi * math.sqrt(spec.D)
 
     def outer(ts):
@@ -245,7 +276,7 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
 
     # u = 1 + t maps (1, inf) to (0, inf)
     integral = quad_zero_to_inf(outer, target=5e-11, max_level=9)
-    return _prefactor_integral(spec) * integral
+    return _times_prefactor(spec, integral)
 
 
 def _gamma_args(spec: ArchSpec) -> tuple[complex, complex, complex]:

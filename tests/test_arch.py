@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from localzeta import arch
 from localzeta.arch import (ArchSpec, arch_zeta_closed,
                             arch_zeta_closed_simplified, arch_zeta_quadrature,
                             mellin_whittaker_check, whittaker_W,
@@ -247,6 +249,63 @@ def test_whittaker_unsupported():
         whittaker_W(5.0, 5.25, 1e-80)  # about 1e380, beyond the doubles
 
 
+WHITTAKER_XS = np.geomspace(1e-3, 60.0, 40)
+
+
+@pytest.mark.parametrize("kappa, mu, log_factor, dtype", [
+    (5.0, 4.5, 0.0, np.float64),
+    (5.0, 4.5, 0.7 * np.log(WHITTAKER_XS), np.float64),
+    (0.4, 1.1, 0.0, np.float64),
+    (0.4, 1.1, -0.5 * np.log(WHITTAKER_XS), np.float64),
+    (5.0 + 0j, 4.5 + 0j, 0.0, np.float64),  # a zero imaginary part is real
+    (5.0, 4.5, 0.5j, np.complex128),
+    (5.0, 4.5, np.zeros(40, dtype=complex), np.complex128),
+    (0.4 + 0.1j, 1.1, 0.0, np.complex128),
+    (0.4, 1.1 + 0.2j, 0.0, np.complex128),
+    (0.4, 1.1, np.zeros(40, dtype=complex), np.complex128),
+], ids=["closed", "closed-factor", "integral", "integral-factor",
+        "complex-zero-imag", "closed-complex-factor", "closed-complex-array",
+        "complex-kappa", "complex-mu", "integral-complex-array"])
+def test_whittaker_dtype_follows_parameters(kappa, mu, log_factor, dtype):
+    vals = whittaker_w_array(kappa, mu, WHITTAKER_XS, log_factor=log_factor)
+    assert vals.dtype == dtype
+    assert vals.shape == WHITTAKER_XS.shape
+    if np.ndim(log_factor) == 0:
+        empty = whittaker_w_array(kappa, mu, np.ones((0, 3)), log_factor)
+        assert empty.dtype == dtype and empty.shape == (0, 3)
+
+
+def test_whittaker_float_when_log_gamma_rounds_off_the_real_axis():
+    # log_gamma returns Im = 1.1e-16 here; Gamma(z) > 0, so its log is real
+    z = 0.29216854818822136
+    assert log_gamma(z).imag != 0
+    kappa = 0.5 - z
+    assert 0.0 - kappa + 0.5 == z
+    assert whittaker_w_array(kappa, 0.0, WHITTAKER_XS).dtype == np.float64
+
+
+# float64 against complex128 on the same real inputs: the two differ only
+# by the final exp of shift - log x + log(DE sum), whose exponent reaches
+# the hundreds, so by a few hundred eps; 5.7e-14 was the worst of 1,500
+# draws as in criterion 6, 2.2e-16 in the closed regime
+FLOAT_PATH_REL = 1e-13
+
+
+def test_whittaker_float_path_matches_complex_path(rng):
+    params = [(l1 / 2, (l1 - 1) / 2) for l1 in range(2, 14)]
+    while len(params) < 32:
+        mu = rng.uniform(-1.2, 1.2)
+        params.append((mu + 0.5 - rng.uniform(0.2, 1.6), mu))
+    for kappa, mu in params:
+        log_factor = rng.uniform(-3.0, 3.0) * np.log(WHITTAKER_XS)
+        real = whittaker_w_array(kappa, mu, WHITTAKER_XS, log_factor)
+        cplx = whittaker_w_array(kappa, mu, WHITTAKER_XS,
+                                 log_factor.astype(np.complex128))
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.all(np.abs(real - cplx) <= FLOAT_PATH_REL * np.abs(cplx)), (
+            kappa, mu)
+
+
 # ---------------------------------------------------------------------------
 # Mellin identity
 # ---------------------------------------------------------------------------
@@ -336,17 +395,101 @@ def test_arch_quadrature_tiny_inner_rows(kw):
     assert abs(quad - closed) / abs(closed) <= 1e-6
 
 
+def _whittaker_dtypes(monkeypatch):
+    """The dtypes of every whittaker_w_array result from here on."""
+    seen = set()
+
+    def recorded(*args, **kwargs):
+        vals = whittaker_w_array(*args, **kwargs)
+        seen.add(vals.dtype)
+        return vals
+
+    monkeypatch.setattr(arch, "whittaker_w_array", recorded)
+    return seen
+
+
 # |Re ir| > l1 - 1: W by its integral representation, a triple quadrature
-@pytest.mark.parametrize("kw", [
+REAL_INTEGRAL_REGIME_SPECS = [
     dict(l=4, l1=4, D=4, q_exp=0.0, a_plus=1.0, s=1.4, ir=-5.0),
     dict(l=4, l1=4, D=3, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=4.0),
+]
+
+
+@pytest.mark.parametrize("kw", REAL_INTEGRAL_REGIME_SPECS + [
     dict(l=10, l1=10, D=4, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=11 + 0.5j),
 ], ids=["ir-5", "D3-ir4", "ir11+0.5i"])
-def test_arch_quadrature_integral_regime(kw):
+def test_arch_quadrature_integral_regime(kw, monkeypatch):
     spec = ArchSpec(**kw)
     closed = arch_zeta_closed(spec)
+    dtypes = _whittaker_dtypes(monkeypatch)
     quad = arch_zeta_quadrature(spec)
     assert abs(quad - closed) / abs(closed) <= 1e-6
+    # the dtype follows the parameters
+    assert dtypes == {np.dtype(np.complex128 if isinstance(kw["ir"], complex)
+                               else np.float64)}
+
+
+@pytest.mark.parametrize("kw", DISCRETE_SERIES_SPECS
+                         + REAL_INTEGRAL_REGIME_SPECS)
+def test_arch_quadrature_float_path_matches_complex_path(kw, monkeypatch):
+    # a+ = 2 - i enters only the prefactor: the quadrature is still real
+    spec = ArchSpec(**kw)
+    dtypes = _whittaker_dtypes(monkeypatch)
+    real = arch_zeta_quadrature(spec)
+    assert dtypes == {np.dtype(np.float64)}
+    dtypes.clear()
+    monkeypatch.setattr(arch, "_narrow", complex)  # every parameter complex
+    cplx = arch_zeta_quadrature(spec)
+    assert dtypes == {np.dtype(np.complex128)}
+    assert abs(real - cplx) <= FLOAT_PATH_REL * abs(cplx)
+
+
+@pytest.mark.parametrize("kw", [
+    TINY_ROW_SPECS[1], dict(DISCRETE_SERIES_SPECS[0], s=7 / 6 + 0.1j),
+], ids=["complex-q", "complex-s"])
+def test_arch_quadrature_complex_parameters_stay_complex(kw, monkeypatch):
+    dtypes = _whittaker_dtypes(monkeypatch)
+    arch_zeta_quadrature(ArchSpec(**kw))
+    assert dtypes == {np.dtype(np.complex128)}
+
+
+def test_arch_quadrature_memory_bound():
+    # the batch of one outer level, rows (u x lambda nodes) x t nodes, sets
+    # the peak: 32 MB of float64 where complex128 took 56 MB
+    spec = ArchSpec(l=4, l1=4, D=3, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=4.0)
+    tracemalloc.start()
+    try:
+        arch_zeta_quadrature(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
+def test_arch_quadrature_prefactor_past_the_doubles():
+    # a+ pi D^(-3s/2-3/4) alone is 8.9e308; times the integral, 6.7e306
+    spec = ArchSpec(l=10, l1=10, D=4, q_exp=0.0, a_plus=1e308, s=-1.0,
+                    ir=9.0)
+    closed = arch_zeta_closed(spec)
+    quad = arch_zeta_quadrature(spec)
+    assert quad.imag == 0
+    assert abs(quad - closed) <= 1e-6 * abs(closed)
+
+
+def test_arch_quadrature_of_rows_that_all_underflow():
+    # e^(-x), x = 4 pi sqrt(D) lambda u, leaves the doubles unless
+    # lambda < 1e-148, and there lambda^11 does
+    spec = ArchSpec(l=10, l1=10, D=4 * 10**150, q_exp=0.0, a_plus=1.0,
+                    s=1.2, ir=9.0)
+    assert arch_zeta_quadrature(spec) == 0
+
+
+def test_arch_quadrature_past_the_doubles_is_typed():
+    # the value is 2.5e308, as is the closed one
+    spec = ArchSpec(l=10, l1=10, D=4, q_exp=0.0, a_plus=1e308, s=-1.4,
+                    ir=9.0)
+    with pytest.raises(InvalidArgument, match="quadrature value leaves"):
+        arch_zeta_quadrature(spec)
 
 
 def test_closed_forms_agree_when_l_ge_l1():

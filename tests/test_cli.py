@@ -63,8 +63,13 @@ def _checked(proc, check):
     return proc
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
 def _lines(proc):
-    return [json.loads(line) for line in proc.stdout.splitlines() if line]
+    return [json.loads(line, parse_constant=_no_constant)
+            for line in proc.stdout.splitlines() if line]
 
 
 def test_verify_nonarch_worked_instance(tmp_path):
@@ -546,6 +551,30 @@ def test_arch_verify_gamma_out_of_range_error_row(tmp_path, s):
     proc = run_cli("arch-verify", "--spec", str(path))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "double range" in row["error"]
+
+
+@pytest.mark.parametrize("a_plus, s", [(1e308, 1.2), ([1.5e308, 1.5e308], 5)],
+                         ids=["real", "complex"])
+def test_arch_verify_a_plus_near_the_double_limit(tmp_path, a_plus, s):
+    # the closed values are 1.8e302 and 9.3e297 (1 + i); a+ pi overflows,
+    # and so does |a+| itself for the second
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, a_plus=a_plus, s=s)))
+    (row,) = _lines(run_cli("arch-verify", "--spec", str(path), check=True))
+    assert row["passed"] is True
+    if not isinstance(a_plus, list):
+        assert row["quadrature"][1] == 0.0
+
+
+def test_arch_verify_value_past_the_double_range_error_row(tmp_path):
+    # the closed and the quadrature values are both 2.5e308
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, a_plus=1e308, s=-1.4)))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
     (row,) = _lines(proc)
     assert row["passed"] is False
     assert "double range" in row["error"]
