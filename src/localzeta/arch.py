@@ -28,7 +28,8 @@ import numpy as np
 
 from .cgamma import EXP_CEIL, EXP_FLOOR, exp_in_range, log_gamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
-                     UnsupportedParameters, require_complex, require_int)
+                     UnsupportedParameters, brief, require_complex,
+                     require_int)
 from .quadrature import _nodes, quad_zero_to_inf
 
 _TOL = 1e-12
@@ -40,7 +41,8 @@ class ArchSpec:
 
     l2 is determined by the weights: l1 - 2l for l <= l1, else -l1.  The
     Casimir datum r enters only through ir = i*r; for the holomorphic
-    discrete series of lowest weight l1 one has ir = l1 - 1.
+    discrete series of lowest weight l1 one has ir = l1 - 1.  l and l1
+    are at most 1e300 in size, so that the Gamma arguments are doubles.
     """
 
     l: int
@@ -54,6 +56,10 @@ class ArchSpec:
     def __post_init__(self):
         for name in ("l", "l1", "D"):
             require_int(name, getattr(self, name))
+        for name in ("l", "l1"):  # the gate and Gamma arguments are doubles
+            if abs(getattr(self, name)) > 1e300:
+                raise InvalidArgument(f"{name} must be at most 1e300 in size, "
+                                      f"got {brief(getattr(self, name))}")
         if self.l < 2:
             raise InvalidArgument("weight l must be an integer >= 2")
         if self.D <= 0 or self.D % 4 not in (0, 3):
@@ -257,6 +263,10 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     s, q = complex(spec.s), complex(spec.q_exp)
     # fails before any quadrature if unsupported
     kappa, mu, _ = _whittaker_params(spec.l1 / 2.0, complex(spec.ir) / 2.0)
+    # the outer nodes u reach 7.5e226, and 4 pi sqrt(D) u must be a double
+    if spec.D > 10**160:
+        raise InvalidArgument("D must be at most 10^160 for the quadrature, "
+                              f"got {brief(spec.D)}")
     u_pow = _narrow(-3 * s - 1.5 + q / 2 - spec.l - spec.l2)
     lam_pow = _narrow(3 * s - 1.5 + spec.l - q / 2)
     c0 = 4 * math.pi * math.sqrt(spec.D)

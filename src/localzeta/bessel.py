@@ -14,7 +14,9 @@ needed by the zeta-integral verification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import reduce
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import (InvalidArgument, InvalidBesselDatum, require_int,
                      require_known_keys)
@@ -63,9 +65,25 @@ class SatakeParams:
         return SatakeParams([QScalar.from_json(g, q) for g in obj["gamma"]], q)
 
 
+# extension type -> (f, names): the residue degree f of the primes P of L
+# above varpi, and the field of Lambda(P) for each P, generated by varpi
+# (inert), varpi_L (ramified), or varpi_L and varpi varpi_L^-1 (split)
+PRIMES = {INERT: (2, ("lambda_varpi",)), RAMIFIED: (1, ("lambda_varpiL",)),
+          SPLIT: (1, ("lambda_varpiL", "lambda_varpi_conj"))}
 # extension type -> the values of Lambda besides Lambda(varpi) it is given
-GIVEN = {INERT: (), RAMIFIED: ("lambda_varpiL",),
-         SPLIT: ("lambda_varpiL", "lambda_varpi_conj")}
+GIVEN = {legendre: tuple(n for n in names if n != "lambda_varpi")
+         for legendre, (_, names) in PRIMES.items()}
+# the relation lambda_norm checks, as each message states it (inert meets it)
+_NORM = {RAMIFIED: "Lambda(varpi_L)^2",
+         SPLIT: "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)"}
+
+
+def lambda_norm(legendre: int, lams: Sequence[QScalar]) -> QScalar:
+    """Lambda(varpi), the product of the values lams of Lambda at the g
+    primes P of L above varpi (PRIMES), each taken e times: varpi generates
+    prod_P P^e, for P of residue degree f and e = 2/(f g)."""
+    f, names = PRIMES[legendre]
+    return reduce(mul, lams * (2 // (f * len(names))))
 
 
 def require_legendre(legendre) -> None:
@@ -82,13 +100,14 @@ class BesselDatum:
 
     legendre is -1 (inert), 0 (ramified) or +1 (split).  lambda_varpi is
     Lambda(varpi); the split case also takes Lambda(varpi_L) and
-    Lambda(varpi varpi_L^{-1}) with product lambda_varpi, the ramified case
-    takes Lambda(varpi_L) with square lambda_varpi, and the inert case takes
-    neither.  A case takes exactly its values in GIVEN, each an invertible
-    QScalar of the ring at q, as a character's values are; any other value
-    is an InvalidBesselDatum.  q defaults to that of lambda_varpi.  H,
-    Sugano's numerator sugano_H(self), is derived at construction, built
-    once for every route that reads it, and not compared.
+    Lambda(varpi varpi_L^{-1}), the ramified case Lambda(varpi_L), as
+    PRIMES lists them, with norm lambda_varpi (lambda_norm).  A case takes
+    exactly its values in GIVEN, each an invertible QScalar of the ring at
+    q, as a character's values are; any other value is an
+    InvalidBesselDatum.  q defaults to that of lambda_varpi.  Derived at
+    construction, and not compared: primes, (f, [Lambda(P)]) over the
+    primes P of L above varpi, and H, Sugano's numerator sugano_H(self),
+    each built once for every route that reads it.
     """
 
     legendre: int
@@ -96,6 +115,7 @@ class BesselDatum:
     lambda_varpiL: Optional[QScalar] = None
     lambda_varpi_conj: Optional[QScalar] = None
     q: Optional[int] = None
+    primes: tuple = field(init=False, repr=False, compare=False)
     H: Poly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,14 +134,12 @@ class BesselDatum:
                 raise InvalidBesselDatum(f"{case} case needs {name}")
             else:
                 require_unit(name, value, self.q, InvalidBesselDatum)
-        lambda_varpiL, lambda_varpi_conj = self.lambda_varpiL, self.lambda_varpi_conj
-        if legendre == RAMIFIED and lambda_varpiL * lambda_varpiL != lambda_varpi:
+        f, names = PRIMES[legendre]
+        lams = tuple([getattr(self, name) for name in names])
+        if lambda_norm(legendre, lams) != lambda_varpi:
             raise InvalidBesselDatum(
-                "ramified case requires Lambda(varpi) = Lambda(varpi_L)^2")
-        if legendre == SPLIT and lambda_varpiL * lambda_varpi_conj != lambda_varpi:
-            raise InvalidBesselDatum(
-                "split case requires Lambda(varpi) = "
-                "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)")
+                f"{case} case requires Lambda(varpi) = {_NORM[legendre]}")
+        object.__setattr__(self, "primes", (f, lams))
         object.__setattr__(self, "H", sugano_H(self))
 
     def to_json(self):
@@ -143,14 +161,11 @@ class BesselDatum:
 
 
 def sugano_H(d: BesselDatum) -> Poly:
-    """Numerator H(y) of the generating function, an Euler product:
-    prod (1 - q^-2 lam y) over the values lam of Lambda that GIVEN lists
-    for the case (Lambda(varpi_L), and Lambda(varpi varpi_L^-1) when
-    split), and 1 - q^-4 Lambda(varpi) y^2 when inert."""
-    if d.legendre == INERT:
-        return euler_product([(d.lambda_varpi,)], d.q, -8, step=2)
-    return euler_product([(getattr(d, name),) for name in GIVEN[d.legendre]],
-                         d.q, -4)
+    """Numerator H(y) of the generating function, an Euler product over the
+    primes P of L above varpi: prod_P (1 - Lambda(P) q^(-2f) y^f), for P
+    of residue degree f (d.primes)."""
+    f, lams = d.primes
+    return euler_product([(lam,) for lam in lams], d.q, -4 * f, step=f)
 
 
 def sugano_Q(p: SatakeParams) -> Poly:

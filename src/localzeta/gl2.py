@@ -131,22 +131,14 @@ class Gl2Local:
 
 
 def newform_value(rep: Gl2Local, l: int) -> QScalar:
-    """Normalized newform value W^(0)(diag(varpi^l, 1)).
-
-    Case i   (RamifiedOther):          1 if l = 0, else 0.
-    Case ii  (RamifiedPSUnramAlpha):   (beta(varpi) q^(-1/2))^l for l >= 0.
-    Case iii (SteinbergUnramified):    (Omega(varpi) q^(-1))^l for l >= 0.
-    Case iv  (UnramifiedPS):           q^(-l/2) sum_k alpha^k beta^(l-k).
-    """
+    """Normalized newform value W^(0)(diag(varpi^l, 1)): 0 for l < 0, r^l
+    for r = newform_ratio(rep) in the three ramified kinds (Cases i-iii),
+    and q^(-l/2) sum_k alpha^k beta^(l-k) in Case iv (UnramifiedPS)."""
     q = rep.q
-    if rep.kind == RAMIFIED_OTHER:
-        return QScalar.one(q) if l == 0 else QScalar.zero(q)
     if l < 0:
         return QScalar.zero(q)
-    if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
-        return (rep.beta_varpi * QScalar.q_half_power(-1, q)) ** l
-    if rep.kind == STEINBERG_UNRAMIFIED:
-        return (rep.omega_varpi * QScalar.q_half_power(-2, q)) ** l
+    if rep.kind != UNRAMIFIED_PS:
+        return newform_ratio(rep) ** l
     acc = QScalar.zero(q)
     for k in range(l + 1):
         acc = acc + rep.alpha_varpi**k * rep.beta_varpi ** (l - k)
@@ -154,10 +146,10 @@ def newform_value(rep: Gl2Local, l: int) -> QScalar:
 
 
 def newform_ratio(rep: Gl2Local) -> QScalar:
-    """r with newform_value(rep, l) = r^l for every l >= 0, in the three
-    ramified kinds: 0 in Case i, beta(varpi) q^(-1/2) in Case ii and
-    Omega(varpi) q^(-1) in Case iii.  The m = 0 coset sum reads no
-    UnramifiedPS values, so that kind is unsupported."""
+    """r with newform values W^(0)(diag(varpi^l, 1)) = r^l for l >= 0 in the
+    three ramified kinds: 0 in Case i (0^0 = 1), beta(varpi) q^(-1/2) in
+    Case ii and Omega(varpi) q^(-1) in Case iii.  The m = 0 coset sum reads
+    no UnramifiedPS values, so that kind is unsupported."""
     q = rep.q
     if rep.kind == RAMIFIED_OTHER:
         return QScalar.zero(q)

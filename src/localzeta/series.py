@@ -23,8 +23,8 @@ denominator of coefficient j, coefficient k is (u_k + v_k*sqrt(q)) /
 multiplies coefficient k by the k-th power of one unit.  Two series are
 compared by cross-multiplying the triples, which is exact because sqrt(q)
 stays formal, also for a perfect-square q.  A coefficient is put in
-canonical QScalar form only when it is read: through coeffs, to_json,
-constant or eval, or as the first mismatch of a comparison.
+canonical QScalar form only when it is read: through coeffs, to_json or
+eval, or as the first mismatch of a comparison.
 """
 
 from __future__ import annotations
@@ -104,12 +104,6 @@ class Poly:
     def zero(q: int) -> "Poly":
         return Poly([], q)
 
-    @staticmethod
-    def euler(cs: Iterable[QScalar], q: int, step: int = 1) -> "Poly":
-        """prod_c (1 - c T^step), the inverse of an Euler-product L-factor:
-        euler_product with each root one value c."""
-        return euler_product([(c,) for c in cs], q, step=step)
-
     @property
     def coeffs(self) -> tuple[QScalar, ...]:
         """The coefficients as canonical QScalars, reduced on each read."""
@@ -120,10 +114,6 @@ class Poly:
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
         return len(self.us) - 1
-
-    def constant(self) -> QScalar:
-        us, vs = self.us or (0,), self.vs or (0,)
-        return _reduced(us[0], vs[0], self.d, self.q)
 
     def is_one(self) -> bool:
         return self.d == 1 and self.us == (1,) and self.vs == (0,)

@@ -20,8 +20,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .bessel import (GIVEN as LAMBDA_GIVEN, INERT, RAMIFIED, BesselDatum,
-                     SatakeParams, bessel_coeffs, require_legendre)
+from .bessel import (GIVEN as LAMBDA_GIVEN, RAMIFIED, BesselDatum,
+                     SatakeParams, bessel_coeffs, lambda_norm,
+                     require_legendre)
 from .errors import InvalidArgument, UnsupportedCase
 from .gl2 import (CONDUCTOR, GIVEN, KINDS, RAMIFIED_OTHER,
                   RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, UNRAMIFIED_PS,
@@ -145,17 +146,12 @@ def euler_chi(satake: SatakeParams, rep: Gl2Local) -> Poly:
 
 
 def euler_triple(bessel: BesselDatum, units: Sequence[QScalar]) -> Poly:
-    """Inverse of L(3s+1, tau x AI(Lambda) x chi|F^x) in T, over the
-    unramified values u of tau x chi at varpi, per Legendre case."""
-    q = bessel.q
-    if bessel.legendre == INERT:
-        return euler_product([(bessel.lambda_varpi, u, u) for u in units], q,
-                             -4, step=2)
-    if bessel.legendre == RAMIFIED:
-        return euler_product([(bessel.lambda_varpiL, u) for u in units], q, -2)
-    return euler_product(
-        [(lam, u) for u in units
-         for lam in (bessel.lambda_varpiL, bessel.lambda_varpi_conj)], q, -2)
+    """Inverse of L(3s+1, tau x AI(Lambda) x chi|F^x) in T: prod_{u, P}
+    (1 - Lambda(P) u^f q^(-f) T^f) over the unramified values u of tau x chi
+    at varpi and the primes P of L above varpi, of degree f (bessel.primes)."""
+    f, lams = bessel.primes
+    return euler_product([(lam,) + (u,) * f for u in units for lam in lams],
+                         bessel.q, -2 * f, step=f)
 
 
 def _beta_units(inst: LocalInstance) -> list[QScalar]:
@@ -288,11 +284,11 @@ def random_local_instance(rng: random.Random, kind: str, legendre: int,
 
     Each drawn value is num/den with num in +-1..9 and den in 1..9, drawn in
     that order.  gamma4 is solved from the pairing constraint; for
-    non-inert extensions omega_pi is forced to the product/square of the
-    drawn Lambda values so that Bessel-model compatibility admits rational
-    data.  The Lambda values follow bessel.GIVEN, and the representation's
-    values gl2.GIVEN and gl2.CONDUCTOR.  Every argument is checked before
-    the first draw, so a refused call leaves rng as it was.
+    non-inert extensions omega_pi is forced to the norm of the drawn Lambda
+    values (bessel.lambda_norm) so that Bessel-model compatibility admits
+    rational data.  The Lambda values follow bessel.GIVEN, and the
+    representation's values gl2.GIVEN and gl2.CONDUCTOR.  Every argument is
+    checked before the first draw, so a refused call leaves rng as it was.
     """
     if kind not in KINDS:
         raise InvalidArgument(f"unknown kind {kind!r}")
@@ -307,14 +303,10 @@ def random_local_instance(rng: random.Random, kind: str, legendre: int,
         return _reduced(rng.choice(_NUMERATORS), 0, rng.randint(1, 9), q)
 
     lams = [draw() for _ in LAMBDA_GIVEN[legendre]]
-    if legendre == INERT:
-        g1, g2, g3 = draw(), draw(), draw()
-        omega_pi = g1 * g3
-    else:
-        # Lambda(varpi_L)^2, or Lambda(varpi_L) Lambda(varpi varpi_L^-1)
-        omega_pi = lams[0] * lams[-1]
-        g1, g2 = draw(), draw()
-        g3 = omega_pi * g1.inverse()
+    g1, g2 = draw(), draw()
+    # where varpi stays prime in L, no Lambda value is drawn, but g3 is
+    omega_pi = lambda_norm(legendre, lams) if lams else g1 * draw()
+    g3 = omega_pi * g1.inverse()
     satake = SatakeParams([g1, g2, g3, g1 * g3 * g2.inverse()], q)
     datum = BesselDatum(legendre, omega_pi, *lams, q=q)
 

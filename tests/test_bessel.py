@@ -77,7 +77,7 @@ def test_Q_product_derived():
     lin = Poly([QScalar.one(q), -QScalar.q_half_power(-3, q)], q)
     assert sugano_Q(p) == lin * lin * lin * lin
     assert sugano_Q(p).degree == 4
-    assert sugano_Q(p).constant().is_one()
+    assert sugano_Q(p).coeffs[0].is_one()
 
 
 def test_Q_mixed_product_derived():
@@ -186,6 +186,21 @@ def test_datum_validation():
                     lambda_varpi_conj=rq(3, q), q=q)  # product law violated
     # the inert case takes no value besides Lambda(varpi)
     BesselDatum(-1, rq(1, q), q=q)
+
+
+def test_datum_norm_relation_messages():
+    # Lambda(varpi) is the norm of the Lambda values at the primes above
+    # varpi; each case names its own form of the relation
+    q = 4
+    with pytest.raises(InvalidBesselDatum) as exc:
+        BesselDatum(0, rq(2, q), lambda_varpiL=rq(1, q), q=q)
+    assert str(exc.value) == \
+        "ramified case requires Lambda(varpi) = Lambda(varpi_L)^2"
+    with pytest.raises(InvalidBesselDatum) as exc:
+        BesselDatum(1, rq(2, q), lambda_varpiL=rq(1, q),
+                    lambda_varpi_conj=rq(3, q), q=q)
+    assert str(exc.value) == ("split case requires Lambda(varpi) = "
+                              "Lambda(varpi_L) * Lambda(varpi varpi_L^-1)")
 
 
 @pytest.mark.parametrize("legendre, extra", [

@@ -389,6 +389,34 @@ def test_arch_verify_non_integer_weight_exit_2(tmp_path, field, value):
     _assert_input_error(run_cli("arch-verify", "--spec", str(path)))
 
 
+@pytest.mark.parametrize("field", ["l", "l1"])
+def test_arch_verify_weight_past_the_double_range_exit_2(tmp_path, field):
+    # the gate and the Gamma arguments take the weights as doubles
+    spec = {"l": 4, "l1": 8, "D": 4, "a_plus": 1.0, "s": 1.0, "ir": 7.0}
+    spec[field] = 10**400
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    _assert_input_error(proc)
+    assert len(proc.stderr.splitlines()) == 1
+    assert f"{field} must be" in proc.stderr
+
+
+def test_arch_verify_discriminant_past_the_quadrature_range_error_row(tmp_path):
+    # q_exp = 10 makes the closed form's power of D 0, so it is a double,
+    # but the quadrature's 4 pi sqrt(D) u is not
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"l": 4, "l1": 8, "D": 4 * 10**400,
+                                "q_exp": 10.0, "a_plus": 1.0, "s": 1.0,
+                                "ir": 7.0}))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "D must be" in row["error"]
+
+
 @pytest.mark.parametrize("n", [2.5, True])
 def test_verify_nonarch_non_integer_conductor_exit_2(tmp_path, n):
     path = tmp_path / "case1.json"

@@ -11,6 +11,7 @@ from localzeta import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        Gl2Local, LocalInstance, Poly, QScalar,
                        SatakeParams, bessel_coeffs,
                        random_local_instance, sugano_Q, y_factor)
+from localzeta.series import euler_product
 
 # (kind, legendre, beta_chi_unramified): every Gl2Local kind and every
 # extension type
@@ -103,12 +104,12 @@ def test_euler_matches_expanded_product(step):
     rng = random.Random(step)
     a, b, c = (QScalar(rng.randint(-9, 9), rng.randint(-9, 9), q)
                for _ in range(3))
-    got = Poly.euler([a, b, c], q, step=step)
+    got = euler_product([(a,), (b,), (c,)], q, step=step)
     # (1 - aT^k)(1 - bT^k)(1 - cT^k), expanded by hand
     e1, e2, e3 = a + b + c, a * b + a * c + b * c, a * b * c
     want = [1, -e1, e2, -e3]
     if step == 2:
         want = [1, 0, -e1, 0, e2, 0, -e3]
     assert got == Poly(want, q)
-    assert Poly.euler([], q, step=step) == Poly.one(q)
+    assert euler_product([], q, step=step) == Poly.one(q)
 

@@ -19,7 +19,7 @@ from localzeta import (INERT, RAMIFIED, SPLIT, RAMIFIED_OTHER,
 from localzeta import bessel, cli, zeta
 from localzeta.zeta import _y_scale
 
-from conftest import embed, rq
+from conftest import embed, rq, sqrt_unit
 
 Q4 = 4
 
@@ -83,7 +83,7 @@ def test_worked_case2_lfactors():
     inst = worked_case2_instance()
     # degree-4 pairing factor specializes to (1 - T/4)^2 (1 - T/2)^2
     pair = euler_pairing(inst.satake, [inst.rep.alpha_varpi])
-    assert pair.constant() == QScalar.one(Q4)
+    assert pair.coeffs[0] == QScalar.one(Q4)
     assert pair.degree == 4
     # multiply the linear factors over plain Fractions
     poly = [Fraction(1)]
@@ -240,8 +240,8 @@ def test_unramified_closed_shape_and_split_specialization():
     rep = Gl2Local(UNRAMIFIED_PS, q, alpha_varpi=alpha, beta_varpi=beta)
     closed = zeta_closed_rhs(LocalInstance(satake, datum, rep))
     assert closed.denom.degree == 8
-    assert closed.denom.constant().is_one()
-    assert closed.numer.constant().is_one()
+    assert closed.denom.coeffs[0].is_one()
+    assert closed.numer.coeffs[0].is_one()
 
     # the two split triple factors carrying (omega_pi alpha)^{-1} coincide
     # with the printed Case-2 triple factor at the same parameter values
@@ -269,6 +269,46 @@ def test_unramified_inert_triple_is_even():
     assert closed.numer.degree == chi_poly.degree + 4
     for c in closed.numer.coeffs:
         assert c.sqrt == 0
+
+
+def _hand_expanded_triple(d, u1, u2):
+    """The inverse triple L-factor over the two units u1, u2, written out
+    coefficient by coefficient in x = q^-1 T, per extension type: the
+    reference for the Euler product euler_triple builds."""
+    q = d.q
+    one, zero = QScalar.one(q), QScalar.zero(q)
+    lam = d.lambda_varpi
+    if d.legendre == -1:
+        # prod_u (1 - Lambda(varpi) u^2 x^2)
+        cs = [one, zero, -(lam * (u1 * u1 + u2 * u2)), zero,
+              lam * lam * u1 * u1 * u2 * u2]
+    elif d.legendre == 0:
+        # prod_u (1 - Lambda(varpi_L) u x)
+        lamL = d.lambda_varpiL
+        cs = [one, -(lamL * (u1 + u2)), lamL * lamL * u1 * u2]
+    else:
+        # prod_u (1 - s u x + Lambda(varpi) u^2 x^2), with s = Lambda(varpi_L)
+        # + Lambda(varpi varpi_L^-1)
+        s, p = d.lambda_varpiL + d.lambda_varpi_conj, u1 * u2
+        cs = [one, -(s * (u1 + u2)), lam * (u1 * u1 + u2 * u2) + s * s * p,
+              -(s * lam * p * (u1 + u2)), lam * lam * p * p]
+    x = QScalar.q_half_power(-2, q)
+    return Poly([c * x**k for k, c in enumerate(cs)], q)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 13])
+def test_triple_euler_product_matches_hand_expansion(q):
+    rng = random.Random(60 + q)
+    for _ in range(10):
+        lamL, lamC = sqrt_unit(rng, q), sqrt_unit(rng, q)
+        u1, u2 = sqrt_unit(rng, q), sqrt_unit(rng, q)
+        for d in (BesselDatum(INERT, lamL, q=q),
+                  BesselDatum(RAMIFIED, lamL * lamL, lambda_varpiL=lamL, q=q),
+                  BesselDatum(SPLIT, lamL * lamC, lambda_varpiL=lamL,
+                              lambda_varpi_conj=lamC, q=q)):
+            got = euler_triple(d, [u1, u2])
+            assert got == _hand_expanded_triple(d, u1, u2)
+            assert got.degree == (4, 2, 4)[d.legendre + 1]
 
 
 def _furusawa_closed(inst):
