@@ -176,9 +176,12 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
         return (row - t + (mu - kappa - 0.5) * np.log(t)
                 + (mu + kappa - 0.5) * np.log(col + t))
 
-    shift = expo(_nodes(2)[0]).real.max()
-    total = quad_zero_to_inf(lambda t: _guarded_exp(expo(t) - shift),
-                             target=1e-12, max_level=11)
+    t2 = _nodes(2)[0]  # cached, so the quadrature's level 2 gets this array
+    expo2 = expo(t2)
+    shift = expo2.real.max()
+    total = quad_zero_to_inf(
+        lambda t: _guarded_exp((expo2 if t is t2 else expo(t)) - shift),
+        target=1e-12, max_level=11)
     with np.errstate(divide="ignore"):  # log(0) = -inf for rows that underflow
         return _guarded_exp(shift - logx + np.log(total).reshape(xs.shape))
 

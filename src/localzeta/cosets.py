@@ -7,11 +7,14 @@ partition of GL4(F_2) under the two-sided generator action, and a quotient
 route that enumerates the P4-coset space as flags (line, hyperplane) and
 counts GSp4 orbits, which also works over F_3 where GL4 has 24 million
 elements.
+
+The full route finds products by sorted-key lookup; the quotient route maps
+every vector of F_p^4 to the point of P^3(F_p) it spans through one dense
+table, so each generator's images of all points are one gather.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -19,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import Infeasible, InvalidArgument, Unsupported
+from .errors import Infeasible, InvalidArgument, Unsupported, require_int
 
 J_MAT = ((0, 0, 1, 0),
          (0, 0, 0, 1),
@@ -48,6 +51,7 @@ def p4_order(p: int) -> int:
 
 
 def _check_p(p: int) -> None:
+    require_int("p", p)
     if p not in (2, 3):
         raise Unsupported(f"only p in {{2, 3}} is supported, got {p}")
 
@@ -89,20 +93,18 @@ def p4_generators(p: int) -> list[np.ndarray]:
     return gens
 
 
-def gsp4_generators(p: int) -> list[np.ndarray]:
-    """Siegel-unipotent, Levi and similitude generators of GSp4."""
+def gsp4_generators(p: int) -> np.ndarray:
+    """Siegel-unipotent, Levi and similitude generators of GSp4, as one
+    (N, 4, 4) int64 array with entries in [0, p)."""
     gens = []
-    eye = np.eye(4, dtype=np.int64)
-    sym_basis = [np.array([[1, 0], [0, 0]]), np.array([[0, 0], [0, 1]]),
-                 np.array([[0, 1], [1, 0]])]
-    for b in sym_basis:
+    e1, e2, e3, e4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+    # the Siegel unipotents [[1, S], [0, 1]] and [[1, 0], [S, 1]] for
+    # S = [[a, b], [b, d]] a multiple of each symmetric basis matrix
+    for s11, s22, s12 in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         for lam in range(1, p):
-            g = eye.copy()
-            g[0:2, 2:4] = (lam * b) % p
-            gens.append(g)
-            h = eye.copy()
-            h[2:4, 0:2] = (lam * b) % p
-            gens.append(h)
+            a, d, b = lam * s11, lam * s22, lam * s12
+            gens.append(((1, 0, a, b), (0, 1, b, d), e3, e4))
+            gens.append((e1, e2, (a, b, 1, 0), (b, d, 0, 1)))
     # Levi block diag(A, cof(A)) for A generating GL2: cof(A) = det(A) t(A)^-1
     # makes it a similitude with mu = det(A), and the mu generators below
     # supply the rest of diag(A, t(A)^-1).
@@ -112,13 +114,12 @@ def gsp4_generators(p: int) -> list[np.ndarray]:
     for u in range(2, p):
         levi += [(u, 0, 0, 1), (1, 0, 0, u)]
     for a, b, c, d in levi:
-        g = eye.copy()
-        g[0:2, 0:2] = [[a, b], [c, d]]
-        g[2:4, 2:4] = np.array([[d, -c], [-b, a]]) % p
-        gens.append(g)
+        gens.append(((a, b, 0, 0), (c, d, 0, 0),
+                     (0, 0, d, -c % p), (0, 0, -b % p, a)))
     for mu in range(2, p):
-        gens.append(np.diag([1, 1, mu, mu]).astype(np.int64))
-    if not _similitude_factors(np.stack(gens), p).all():
+        gens.append((e1, e2, (0, 0, mu, 0), (0, 0, 0, mu)))
+    gens = np.array(gens, dtype=np.int64)
+    if not _similitude_factors(gens, p).all():
         raise RuntimeError("a GSp4 generator is not a similitude")
     return gens
 
@@ -217,14 +218,41 @@ def _canon_rows(vecs: np.ndarray, p: int) -> np.ndarray:
     return vecs * lead ** (p - 2) % p  # lead^(p-2) = lead^-1 mod p
 
 
-def _point_keys(rows: np.ndarray, p: int) -> np.ndarray:
-    """Base-p keys with weights p^3, p^2, p, 1: they sort like the rows."""
-    return rows @ p ** np.arange(3, -1, -1, dtype=np.int64)
+def _vector_weights(p: int) -> np.ndarray:
+    """Weights p^3, p^2, p, 1 of a vector's base-p key: keys sort like rows."""
+    return p ** np.arange(3, -1, -1, dtype=np.int64)
 
 
-def _point_ids(vecs: np.ndarray, keys: np.ndarray, p: int) -> np.ndarray:
-    """Ids of the points spanned by the rows of vecs, given the point keys."""
-    return _kernels.lookup(keys, _point_keys(_canon_rows(vecs, p), p))
+def _point_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of P^3(F_p) as canonical rows, ascending, and point_of:
+    the id of the point each vector spans, indexed by the vector's key,
+    with -1 at the zero vector."""
+    weights = _vector_weights(p)
+    vecs = np.arange(1, p**4, dtype=np.int64)[:, None] // weights % p
+    keys, ids = np.unique(_canon_rows(vecs, p) @ weights, return_inverse=True)
+    return vecs[keys - 1], np.concatenate([[-1], ids])
+
+
+def _span_ids(point_of: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """Ids of the points the vectors on the last axis of vecs span, by one
+    gather from point_of; RuntimeError at a zero vector, which a singular
+    generator makes."""
+    ids = point_of[vecs % p @ _vector_weights(p)]
+    if (ids < 0).any():
+        raise RuntimeError("a zero vector spans no point")
+    return ids
+
+
+def _coset_flags(gs: np.ndarray, p: int) -> np.ndarray:
+    """Rows (line, covector) spanning the flag of P4 g for each (N,4,4)
+    matrix g, not scaled; see flag_of_coset."""
+    gs = np.asarray(gs, dtype=np.int64) % p
+    minors = np.repeat(gs[:, None], 5, axis=1)
+    minors[:, 1:, 0] = np.eye(4, dtype=np.int64)  # det(minors[:, 1+j]) = C_0j
+    dets = _kernels.det_mod_batch(minors.reshape(-1, 4, 4), p).reshape(-1, 5)
+    if not dets[:, 0].all():
+        raise InvalidArgument("matrix not invertible mod p")
+    return np.stack([dets[:, 1:], gs[:, 2]], axis=1)
 
 
 def flag_of_coset(g: np.ndarray, p: int) -> tuple:
@@ -235,21 +263,16 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
     line is spanned by the cofactors C_0j of g, which rows 1-3 of g
     annihilate, and g sends it to det(g) e1.
     """
-    minors = np.repeat(np.asarray(g, dtype=np.int64)[None] % p, 5, axis=0)
-    minors[1:, 0] = np.eye(4, dtype=np.int64)  # det(minors[1 + j]) = C_0j
-    det, *line = _kernels.det_mod_batch(minors, p).tolist()
-    if det == 0:
-        raise InvalidArgument("matrix not invertible mod p")
-    line, covector = _canon_rows(np.stack([line, minors[0, 2]]), p).tolist()
+    g = np.asarray(g, dtype=np.int64)
+    if g.shape != (4, 4):
+        raise InvalidArgument(f"expected a 4x4 matrix, got shape {g.shape}")
+    line, covector = _canon_rows(_coset_flags(g[None], p)[0], p).tolist()
     return tuple(line), tuple(covector)
 
 
 def _partition_quotient(p: int) -> CosetReport:
     t0 = time.perf_counter()
-    # the points of P^3(F_p) as canonical rows, ascending
-    vecs = np.array(list(itertools.product(range(p), repeat=4))[1:])
-    points = np.unique(_canon_rows(vecs, p), axis=0)
-    keys = _point_keys(points, p)
+    points, point_of = _point_table(p)
     # flags (v, phi) with phi(v) = 0, ordered by phi then v; hyperplanes
     # are points of the dual space
     cov, line = np.nonzero(points @ points.T % p == 0)
@@ -258,17 +281,16 @@ def _partition_quotient(p: int) -> CosetReport:
     flag_id[cov, line] = np.arange(n_flags)
     # b in GSp4 moves (v, phi) to (b^-1 v, phi b); t(b^-1) = t(J) b J / mu,
     # and the scalar does not move a point
-    gens = np.stack(gsp4_generators(p))
+    gens = gsp4_generators(p)
     j = _np_mat(J_MAT)
-    cov_img = _point_ids(points @ gens, keys, p)
-    line_img = _point_ids(points @ (j.T @ gens @ j), keys, p)
+    cov_img = _span_ids(point_of, points @ gens, p)
+    line_img = _span_ids(point_of, points @ (j.T @ gens @ j), p)
     actions = flag_id[cov_img[:, cov], line_img[:, line]]
     if (actions < 0).any():
         raise RuntimeError("a generator moved a flag off the incidence set")
     labels = _kernels.orbit_labels(actions, n_flags)
     eye = np.eye(4, dtype=np.int64)
-    ids = _point_ids(np.array([flag_of_coset(eye, p),
-                               flag_of_coset(_np_mat(T1), p)]), keys, p)
+    ids = _span_ids(point_of, _coset_flags(np.stack([eye, _np_mat(T1)]), p), p)
     lab_e, lab_t = labels[flag_id[ids[:, 1], ids[:, 0]]].tolist()
     # orbits show 1 or t1 (1 wins if both share one), any other its root flag
     known = {lab_t: _np_mat(T1).tolist(), lab_e: eye.tolist()}

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 import re
@@ -304,6 +305,30 @@ def test_whittaker_float_path_matches_complex_path(rng):
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert np.all(np.abs(real - cplx) <= FLOAT_PATH_REL * np.abs(cplx)), (
             kappa, mu)
+
+
+# sha256 of whittaker_w_array(kappa, mu, WHITTAKER_XS, log_factor).tobytes()
+# in the integral regime, from the code that evaluated the exponent on the
+# level-2 nodes twice: reusing that array must not move a bit.  numpy's exp
+# and log may round differently on another build, which would move these.
+WHITTAKER_SHA256 = {
+    "real": "c8c1174d1d5bb0d20c8c19ccdf6ecf499200f5b13e68d40d4d52ca0940e51158",
+    "real-factor":
+        "19085b6a7df47c54a33fbe251269c78a516136fd5c0648e097eb20e2ada10707",
+    "complex":
+        "dab911b43c267f16e6779b11aedc9e5303c108b615f3988292495e2606d08974",
+}
+
+
+@pytest.mark.parametrize("name, kappa, mu, factor", [
+    ("real", 0.4, 1.1, 0.0),
+    ("real-factor", -0.3, 0.2, -0.5),
+    ("complex", 0.4 + 0.1j, 1.1 - 0.2j, 0.0),
+])
+def test_whittaker_integral_regime_values_are_pinned(name, kappa, mu, factor):
+    vals = whittaker_w_array(kappa, mu, WHITTAKER_XS,
+                             factor * np.log(WHITTAKER_XS))
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == WHITTAKER_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

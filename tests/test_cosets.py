@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -267,3 +268,69 @@ def test_lookup(gl4_2):
     with pytest.raises(RuntimeError):
         _kernels.lookup(gl4_2[0], _kernels.pack_keys(
             np.zeros((1, 4, 4), dtype=np.int64), 2))
+
+
+@pytest.mark.parametrize("method", ["full", "quotient"])
+@pytest.mark.parametrize("p", [2.0, 3.0, True])
+def test_non_int_p_is_invalid(p, method):
+    # 2.0 in (2, 3) holds, so the type is checked before the value
+    with pytest.raises(InvalidArgument, match="p must be an integer"):
+        cosets.double_coset_partition(p, method=method)
+
+
+@pytest.mark.parametrize("g", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    np.eye(4, dtype=int)[:3],
+    np.eye(4, dtype=int)[None],
+    [1, 0, 0, 0],
+], ids=["3x3", "3x4", "1x4x4", "4"])
+def test_flag_of_coset_needs_a_4x4_matrix(g):
+    with pytest.raises(InvalidArgument, match="4x4"):
+        cosets.flag_of_coset(g, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_point_table_maps_each_vector_to_its_point(p):
+    points, point_of = cosets._point_table(p)
+    weights = p ** np.arange(3, -1, -1)
+    assert len(points) == (p**4 - 1) // (p - 1)
+    assert np.array_equal(points, cosets._canon_rows(points, p))
+    assert (np.diff(points @ weights) > 0).all()
+    assert point_of.shape == (p**4,) and point_of.dtype == np.int64
+    assert point_of[0] == -1
+    for v in itertools.product(range(p), repeat=4):
+        if not any(v):
+            continue
+        (want,) = np.nonzero((points == cosets._canon_rows([v], p)).all(1))[0]
+        for lam in range(1, p):
+            key = int(np.array(v) * lam % p @ weights)
+            assert point_of[key] == want, (v, lam)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_span_ids_refuse_a_singular_generator(p):
+    points, point_of = cosets._point_table(p)
+    gens = cosets.gsp4_generators(p)
+    assert cosets._span_ids(point_of, points @ gens, p).shape == (
+        len(gens), len(points))
+    singular = gens.copy()
+    singular[-1, :, 3] = 0
+    with pytest.raises(RuntimeError, match="zero vector"):
+        cosets._span_ids(point_of, points @ singular, p)
+
+
+# sha256 of gsp4_generators(p).tobytes(): the generators of the list-of-arrays
+# builder this array replaced, in its order
+GSP4_GENERATORS_SHA256 = {
+    2: "fed4681f0152ea6669d0c3f1c6b58f793a3723156985884beefaa96e020229b4",
+    3: "56db1831eb338d5c854a7ada6d1c039ea470dd6e860cf12cbaae7e8aa627449b",
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gsp4_generators_are_pinned(p):
+    gens = cosets.gsp4_generators(p)
+    assert gens.shape == ({2: 8, 3: 19}[p], 4, 4) and gens.dtype == np.int64
+    assert ((gens >= 0) & (gens < p)).all()
+    assert hashlib.sha256(gens.tobytes()).hexdigest() \
+        == GSP4_GENERATORS_SHA256[p]
