@@ -1,8 +1,8 @@
 """Hot integer kernels for the finite-group coset oracle, in numpy.
 
-Batch determinants, enumeration of invertible matrices, sorted-key
-lookup, generator permutations and orbit labels over F_p.  Matrices are
-identified with their row-major base-p packed int64 keys.
+Four base-q digits have the key digits . (1, q, q^2, q^3): a vector of
+F_p^4 with q = p, and a 4x4 matrix over F_p, as its four row keys, with
+q = p^4.  Keys become ids by one gather through a dense table.
 """
 
 from __future__ import annotations
@@ -10,20 +10,31 @@ from __future__ import annotations
 import numpy as np
 
 
-def _powers16(p: int) -> np.ndarray:
-    return p ** np.arange(16, dtype=np.int64)
+def vector_keys(vecs: np.ndarray, q: int) -> np.ndarray:
+    """Keys of the vectors on the last axis of vecs, digits in [0, q)."""
+    return vecs @ q ** np.arange(4, dtype=np.int64)
 
 
-def pack_keys(mats: np.ndarray, p: int) -> np.ndarray:
-    """Row-major base-p packing of (N,4,4) matrices into int64 keys."""
-    flat = mats.reshape(-1, 16).astype(np.int64)
-    return flat @ _powers16(p)
+def key_vectors(q: int) -> np.ndarray:
+    """The q^4 vectors of four base-q digits; row k has key k."""
+    return np.arange(q**4, dtype=np.int64)[:, None] // q ** np.arange(4) % q
 
 
-def unpack_keys(keys: np.ndarray, p: int) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-    digits = (keys[:, None] // _powers16(p)[None, :]) % p
-    return digits.reshape(-1, 4, 4).astype(np.uint8)
+def id_table(rows: np.ndarray, q: int) -> np.ndarray:
+    """Dense table of the q^4 keys: id i at the key of rows[i], else -1."""
+    table = np.full(q**4, -1, dtype=np.int64)
+    table[vector_keys(rows, q)] = np.arange(len(rows))
+    return table
+
+
+def gather_ids(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ids of keys in a dense table; RuntimeError at a key without one,
+    which a singular generator makes."""
+    ids = table[keys]
+    if (ids < 0).any():
+        raise RuntimeError("a key has no id: a singular generator made a "
+                           "zero vector or a singular matrix")
+    return ids
 
 
 def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
@@ -44,41 +55,29 @@ def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def enumerate_invertible_keys(p: int) -> np.ndarray:
-    """Keys of all invertible 4x4 matrices mod p, ascending."""
-    total = p ** 16
-    chunk = 1 << 20
-    kept = []
-    for start in range(0, total, chunk):
-        keys = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        mats = unpack_keys(keys, p)
-        dets = det_mod_batch(mats, p)
-        kept.append(keys[dets != 0])
-    return np.concatenate(kept)
+    """Row keys of all invertible 4x4 matrices mod p, one (N, 4) array in
+    ascending order of the matrix keys."""
+    rows = key_vectors(p**4)
+    return rows[det_mod_batch(key_vectors(p)[rows], p) != 0]
 
 
-def lookup(keys: np.ndarray, found: np.ndarray) -> np.ndarray:
-    """Positions of found in the ascending keys; RuntimeError if any is
-    missing."""
-    idx = np.searchsorted(keys, found)
-    if idx.max(initial=0) >= len(keys) or not np.array_equal(keys[idx], found):
-        raise RuntimeError("a key is not in the table")
-    return idx
+def generator_permutation(id_of: np.ndarray, rows: np.ndarray,
+                          gens: np.ndarray, p: int) -> np.ndarray:
+    """(k, n) ids of m @ g for the (k,4,4) gens and the matrices m that
+    rows hold, id_of their table.  Row r of m @ g is (row r of m) @ g, so
+    one table of the p^4 row keys per generator gives every product."""
+    step = vector_keys(key_vectors(p) @ gens % p, p)
+    return gather_ids(id_of, vector_keys(step[:, rows], p**4))
 
 
-def generator_permutation(mats: np.ndarray, keys: np.ndarray, gen: np.ndarray,
-                          p: int, left: bool) -> np.ndarray:
-    """Ids of gen @ m (left) or m @ gen (right) for every enumerated m."""
-    g = np.asarray(gen, dtype=np.int64)  # so products of uint8 rows are int64
-    return lookup(keys, pack_keys((g @ mats if left else mats @ g) % p, p))
-
-
-def orbit_labels(perms: list[np.ndarray], n: int) -> np.ndarray:
-    """Labels constant on orbits of the group generated by the permutations.
+def orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """Labels constant on orbits of the group generated by the (k, n) array
+    of permutations, one row per generator.
 
     Each label is the minimal element id of its orbit, reached by monotone
     label propagation to a fixpoint.
     """
-    labels, before = np.arange(n, dtype=np.int64), None
+    labels, before = np.arange(perms.shape[1], dtype=np.int64), None
     while not np.array_equal(labels, before):
         before = labels.copy()
         for perm in perms:

@@ -8,9 +8,9 @@ route that enumerates the P4-coset space as flags (line, hyperplane) and
 counts GSp4 orbits, which also works over F_3 where GL4 has 24 million
 elements.
 
-The full route finds products by sorted-key lookup; the quotient route maps
-every vector of F_p^4 to the point of P^3(F_p) it spans through one dense
-table, so each generator's images of all points are one gather.
+Both routes key vectors of F_p^4 in base p and turn keys into ids by one
+gather through a dense table (see _kernels): the full route holds each
+matrix by its four row keys, the quotient maps each vector to its point.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def _similitude_factors(mats: np.ndarray, p: int) -> np.ndarray:
 # Generators
 # ---------------------------------------------------------------------------
 
-def p4_generators(p: int) -> list[np.ndarray]:
-    """Transvections respecting the P4 pattern, plus diagonal units."""
+def p4_generators(p: int) -> np.ndarray:
+    """Transvections respecting the P4 pattern, plus diagonal units, as one
+    (N, 4, 4) int64 array."""
     gens = []
     eye = np.eye(4, dtype=np.int64)
     for i, j in zip(*np.nonzero(_P4_MASK)):
@@ -90,7 +91,7 @@ def p4_generators(p: int) -> list[np.ndarray]:
             g = eye.copy()
             g[pos, pos] = u
             gens.append(g)
-    return gens
+    return np.array(gens)
 
 
 def gsp4_generators(p: int) -> np.ndarray:
@@ -190,18 +191,22 @@ def _partition_full(p: int) -> CosetReport:
             f"full enumeration partition is limited to p = 2 "
             f"(GL4(F_{p}) has {gl4_order(p)} elements); use method='quotient'")
     t0 = time.perf_counter()
-    keys = _kernels.enumerate_invertible_keys(p)
-    mats = _kernels.unpack_keys(keys, p)
-    perms = [_kernels.generator_permutation(mats, keys, g, p, left=True)
-             for g in p4_generators(p)]
-    perms += [_kernels.generator_permutation(mats, keys, g, p, left=False)
-              for g in gsp4_generators(p)]
-    labels = _kernels.orbit_labels(perms, len(keys))
-    ids = _kernels.lookup(keys, _kernels.pack_keys(
-        np.stack([np.eye(4, dtype=np.int64), _np_mat(T1)]), p))
-    lab_e, lab_t = labels[ids].tolist()
+    rows = _kernels.enumerate_invertible_keys(p)
+    mats = _kernels.key_vectors(p)[rows]
+    id_of = _kernels.id_table(rows, p**4)
+    # g m is the transpose of t(m) t(g): P4 acts on the column keys
+    cols = _kernels.vector_keys(mats.transpose(0, 2, 1), p)
+    perms = np.concatenate([
+        _kernels.generator_permutation(_kernels.id_table(cols, p**4), cols,
+                                       p4_generators(p).transpose(0, 2, 1), p),
+        _kernels.generator_permutation(id_of, rows, gsp4_generators(p), p)])
+    labels = _kernels.orbit_labels(perms)
+    e_t1 = _kernels.vector_keys(np.stack([np.eye(4, dtype=np.int64),
+                                          _np_mat(T1)]), p)
+    lab_e, lab_t = labels[_kernels.gather_ids(
+        id_of, _kernels.vector_keys(e_t1, p**4))].tolist()
     return _report(p, "full", labels, lab_e, lab_t,
-                   lambda r: mats[r].tolist(), t0, {"group_order": len(keys)})
+                   lambda r: mats[r].tolist(), t0, {"group_order": len(mats)})
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +223,20 @@ def _canon_rows(vecs: np.ndarray, p: int) -> np.ndarray:
     return vecs * lead ** (p - 2) % p  # lead^(p-2) = lead^-1 mod p
 
 
-def _vector_weights(p: int) -> np.ndarray:
-    """Weights p^3, p^2, p, 1 of a vector's base-p key: keys sort like rows."""
-    return p ** np.arange(3, -1, -1, dtype=np.int64)
-
-
 def _point_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points of P^3(F_p) as canonical rows, ascending, and point_of:
-    the id of the point each vector spans, indexed by the vector's key,
-    with -1 at the zero vector."""
-    weights = _vector_weights(p)
-    vecs = np.arange(1, p**4, dtype=np.int64)[:, None] // weights % p
-    keys, ids = np.unique(_canon_rows(vecs, p) @ weights, return_inverse=True)
+    """The points of P^3(F_p) as canonical rows in ascending order of their
+    keys, and point_of: the id of the point each vector spans, indexed by
+    the vector's key, with -1 at the zero vector."""
+    vecs = _kernels.key_vectors(p)[1:]
+    keys, ids = np.unique(_kernels.vector_keys(_canon_rows(vecs, p), p),
+                          return_inverse=True)
     return vecs[keys - 1], np.concatenate([[-1], ids])
 
 
 def _span_ids(point_of: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
-    """Ids of the points the vectors on the last axis of vecs span, by one
-    gather from point_of; RuntimeError at a zero vector, which a singular
-    generator makes."""
-    ids = point_of[vecs % p @ _vector_weights(p)]
-    if (ids < 0).any():
-        raise RuntimeError("a zero vector spans no point")
-    return ids
+    """Ids of the points the vectors on the last axis of vecs span;
+    RuntimeError at a zero vector."""
+    return _kernels.gather_ids(point_of, _kernels.vector_keys(vecs % p, p))
 
 
 def _coset_flags(gs: np.ndarray, p: int) -> np.ndarray:
@@ -263,10 +259,13 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
     line is spanned by the cofactors C_0j of g, which rows 1-3 of g
     annihilate, and g sends it to det(g) e1.
     """
-    g = np.asarray(g, dtype=np.int64)
+    _check_p(p)
+    g = np.asarray(g)
     if g.shape != (4, 4):
         raise InvalidArgument(f"expected a 4x4 matrix, got shape {g.shape}")
-    line, covector = _canon_rows(_coset_flags(g[None], p)[0], p).tolist()
+    if g.dtype.kind not in "iu":
+        raise InvalidArgument(f"entries must be integers, got {g.dtype}")
+    line, covector = _canon_rows(_coset_flags(g[None] % p, p)[0], p).tolist()
     return tuple(line), tuple(covector)
 
 
@@ -288,7 +287,7 @@ def _partition_quotient(p: int) -> CosetReport:
     actions = flag_id[cov_img[:, cov], line_img[:, line]]
     if (actions < 0).any():
         raise RuntimeError("a generator moved a flag off the incidence set")
-    labels = _kernels.orbit_labels(actions, n_flags)
+    labels = _kernels.orbit_labels(actions)
     eye = np.eye(4, dtype=np.int64)
     ids = _span_ids(point_of, _coset_flags(np.stack([eye, _np_mat(T1)]), p), p)
     lab_e, lab_t = labels[flag_id[ids[:, 1], ids[:, 0]]].tolist()

@@ -81,8 +81,7 @@ def generated_subgroup_order(gens: list[np.ndarray], p: int) -> int:
     """Order of the subgroup generated by gens, by batched BFS closure.
 
     A matrix is held as its four row keys, row . (1, p, p^2, p^3); its
-    packed key, as _kernels.pack_keys makes it, is then rows . (1, p^4,
-    p^8, p^12).  Row r of m @ g is (row r of m) @ g, so one table per
+    key, as _kernels keys a matrix, is then rows . (1, p^4, p^8, p^12).  Row r of m @ g is (row r of m) @ g, so one table per
     generator over the p^4 row keys gives every product.  The keys seen
     so far are one sorted int64 array.
     """

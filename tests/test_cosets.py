@@ -25,15 +25,25 @@ def test_order_formulas_derived():
     assert oracles.gsp4_order(3) == 2 * oracles.sp4_order(3) == 103680
 
 
+def _matrix_keys(mats, p):
+    """Keys of (..., 4, 4) matrices: the base-p^4 keys of their row keys."""
+    return _kernels.vector_keys(_kernels.vector_keys(mats % p, p), p**4)
+
+
 def test_enumeration_p2(gl4_2):
-    keys, mats = gl4_2
-    assert len(keys) == 20160
+    rows, mats = gl4_2
+    assert rows.shape == (20160, 4)
+    assert (_kernels.det_mod_batch(mats, 2) != 0).all()
+    # ascending matrix keys: the order fixes each orbit's representative
+    assert (np.diff(_matrix_keys(mats, 2)) > 0).all()
+    id_of = _kernels.id_table(rows, 16)
+    assert id_of.shape == (2**16,) and (id_of >= 0).sum() == 20160
     eye = np.eye(4, dtype=np.int64)
-    (idx,) = _kernels.lookup(keys, _kernels.pack_keys(eye[None], 2))
+    (idx,) = _kernels.gather_ids(id_of, _matrix_keys(eye[None], 2))
     assert np.array_equal(mats[idx], eye)
     # identity is idempotent under the product action
-    perm = _kernels.generator_permutation(mats, keys, eye, 2, left=True)
-    assert np.array_equal(perm, np.arange(len(keys)))
+    perm = _kernels.generator_permutation(id_of, rows, eye[None], 2)
+    assert np.array_equal(perm, np.arange(len(rows))[None])
 
 
 def test_unsupported_p():
@@ -50,9 +60,9 @@ def test_full_method_p3_infeasible():
 
 @pytest.fixture(scope="module")
 def gl4_2():
-    """The ascending keys of GL4(F_2) and the matrices they pack."""
-    keys = _kernels.enumerate_invertible_keys(2)
-    return keys, _kernels.unpack_keys(keys, 2)
+    """The row keys of GL4(F_2) in enumeration order, and its matrices."""
+    rows = _kernels.enumerate_invertible_keys(2)
+    return rows, _kernels.key_vectors(2)[rows]
 
 
 def _mu(g, p) -> int:
@@ -127,7 +137,8 @@ def test_partition_p2_full():
 def test_partition_against_direct_product_oracle(gl4_2):
     """Compute P4 g GSp4 for g in {1, t1} literally and compare."""
     report = cosets.double_coset_partition(2, method="full")
-    keys, mats = gl4_2
+    _, mats = gl4_2
+    keys = _matrix_keys(mats, 2)
     in_p4 = oracles._in_p4(mats, 2)
     in_gsp4 = cosets._similitude_factors(mats, 2) != 0
     A = mats[in_p4].astype(np.int64)
@@ -136,7 +147,7 @@ def test_partition_against_direct_product_oracle(gl4_2):
     def coset_keys(g):
         ag = np.einsum("aij,jk->aik", A, g) % 2
         prods = np.einsum("aij,bjk->abik", ag, B) % 2
-        return set(_kernels.pack_keys(prods.reshape(-1, 4, 4), 2).tolist())
+        return set(_matrix_keys(prods, 2).ravel().tolist())
 
     s_eye = coset_keys(np.eye(4, dtype=np.int64))
     s_t1 = coset_keys(np.asarray(cosets.T1, dtype=np.int64))
@@ -258,16 +269,31 @@ def test_flag_line_is_sent_to_e1(p):
         checked += 1
 
 
-def test_lookup(gl4_2):
-    keys = np.array([2, 5, 9])
-    assert _kernels.lookup(keys, np.array([9, 2, 5])).tolist() == [2, 0, 1]
-    for missing in ([1], [3], [10], [5, 7]):
-        with pytest.raises(RuntimeError):
-            _kernels.lookup(keys, np.array(missing))
-    # a singular matrix has no key in GL4(F_2)
-    with pytest.raises(RuntimeError):
-        _kernels.lookup(gl4_2[0], _kernels.pack_keys(
-            np.zeros((1, 4, 4), dtype=np.int64), 2))
+def test_full_route_permutations_are_the_products(gl4_2, monkeypatch):
+    # the permutations the full route labels orbits by, against ids found
+    # by content, not through the id tables
+    seen = []
+    labels = _kernels.orbit_labels
+    monkeypatch.setattr(_kernels, "orbit_labels",
+                        lambda perms: labels(seen.append(perms) or perms))
+    cosets.double_coset_partition(2, method="full")
+    (perms,) = seen
+    _, mats = gl4_2
+    index = {m.tobytes(): i for i, m in enumerate(mats)}
+    prods = ([g @ mats % 2 for g in cosets.p4_generators(2)]
+             + [mats @ g % 2 for g in cosets.gsp4_generators(2)])
+    assert perms.shape == (len(prods), 20160)
+    for perm, prod in zip(perms, prods):
+        assert perm.tolist() == [index[m.tobytes()] for m in prod]
+
+
+@pytest.mark.parametrize("side", ["p4_generators", "gsp4_generators"])
+def test_full_route_refuses_a_singular_generator(side, monkeypatch):
+    gens = getattr(cosets, side)(2)
+    gens[-1, :, 3] = 0
+    monkeypatch.setattr(cosets, side, lambda p: gens)
+    with pytest.raises(RuntimeError, match="singular matrix"):
+        cosets.double_coset_partition(2, method="full")
 
 
 @pytest.mark.parametrize("method", ["full", "quotient"])
@@ -292,7 +318,7 @@ def test_flag_of_coset_needs_a_4x4_matrix(g):
 @pytest.mark.parametrize("p", [2, 3])
 def test_point_table_maps_each_vector_to_its_point(p):
     points, point_of = cosets._point_table(p)
-    weights = p ** np.arange(3, -1, -1)
+    weights = p ** np.arange(4)
     assert len(points) == (p**4 - 1) // (p - 1)
     assert np.array_equal(points, cosets._canon_rows(points, p))
     assert (np.diff(points @ weights) > 0).all()
@@ -319,11 +345,15 @@ def test_span_ids_refuse_a_singular_generator(p):
         cosets._span_ids(point_of, points @ singular, p)
 
 
-# sha256 of gsp4_generators(p).tobytes(): the generators of the list-of-arrays
-# builder this array replaced, in its order
+# sha256 of gsp4_generators(p).tobytes() and p4_generators(p).tobytes(): the
+# generators of the list-of-arrays builders these arrays replaced, in order
 GSP4_GENERATORS_SHA256 = {
     2: "fed4681f0152ea6669d0c3f1c6b58f793a3723156985884beefaa96e020229b4",
     3: "56db1831eb338d5c854a7ada6d1c039ea470dd6e860cf12cbaae7e8aa627449b",
+}
+P4_GENERATORS_SHA256 = {
+    2: "9b7b8d6ae8dcf3daeef1a4f84e08f78f1b200c22ef49b857d1dc4ed2ee873eca",
+    3: "a54a0d9d1fedf55c725c6c4e12dd3e5f82324d33f1a5853f1d3d2a0beca724a7",
 }
 
 
@@ -334,3 +364,36 @@ def test_gsp4_generators_are_pinned(p):
     assert ((gens >= 0) & (gens < p)).all()
     assert hashlib.sha256(gens.tobytes()).hexdigest() \
         == GSP4_GENERATORS_SHA256[p]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_p4_generators_are_pinned(p):
+    gens = cosets.p4_generators(p)
+    assert gens.shape == ({2: 7, 3: 18}[p], 4, 4) and gens.dtype == np.int64
+    assert ((gens >= 0) & (gens < p)).all()
+    assert hashlib.sha256(gens.tobytes()).hexdigest() \
+        == P4_GENERATORS_SHA256[p]
+
+
+def _eye_with(entry) -> list:
+    """The 4x4 identity as nested lists, entry (0, 1) replaced."""
+    rows = np.eye(4, dtype=int).tolist()
+    rows[0][1] = entry
+    return rows
+
+
+@pytest.mark.parametrize("p, g, error", [
+    (0, _eye_with(0), Unsupported),
+    (-3, _eye_with(0), Unsupported),
+    (2.0, _eye_with(0), InvalidArgument),
+    (4, _eye_with(0), Unsupported),
+    (6, _eye_with(0), Unsupported),
+    (5, _eye_with(0), Unsupported),
+    (3, _eye_with(0.5), InvalidArgument),
+    (3, _eye_with(1e30), InvalidArgument),
+], ids=["p0", "p-3", "p2.0", "p4", "p6", "p5", "entry0.5", "entry1e30"])
+def test_flag_of_coset_checks_p_and_entries(p, g, error):
+    # 0.5 was truncated to 0 and 1e30 overflowed; p = 4 and 6 gave a flag
+    # over a ring that is not a field
+    with pytest.raises(error):
+        cosets.flag_of_coset(g, p)
