@@ -12,6 +12,14 @@ convergent for Re(6s + 2l + l2 - q - 1) > 0, and the closed form is the
 Gamma expression it evaluates to.  All complex powers have positive real
 bases, so principal branches carry no ambiguity.
 
+The integrand depends on lambda only through x = c0 u lambda, c0 = 4 pi
+sqrt(D), so lambda = x / (c0 u) separates it exactly into c0^(-sigma) M U:
+sigma = 3s - 3/2 + l - q/2, M = int_0^inf W(x) e^(-x/2) x^(sigma-1) dx is
+the Mellin integral, and U = int_1^inf u^(-6s+q-2l-l2) du.  The quadrature
+computes M and U one-dimensionally, so against the closed form it checks
+the Mellin identity, the change of variables and U, which the closed form
+reads as 1 / (6s + 2l + l2 - q - 1).
+
 The quadrature's dtype follows its parameters: float64 from end to end
 where kappa, mu, s and q (and sigma, for the Mellin check) have imaginary
 part 0, complex128 otherwise.  Each such parameter enters the arrays as a
@@ -191,6 +199,18 @@ def whittaker_W(kappa: complex, mu: complex, x: float) -> complex:
     return complex(whittaker_w_array(kappa, mu, np.array([float(x)]))[0])
 
 
+def _mellin_integral(kappa: complex, mu: complex, sigma: complex,
+                     log_scale=0.0, *, target: float) -> complex:
+    """exp(log_scale) int_0^inf W_{kappa,mu}(x) e^(-x/2) x^(sigma-1) dx, the
+    scale in W's exponent, so the integral alone may leave the doubles."""
+    power = _narrow(sigma - 1)
+    return quad_zero_to_inf(
+        lambda xs: whittaker_w_array(
+            kappa, mu, xs,
+            log_factor=-xs / 2.0 + power * np.log(xs) + log_scale),
+        target=target)
+
+
 @dataclass(frozen=True)
 class MellinReport:
     kappa: complex
@@ -211,15 +231,10 @@ def mellin_whittaker_check(kappa: complex, mu: complex,
     if regime == "integral":
         if (sigma + 0.5 + m).real <= 0 or (sigma + 0.5 - m).real <= 0:
             raise InvalidArgument("Re(sigma + 1/2 +- mu) > 0 required")
-    else:
-        if (sigma + kappa).real <= 0:
-            raise InvalidArgument("Re(sigma + kappa) > 0 required")
+    elif (sigma + kappa).real <= 0:
+        raise InvalidArgument("Re(sigma + kappa) > 0 required")
 
-    power = _narrow(sigma - 1)
-    integral = quad_zero_to_inf(
-        lambda xs: whittaker_w_array(
-            kappa, m, xs, log_factor=-xs / 2.0 + power * np.log(xs)),
-        target=1e-11)
+    integral = _mellin_integral(kappa, m, sigma, target=1e-11)
     log_value = log_gamma(sigma + 0.5 + m)
     if abs(m - (kappa - 0.5)) >= 1e-10:  # else the ratio cancels exactly
         log_value += (log_gamma(sigma + 0.5 - m)
@@ -255,41 +270,22 @@ def _times_prefactor(spec: ArchSpec, integral: complex) -> complex:
 
 
 def arch_zeta_quadrature(spec: ArchSpec) -> complex:
-    """Nested adaptive quadrature of the double integral.
+    """The double integral as c0^(-sigma) M U (see the module docstring).
 
-    The outer integral runs over u = 1 + t.  Each outer level hands all its
-    new u nodes to one batched inner integral over lambda, one row per u,
-    with u^(u_pow) inside the Whittaker exponent.  So the batch converges
-    relative to the largest contribution to the outer sum, and a row whose
-    contribution is negligible needs no relative accuracy of its own.
+    -sigma log c0 joins M's exponent, where log c0 = log 4 pi + (log D) / 2
+    is a double for any D.  U is its own quadrature over u = 1 + t, not the
+    closed form's 1 / gate.
     """
     s, q = complex(spec.s), complex(spec.q_exp)
     # fails before any quadrature if unsupported
     kappa, mu, _ = _whittaker_params(spec.l1 / 2.0, complex(spec.ir) / 2.0)
-    # the outer nodes u reach 7.5e226, and 4 pi sqrt(D) u must be a double
-    if spec.D > 10**160:
-        raise InvalidArgument("D must be at most 10^160 for the quadrature, "
-                              f"got {brief(spec.D)}")
     u_pow = _narrow(-3 * s - 1.5 + q / 2 - spec.l - spec.l2)
-    lam_pow = _narrow(3 * s - 1.5 + spec.l - q / 2)
-    c0 = 4 * math.pi * math.sqrt(spec.D)
-
-    def outer(ts):
-        u = 1.0 + ts[:, None]
-        c = c0 * u
-        log_u_factor = u_pow * np.log(u)
-
-        def inner(lams):
-            # x stays below the double range; W(x) e^(-x/2) is 0 long before
-            x = c * np.minimum(lams, 1e300 / c)
-            return whittaker_w_array(kappa, mu, x, log_factor=(
-                -x / 2.0 + (lam_pow - 1) * np.log(lams) + log_u_factor))
-
-        return quad_zero_to_inf(inner, target=1e-12)
-
-    # u = 1 + t maps (1, inf) to (0, inf)
-    integral = quad_zero_to_inf(outer, target=5e-11, max_level=9)
-    return _times_prefactor(spec, integral)
+    sigma = _narrow(3 * s - 1.5 + spec.l - q / 2)
+    log_c0 = math.log(4 * math.pi) + 0.5 * math.log(spec.D)
+    m = _mellin_integral(kappa, mu, sigma, -sigma * log_c0, target=1e-12)
+    u_integral = quad_zero_to_inf(
+        lambda ts: np.exp((u_pow - sigma) * np.log1p(ts)), target=1e-12)
+    return _times_prefactor(spec, m * u_integral)
 
 
 def _gamma_args(spec: ArchSpec) -> tuple[complex, complex, complex]:

@@ -260,7 +260,10 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
     annihilate, and g sends it to det(g) e1.
     """
     _check_p(p)
-    g = np.asarray(g)
+    try:
+        g = np.asarray(g)
+    except ValueError:  # rows of different lengths
+        raise InvalidArgument("expected a 4x4 matrix, got ragged rows") from None
     if g.shape != (4, 4):
         raise InvalidArgument(f"expected a 4x4 matrix, got shape {g.shape}")
     if g.dtype.kind not in "iu":

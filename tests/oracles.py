@@ -1,8 +1,10 @@
 """Reference values that only the tests read, kept out of the package.
 
 digamma and the closed form's log-derivative check the archimedean Gamma
-quotient; the group orders, the P4 membership test, the second Weyl
-element T2 and the subgroup closure check the coset generators.
+quotient, and the nested quadrature checks that the package's product of
+two one-dimensional quadratures is the double integral; the group orders,
+the P4 membership test, the second Weyl element T2 and the subgroup
+closure check the coset generators.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import math
 import numpy as np
 
 from localzeta import _kernels
-from localzeta.arch import ArchSpec, _gamma_args
+from localzeta.arch import (ArchSpec, _gamma_args, _narrow, _times_prefactor,
+                            _whittaker_params, whittaker_w_array)
 from localzeta.cgamma import _checked
 from localzeta.cosets import _P4_MASK
 from localzeta.errors import Infeasible
+from localzeta.quadrature import quad_zero_to_inf
 
 # Bernoulli numbers B_2 .. B_14 for the digamma asymptotic series.
 _BERNOULLI = (
@@ -51,6 +55,40 @@ def arch_zeta_closed_logderiv(spec: ArchSpec) -> complex:
     return (-3 * math.log(spec.D) - 3 * math.log(4 * math.pi)
             - 6 / spec.gate
             + 3 * digamma(z1) + 3 * digamma(z2) - 3 * digamma(z3))
+
+
+def arch_zeta_nested(spec: ArchSpec) -> complex:
+    """The archimedean double integral by nested adaptive quadrature, with
+    no change of variables: 0.1-2 s and up to 230 MB per integral-regime
+    spec, where the package's product route takes 8-20 ms.
+
+    The outer integral runs over u = 1 + t.  Each outer level hands all its
+    new u nodes to one batched inner integral over lambda, one row per u,
+    with u^(u_pow) inside the Whittaker exponent, so the batch converges
+    relative to the largest contribution to the outer sum.  The outer nodes
+    u reach 7.5e226, so 4 pi sqrt(D) u is a double only for D <= 10^160.
+    """
+    s, q = complex(spec.s), complex(spec.q_exp)
+    kappa, mu, _ = _whittaker_params(spec.l1 / 2.0, complex(spec.ir) / 2.0)
+    u_pow = _narrow(-3 * s - 1.5 + q / 2 - spec.l - spec.l2)
+    lam_pow = _narrow(3 * s - 1.5 + spec.l - q / 2)
+    c0 = 4 * math.pi * math.sqrt(spec.D)
+
+    def outer(ts):
+        u = 1.0 + ts[:, None]
+        c = c0 * u
+        log_u_factor = u_pow * np.log(u)
+
+        def inner(lams):
+            # x stays below the double range; W(x) e^(-x/2) is 0 long before
+            x = c * np.minimum(lams, 1e300 / c)
+            return whittaker_w_array(kappa, mu, x, log_factor=(
+                -x / 2.0 + (lam_pow - 1) * np.log(lams) + log_u_factor))
+
+        return quad_zero_to_inf(inner, target=1e-12)
+
+    integral = quad_zero_to_inf(outer, target=5e-11, max_level=9)
+    return _times_prefactor(spec, integral)
 
 
 T2 = ((1, 0, 0, 0),

@@ -18,7 +18,7 @@ from localzeta.errors import (DivergentParameters, InvalidArgument, PoleError,
                               QuadratureError, UnsupportedParameters)
 from localzeta.quadrature import _nodes, quad_zero_to_inf
 
-from oracles import arch_zeta_closed_logderiv, digamma
+from oracles import arch_zeta_closed_logderiv, arch_zeta_nested, digamma
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +402,7 @@ def test_arch_quadrature_vs_closed(kw):
     assert abs(quad - closed) / abs(closed) <= 1e-6
 
 
-# closed-regime specs whose inner integrals are 1e-140 to 1e-300 for some
-# u: each row of the batch converges relative to the largest contribution
-# to the outer sum, not to its own size
+# closed-regime specs at small s, complex q and s < 0
 TINY_ROW_SPECS = [
     dict(l=3, l1=5, D=7, q_exp=0.0, a_plus=1.0, s=0.147, ir=4.0),
     dict(l=2, l1=2, D=3, q_exp=0.3 + 0.5j, a_plus=1.0, s=0.106, ir=1.0),
@@ -433,7 +431,8 @@ def _whittaker_dtypes(monkeypatch):
     return seen
 
 
-# |Re ir| > l1 - 1: W by its integral representation, a triple quadrature
+# |Re ir| > l1 - 1: W by its integral representation, so M is a double
+# quadrature
 REAL_INTEGRAL_REGIME_SPECS = [
     dict(l=4, l1=4, D=4, q_exp=0.0, a_plus=1.0, s=1.4, ir=-5.0),
     dict(l=4, l1=4, D=3, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=4.0),
@@ -452,6 +451,18 @@ def test_arch_quadrature_integral_regime(kw, monkeypatch):
     # the dtype follows the parameters
     assert dtypes == {np.dtype(np.complex128 if isinstance(kw["ir"], complex)
                                else np.float64)}
+
+
+@pytest.mark.parametrize("kw", REAL_INTEGRAL_REGIME_SPECS
+                         + DISCRETE_SERIES_SPECS[2:4],
+                         ids=["ir-5", "D3-ir4", "l>l1", "l<l1"])
+def test_arch_quadrature_matches_the_nested_double_integral(kw):
+    # the separation lambda = x / (c0 u) and U, against the double integral
+    # as it is written
+    spec = ArchSpec(**kw)
+    product = arch_zeta_quadrature(spec)
+    nested = arch_zeta_nested(spec)
+    assert abs(product - nested) <= 1e-6 * abs(nested)
 
 
 @pytest.mark.parametrize("kw", DISCRETE_SERIES_SPECS
@@ -479,8 +490,8 @@ def test_arch_quadrature_complex_parameters_stay_complex(kw, monkeypatch):
 
 
 def test_arch_quadrature_memory_bound():
-    # the batch of one outer level, rows (u x lambda nodes) x t nodes, sets
-    # the peak: 32 MB of float64 where complex128 took 56 MB
+    # M's Whittaker batch of one level, rows (x nodes) x t nodes, sets the
+    # peak: 2.6 MB of float64
     spec = ArchSpec(l=4, l1=4, D=3, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=4.0)
     tracemalloc.start()
     try:
@@ -502,8 +513,8 @@ def test_arch_quadrature_prefactor_past_the_doubles():
 
 
 def test_arch_quadrature_of_rows_that_all_underflow():
-    # e^(-x), x = 4 pi sqrt(D) lambda u, leaves the doubles unless
-    # lambda < 1e-148, and there lambda^11 does
+    # c0^(-sigma) = (4 pi sqrt(D))^(-12.1) is about 1e-924, so every row
+    # of M underflows
     spec = ArchSpec(l=10, l1=10, D=4 * 10**150, q_exp=0.0, a_plus=1.0,
                     s=1.2, ir=9.0)
     assert arch_zeta_quadrature(spec) == 0

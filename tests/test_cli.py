@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -402,19 +403,18 @@ def test_arch_verify_weight_past_the_double_range_exit_2(tmp_path, field):
     assert f"{field} must be" in proc.stderr
 
 
-def test_arch_verify_discriminant_past_the_quadrature_range_error_row(tmp_path):
-    # q_exp = 10 makes the closed form's power of D 0, so it is a double,
-    # but the quadrature's 4 pi sqrt(D) u is not
+def test_arch_verify_discriminant_past_the_double_range_passes(tmp_path):
+    # q_exp = 10 makes the closed form's power of D 0, so it is a double;
+    # the quadrature takes D only through log D
     path = tmp_path / "arch.json"
     path.write_text(json.dumps({"l": 4, "l1": 8, "D": 4 * 10**400,
                                 "q_exp": 10.0, "a_plus": 1.0, "s": 1.0,
                                 "ir": 7.0}))
-    proc = run_cli("arch-verify", "--spec", str(path))
-    assert proc.returncode == 1
+    proc = run_cli("arch-verify", "--spec", str(path), check=True)
     assert proc.stderr == ""
     (row,) = _lines(proc)
-    assert row["passed"] is False
-    assert "D must be" in row["error"]
+    assert row["passed"] is True
+    assert row["rel_error"] <= 1e-6
 
 
 @pytest.mark.parametrize("n", [2.5, True])
@@ -628,6 +628,26 @@ def test_arch_verify_unconverged_quadrature_error_row(tmp_path):
     (row,) = _lines(proc)
     assert row["passed"] is False
     assert "no convergence" in row["error"]
+
+
+def test_arch_verify_oscillating_whittaker_error_row(tmp_path):
+    # ir = -200 + 30i: M does not converge, a typed error row within the
+    # memory bound of test_arch_quadrature_memory_bound
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"l": 10, "l1": 10, "D": 4,
+                                "a_plus": 3.16652e-06, "s": 1.1666,
+                                "r": [30, 200]}))
+    tracemalloc.start()
+    try:
+        proc = run_cli("arch-verify", "--spec", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proc.returncode == 1
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "no convergence" in row["error"]
+    assert peak <= 40e6
 
 
 def test_arch_verify_tolerance_miss_exit_1(tmp_path):

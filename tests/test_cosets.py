@@ -391,9 +391,13 @@ def _eye_with(entry) -> list:
     (5, _eye_with(0), Unsupported),
     (3, _eye_with(0.5), InvalidArgument),
     (3, _eye_with(1e30), InvalidArgument),
-], ids=["p0", "p-3", "p2.0", "p4", "p6", "p5", "entry0.5", "entry1e30"])
+    (2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]],
+     InvalidArgument),
+], ids=["p0", "p-3", "p2.0", "p4", "p6", "p5", "entry0.5", "entry1e30",
+        "ragged"])
 def test_flag_of_coset_checks_p_and_entries(p, g, error):
     # 0.5 was truncated to 0 and 1e30 overflowed; p = 4 and 6 gave a flag
-    # over a ring that is not a field
+    # over a ring that is not a field; a ragged matrix raised numpy's
+    # ValueError
     with pytest.raises(error):
         cosets.flag_of_coset(g, p)
