@@ -2,7 +2,8 @@
 
 Four base-q digits have the key digits . (1, q, q^2, q^3): a vector of
 F_p^4 with q = p, and a 4x4 matrix over F_p, as its four row keys, with
-q = p^4.  Keys become ids by one gather through a dense table.
+q = p^4.  Keys become ids by one gather through a dense table, and spans,
+not determinants, pick out the invertible matrices.
 """
 
 from __future__ import annotations
@@ -37,28 +38,20 @@ def gather_ids(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return ids
 
 
-def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
-    """Batch determinant mod p via the two-row Laplace expansion."""
-    m = mats.astype(np.int64)
-    a, b, c, d = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
-
-    def minor2(u, v, i, j):
-        return u[:, i] * v[:, j] - u[:, j] * v[:, i]
-
-    det = (minor2(a, b, 0, 1) * minor2(c, d, 2, 3)
-           - minor2(a, b, 0, 2) * minor2(c, d, 1, 3)
-           + minor2(a, b, 0, 3) * minor2(c, d, 1, 2)
-           + minor2(a, b, 1, 2) * minor2(c, d, 0, 3)
-           - minor2(a, b, 1, 3) * minor2(c, d, 0, 2)
-           + minor2(a, b, 2, 3) * minor2(c, d, 0, 1))
-    return det % p
-
-
 def enumerate_invertible_keys(p: int) -> np.ndarray:
     """Row keys of all invertible 4x4 matrices mod p, one (N, 4) array in
-    ascending order of the matrix keys."""
-    rows = key_vectors(p**4)
-    return rows[det_mod_batch(key_vectors(p)[rows], p) != 0]
+    ascending order of the matrix keys: rows 3, 2, 1, 0 in turn, each one
+    outside the span of the rows before it, put in front as the least
+    significant digit, so that np.nonzero yields them in that order."""
+    vecs, rows = key_vectors(p), np.empty((1, 0), dtype=np.int64)
+    for k in range(4):
+        # the p^k combinations of each prefix's k rows
+        span = vector_keys(vecs[:p**k, :k] @ vecs[rows] % p, p)
+        outside = np.ones((len(rows), p**4), dtype=bool)
+        np.put_along_axis(outside, span, False, axis=1)
+        prefix, row = np.nonzero(outside)
+        rows = np.column_stack([row, rows[prefix]])
+    return rows
 
 
 def generator_permutation(id_of: np.ndarray, rows: np.ndarray,

@@ -16,9 +16,9 @@ The integrand depends on lambda only through x = c0 u lambda, c0 = 4 pi
 sqrt(D), so lambda = x / (c0 u) separates it exactly into c0^(-sigma) M U:
 sigma = 3s - 3/2 + l - q/2, M = int_0^inf W(x) e^(-x/2) x^(sigma-1) dx is
 the Mellin integral, and U = int_1^inf u^(-6s+q-2l-l2) du.  The quadrature
-computes M and U one-dimensionally, so against the closed form it checks
-the Mellin identity, the change of variables and U, which the closed form
-reads as 1 / (6s + 2l + l2 - q - 1).
+computes M, and U over v = log u, one-dimensionally, so against the closed
+form it checks the Mellin identity, the change of variables and U, which
+the closed form reads as 1 / (6s + 2l + l2 - q - 1).
 
 The quadrature's dtype follows its parameters: float64 from end to end
 where kappa, mu, s and q (and sigma, for the Mellin check) have imaginary
@@ -273,8 +273,9 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     """The double integral as c0^(-sigma) M U (see the module docstring).
 
     -sigma log c0 joins M's exponent, where log c0 = log 4 pi + (log D) / 2
-    is a double for any D.  U is its own quadrature over u = 1 + t, not the
-    closed form's 1 / gate.
+    is a double for any D.  U is its own quadrature, not the closed form's
+    1 / gate, over v = log u: there e^(-gate v) decays within the nodes for
+    a small gate too, where the tail of u^(-1-gate) lay past them.
     """
     s, q = complex(spec.s), complex(spec.q_exp)
     # fails before any quadrature if unsupported
@@ -284,7 +285,7 @@ def arch_zeta_quadrature(spec: ArchSpec) -> complex:
     log_c0 = math.log(4 * math.pi) + 0.5 * math.log(spec.D)
     m = _mellin_integral(kappa, mu, sigma, -sigma * log_c0, target=1e-12)
     u_integral = quad_zero_to_inf(
-        lambda ts: np.exp((u_pow - sigma) * np.log1p(ts)), target=1e-12)
+        lambda vs: np.exp((u_pow - sigma + 1) * vs), target=1e-12)
     return _times_prefactor(spec, m * u_integral)
 
 

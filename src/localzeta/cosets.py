@@ -11,6 +11,8 @@ elements.
 Both routes key vectors of F_p^4 in base p and turn keys into ids by one
 gather through a dense table (see _kernels): the full route holds each
 matrix by its four row keys, the quotient maps each vector to its point.
+Spans decide invertibility: GL4(F_2) is built row by row, and the line of
+a coset P4 g is read off the point table.
 """
 
 from __future__ import annotations
@@ -239,16 +241,16 @@ def _span_ids(point_of: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
     return _kernels.gather_ids(point_of, _kernels.vector_keys(vecs % p, p))
 
 
-def _coset_flags(gs: np.ndarray, p: int) -> np.ndarray:
-    """Rows (line, covector) spanning the flag of P4 g for each (N,4,4)
-    matrix g, not scaled; see flag_of_coset."""
+def _coset_flags(gs: np.ndarray, points: np.ndarray, point_of: np.ndarray,
+                 p: int) -> np.ndarray:
+    """Point ids (line, covector) of the flag of P4 g for each (N,4,4)
+    matrix g; see flag_of_coset."""
     gs = np.asarray(gs, dtype=np.int64) % p
-    minors = np.repeat(gs[:, None], 5, axis=1)
-    minors[:, 1:, 0] = np.eye(4, dtype=np.int64)  # det(minors[:, 1+j]) = C_0j
-    dets = _kernels.det_mod_batch(minors.reshape(-1, 4, 4), p).reshape(-1, 5)
-    if not dets[:, 0].all():
+    zero = gs @ points.T % p == 0
+    line = zero[:, 1:].all(axis=1) & ~zero[:, 0]
+    if not (line.sum(axis=1) == 1).all():
         raise InvalidArgument("matrix not invertible mod p")
-    return np.stack([dets[:, 1:], gs[:, 2]], axis=1)
+    return np.column_stack([line.argmax(1), _span_ids(point_of, gs[:, 2], p)])
 
 
 def flag_of_coset(g: np.ndarray, p: int) -> tuple:
@@ -256,8 +258,9 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
 
     Two matrices lie in the same left P4-coset exactly when these flags
     agree, because P4 is the full stabilizer of (<e1>, <e1,e2,e4>).  The
-    line is spanned by the cofactors C_0j of g, which rows 1-3 of g
-    annihilate, and g sends it to det(g) e1.
+    line is the one point that rows 1-3 of g annihilate and row 0 does
+    not.  A singular g has none (rows 1-3 of rank 3, row 0 in their span)
+    or, when rows 1-3 have rank at most 2, none or at least p.
     """
     _check_p(p)
     try:
@@ -268,7 +271,9 @@ def flag_of_coset(g: np.ndarray, p: int) -> tuple:
         raise InvalidArgument(f"expected a 4x4 matrix, got shape {g.shape}")
     if g.dtype.kind not in "iu":
         raise InvalidArgument(f"entries must be integers, got {g.dtype}")
-    line, covector = _canon_rows(_coset_flags(g[None] % p, p)[0], p).tolist()
+    points, point_of = _point_table(p)
+    ids = _coset_flags(g[None] % p, points, point_of, p)[0]
+    line, covector = points[ids].tolist()
     return tuple(line), tuple(covector)
 
 
@@ -292,7 +297,7 @@ def _partition_quotient(p: int) -> CosetReport:
         raise RuntimeError("a generator moved a flag off the incidence set")
     labels = _kernels.orbit_labels(actions)
     eye = np.eye(4, dtype=np.int64)
-    ids = _span_ids(point_of, _coset_flags(np.stack([eye, _np_mat(T1)]), p), p)
+    ids = _coset_flags(np.stack([eye, _np_mat(T1)]), points, point_of, p)
     lab_e, lab_t = labels[flag_id[ids[:, 1], ids[:, 0]]].tolist()
     # orbits show 1 or t1 (1 wins if both share one), any other its root flag
     known = {lab_t: _np_mat(T1).tolist(), lab_e: eye.tolist()}

@@ -4,7 +4,8 @@ digamma and the closed form's log-derivative check the archimedean Gamma
 quotient, and the nested quadrature checks that the package's product of
 two one-dimensional quadratures is the double integral; the group orders,
 the P4 membership test, the second Weyl element T2 and the subgroup
-closure check the coset generators.
+closure check the coset generators, and the determinant checks the
+package's spans, which decide invertibility over F_p.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 
 import numpy as np
 
-from localzeta import _kernels
 from localzeta.arch import (ArchSpec, _gamma_args, _narrow, _times_prefactor,
                             _whittaker_params, whittaker_w_array)
 from localzeta.cgamma import _checked
@@ -105,11 +105,28 @@ def gsp4_order(p: int) -> int:
     return sp4_order(p) * (p - 1)
 
 
+def det_mod_batch(mats: np.ndarray, p: int) -> np.ndarray:
+    """Batch determinant mod p via the two-row Laplace expansion."""
+    m = mats.astype(np.int64)
+    a, b, c, d = m[:, 0], m[:, 1], m[:, 2], m[:, 3]
+
+    def minor2(u, v, i, j):
+        return u[:, i] * v[:, j] - u[:, j] * v[:, i]
+
+    det = (minor2(a, b, 0, 1) * minor2(c, d, 2, 3)
+           - minor2(a, b, 0, 2) * minor2(c, d, 1, 3)
+           + minor2(a, b, 0, 3) * minor2(c, d, 1, 2)
+           + minor2(a, b, 1, 2) * minor2(c, d, 0, 3)
+           - minor2(a, b, 1, 3) * minor2(c, d, 0, 2)
+           + minor2(a, b, 2, 3) * minor2(c, d, 0, 1))
+    return det % p
+
+
 def _in_p4(mats: np.ndarray, p: int) -> np.ndarray:
     """Which (N,4,4) matrices are invertible mod p and match the P4 pattern."""
     m = np.asarray(mats, dtype=np.int64) % p
     return ((m[:, ~_P4_MASK] == 0).all(axis=1)
-            & (_kernels.det_mod_batch(m, p) != 0))
+            & (det_mod_batch(m, p) != 0))
 
 
 _CLOSURE_LIMIT = 2_000_000  # elements a subgroup closure may reach

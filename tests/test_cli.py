@@ -630,6 +630,32 @@ def test_arch_verify_unconverged_quadrature_error_row(tmp_path):
     assert "no convergence" in row["error"]
 
 
+SMALL_GATE_SPEC = {"l": 2, "l1": 2, "D": 3, "q_exp": 0.99, "a_plus": 1.0,
+                   "s": 0.0, "ir": 1.0}
+
+
+def test_arch_verify_small_gate_passes(tmp_path):
+    # gate 6s + 2l + l2 - q - 1 = 0.01: U over u = 1 + t lost the tail of
+    # u^(-1.01) past its last node and did not converge
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(SMALL_GATE_SPEC))
+    (row,) = _lines(run_cli("arch-verify", "--spec", str(path), check=True))
+    assert row["passed"] is True
+    assert row["rel_error"] <= 1e-6
+
+
+def test_arch_verify_small_oscillating_gate_error_row(tmp_path):
+    # gate 0.01 + 3i: U = int_0^inf e^(-gate v) dv oscillates 300 times per
+    # e-fold of decay, and its quadrature does not converge
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(SMALL_GATE_SPEC, s=[0.0, 0.5])))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    assert proc.returncode == 1
+    (row,) = _lines(proc)
+    assert row["passed"] is False
+    assert "no convergence" in row["error"]
+
+
 def test_arch_verify_oscillating_whittaker_error_row(tmp_path):
     # ir = -200 + 30i: M does not converge, a typed error row within the
     # memory bound of test_arch_quadrature_memory_bound

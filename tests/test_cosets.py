@@ -33,7 +33,7 @@ def _matrix_keys(mats, p):
 def test_enumeration_p2(gl4_2):
     rows, mats = gl4_2
     assert rows.shape == (20160, 4)
-    assert (_kernels.det_mod_batch(mats, 2) != 0).all()
+    assert (oracles.det_mod_batch(mats, 2) != 0).all()
     # ascending matrix keys: the order fixes each orbit's representative
     assert (np.diff(_matrix_keys(mats, 2)) > 0).all()
     id_of = _kernels.id_table(rows, 16)
@@ -44,6 +44,14 @@ def test_enumeration_p2(gl4_2):
     # identity is idempotent under the product action
     perm = _kernels.generator_permutation(id_of, rows, eye[None], 2)
     assert np.array_equal(perm, np.arange(len(rows))[None])
+
+
+def test_enumeration_is_the_determinant_filter(gl4_2):
+    # the span enumeration against all 65,536 matrices over F_2 filtered by
+    # their determinants
+    rows = _kernels.key_vectors(16)
+    want = rows[oracles.det_mod_batch(_kernels.key_vectors(2)[rows], 2) != 0]
+    assert np.array_equal(gl4_2[0], want)
 
 
 def test_unsupported_p():
@@ -257,7 +265,7 @@ def test_flag_line_is_sent_to_e1(p):
     checked = 0
     while checked < 40:
         g = rng.integers(0, p, size=(4, 4))
-        if _kernels.det_mod_batch(g[None], p)[0] == 0:
+        if oracles.det_mod_batch(g[None], p)[0] == 0:
             with pytest.raises(InvalidArgument):
                 cosets.flag_of_coset(g, p)
             continue
@@ -267,6 +275,35 @@ def test_flag_line_is_sent_to_e1(p):
         # (e3* g)(g^-1 e1) = 0: the flag is incident
         assert np.dot(covector, line) % p == 0
         checked += 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_lines_are_the_cofactor_lines(p, gl4_2):
+    # g^-1 <e1> is spanned by the cofactors C_0j of g, which rows 1-3 of g
+    # annihilate; det(g with row 0 replaced by e_j) = C_0j.  All of
+    # GL4(F_2), or the invertible ones of 2,000 random matrices over F_3.
+    mats = np.random.default_rng(5).integers(0, p, size=(2000, 4, 4))
+    mats = gl4_2[1] if p == 2 else mats[oracles.det_mod_batch(mats, p) != 0]
+    minors = np.repeat(mats[:, None], 4, axis=1)
+    minors[:, :, 0] = np.eye(4, dtype=np.int64)
+    cofactors = oracles.det_mod_batch(minors.reshape(-1, 4, 4), p)
+    points, point_of = cosets._point_table(p)
+    ids = cosets._coset_flags(mats, points, point_of, p)
+    assert np.array_equal(
+        ids[:, 0], cosets._span_ids(point_of, cofactors.reshape(-1, 4), p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("g", [
+    # rows 1-3 of rank 2: their kernel <e1, e4> holds p points outside the
+    # kernel of row 0
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]],
+    # rows 1-3 of rank 3 and row 0 in their span: no point
+    [[0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+], ids=["rows-1-3-rank-2", "row-0-in-span"])
+def test_flag_of_coset_refuses_a_singular_matrix(p, g):
+    with pytest.raises(InvalidArgument, match="not invertible"):
+        cosets.flag_of_coset(g, p)
 
 
 def test_full_route_permutations_are_the_products(gl4_2, monkeypatch):
