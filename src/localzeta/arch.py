@@ -37,7 +37,7 @@ import numpy as np
 from .cgamma import EXP_CEIL, EXP_FLOOR, exp_in_range, log_gamma
 from .errors import (DivergentParameters, InvalidArgument, LocalZetaError,
                      UnsupportedParameters, brief, require_complex,
-                     require_int)
+                     require_int, require_known_keys)
 from .quadrature import _nodes, quad_zero_to_inf
 
 _TOL = 1e-12
@@ -96,6 +96,8 @@ class ArchSpec:
 
     @staticmethod
     def from_json(obj) -> "ArchSpec":
+        require_known_keys("an arch spec", obj, ("l", "l1", "D", "q_exp",
+                                                 "a_plus", "s", "ir", "r"))
         if "ir" in obj and "r" in obj:
             raise InvalidArgument("give 'ir' or 'r', not both")
         if "ir" in obj:

@@ -18,8 +18,8 @@ from functools import reduce
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (InvalidArgument, InvalidBesselDatum, require_int,
-                     require_known_keys)
+from .errors import (InvalidArgument, InvalidBesselDatum, brief,
+                     require_int, require_known_keys)
 from .scalars import QScalar, require_unit
 from .series import Poly, RatFn, Series, euler_product
 
@@ -62,7 +62,10 @@ class SatakeParams:
     @staticmethod
     def from_json(obj, q: int) -> "SatakeParams":
         require_known_keys("satake", obj, ("gamma",))
-        return SatakeParams([QScalar.from_json(g, q) for g in obj["gamma"]], q)
+        gamma = obj["gamma"]
+        if not isinstance(gamma, list):
+            raise InvalidArgument(f"gamma must be a list, got {brief(gamma)}")
+        return SatakeParams([QScalar.from_json(g, q) for g in gamma], q)
 
 
 # extension type -> (f, names): the residue degree f of the primes P of L

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -172,14 +173,16 @@ def _sweep_plan(seed: int, order: int,
     """The sweep's instances in draw order, each drawn when it is asked for."""
     import random
     rng = random.Random(seed)
-    # (kind, legendre, beta_chi_unramified) per instance, in draw order
-    mix = ([(RAMIFIED_OTHER, i % 3 - 1, False) for i in range(20 * repeat)]
-           + [(RAMIFIED_PS_UNRAM_ALPHA, legendre, flag)
-              for legendre, flag in ((-1, False), (0, False), (0, True),
-                                     (1, False))
-              for _ in range(10 * repeat)]
-           + [(STEINBERG_UNRAMIFIED, i % 3 - 1, False)
-              for i in range(10 * repeat)])
+    # (kind, legendre, beta_chi_unramified) per instance, in draw order, each
+    # made when it is drawn
+    mix = itertools.chain(
+        ((RAMIFIED_OTHER, i % 3 - 1, False) for i in range(20 * repeat)),
+        ((RAMIFIED_PS_UNRAM_ALPHA, legendre, flag)
+         for legendre, flag in ((-1, False), (0, False), (0, True),
+                                (1, False))
+         for _ in range(10 * repeat)),
+        ((STEINBERG_UNRAMIFIED, i % 3 - 1, False)
+         for i in range(10 * repeat)))
     for kind, legendre, flag in mix:
         yield zeta.random_local_instance(rng, kind, legendre,
                                          beta_chi_unramified=flag, order=order)

@@ -154,9 +154,9 @@ def newform_ratio(rep: Gl2Local) -> QScalar:
     if rep.kind == RAMIFIED_OTHER:
         return QScalar.zero(q)
     if rep.kind == RAMIFIED_PS_UNRAM_ALPHA:
-        return rep.beta_varpi * QScalar.q_half_power(-1, q)
+        return QScalar.monomial((rep.beta_varpi,), q, -1)
     if rep.kind == STEINBERG_UNRAMIFIED:
-        return rep.omega_varpi * QScalar.q_half_power(-2, q)
+        return QScalar.monomial((rep.omega_varpi,), q, -2)
     raise UnsupportedCase(
         "the m = 0 reduction requires conductor n > 0; "
         "use zeta_closed_rhs for the unramified principal series")

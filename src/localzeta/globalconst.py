@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .cgamma import EXP_CEIL, EXP_FLOOR, exp_in_range, log_gamma
 from .errors import (InvalidArgument, PoleError, brief, require_complex,
-                     require_int)
+                     require_int, require_known_keys)
 from .scalars import QScalar
 from .zeta import LocalInstance, y_factor
 
@@ -68,6 +68,8 @@ class GlobalSpec:
         with neither it is 1."""
         if not isinstance(obj, dict):
             raise InvalidArgument("a global spec must be a JSON object")
+        require_known_keys("a global spec", obj, ("l", "D", "a_lambda",
+                                                  "class_data", "bad_primes"))
         if "class_data" not in obj:
             value = require_complex("a_lambda", obj.get("a_lambda", 1.0))
         elif "a_lambda" in obj:

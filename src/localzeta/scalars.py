@@ -13,7 +13,9 @@ and each ring operation is integer arithmetic plus one gcd.
 _reduced builds the canonical QScalar of ints (a, b, d), d > 0, with one
 gcd and none of the constructor's checks.  series puts each finished int
 triple of the exact core in canonical form with it, and zeta's sweep draws
-build their values with it.
+build their values with it.  _monomial writes (prod values)^(+-1) q^(n/2),
+each Euler-product root and scale of the exact core, as one unreduced triple:
+the one inverse and q^(n/2) of the package.  QScalar.monomial reduces it.
 """
 
 from __future__ import annotations
@@ -86,13 +88,16 @@ class QScalar:
         return QScalar(1, 0, q)
 
     @staticmethod
+    def monomial(values, q: int, half_power: int = 0,
+                 invert: bool = False) -> "QScalar":
+        """(prod values)^(+-1) q^(half_power/2), by _monomial, reduced once."""
+        require_q(q)
+        return _reduced(*_monomial(values, q, half_power, invert), q)
+
+    @staticmethod
     def q_half_power(n: int, q: int) -> "QScalar":
         """q^(n/2) for any integer n (n may be negative)."""
-        require_q(q)
-        k = n // 2
-        p = q ** abs(k)
-        num, d = (p, 1) if k >= 0 else (1, p)
-        return _reduced(num, 0, d, q) if n % 2 == 0 else _reduced(0, num, d, q)
+        return QScalar.monomial((), q, n)
 
     # -- views -------------------------------------------------------
 
@@ -133,19 +138,11 @@ class QScalar:
         return _reduced(-self.a, -self.b, self.d, self.q)
 
     def __sub__(self, o):
-        if o.__class__ is not QScalar or o.q != self.q:
-            o = self._coerce(o)
-            if o is None:
-                return NotImplemented
-        d, e = self.d, o.d
-        return _reduced(self.a * e - o.a * d, self.b * e - o.b * d, d * e,
-                        self.q)
+        o = self._coerce(o)
+        return NotImplemented if o is None else self.__add__(-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o):
+        return (-self).__add__(o)
 
     def __mul__(self, o):
         if o.__class__ is not QScalar or o.q != self.q:
@@ -159,14 +156,7 @@ class QScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "QScalar":
-        # d / (a + b sqrt(q)) = d (a - b sqrt(q)) / (a^2 - q b^2)
-        a, b, d, q = self.a, self.b, self.d, self.q
-        n = a * a - q * b * b
-        if n == 0:
-            raise InvalidInversion(f"{self!r} has vanishing norm")
-        if n < 0:
-            d, n = -d, -n
-        return _reduced(a * d, -b * d, n, q)
+        return QScalar.monomial((self,), self.q, invert=True)
 
     def __pow__(self, k: int) -> "QScalar":
         if not isinstance(k, int):
@@ -254,3 +244,36 @@ def _reduced(a: int, b: int, d: int, q: int) -> QScalar:
     _set_q(x, q)
     return x
 
+
+def _scalar(v, q: int) -> QScalar:
+    """v in the ring at q: a QScalar with that q, or a rational value."""
+    if not isinstance(v, QScalar):
+        return QScalar(v, 0, q)
+    if v.q != q:
+        raise InvalidArgument(f"mixed ambient cardinalities: {q} vs {v.q}")
+    return v
+
+
+def _monomial(values, q: int, half_power: int = 0,
+              invert: bool = False) -> tuple[int, int, int]:
+    """(prod values)^(+-1) q^(half_power/2), -1 when invert, as one unreduced
+    triple (a, b, e), e > 0, for (a + b sqrt(q))/e: no gcd.  The values are
+    QScalars at q or rationals.  The inverse is e (a - b sqrt(q)) / N, N =
+    a^2 - q b^2, negated above and below when N < 0; N = 0 raises
+    InvalidInversion."""
+    a, b, e = 1, 0, 1
+    for c in values:
+        c = _scalar(c, q)
+        x, y = c.a, c.b
+        a, b, e = a * x + b * y * q, a * y + b * x, e * c.d
+    if invert:
+        n = a * a - q * b * b
+        if n == 0:
+            raise InvalidInversion(
+                f"{_reduced(a, b, e, q)!r} has vanishing norm")
+        a, b, e = (a * e, -b * e, n) if n > 0 else (-a * e, b * e, -n)
+    k, odd = divmod(half_power, 2)
+    if odd:  # times sqrt(q)
+        a, b = b * q, a
+    p = q ** abs(k)
+    return (a * p, b * p, e) if k >= 0 else (a, b, e * p)

@@ -8,14 +8,15 @@ series, never by cross-multiplication, so no polynomial gcd over a ring
 with zero divisors is ever needed.
 
 Both layers compute on ints standing for (u + v*sqrt(q)) / d, d > 0, with
-no gcd in a loop; the ints are this module's alone.  An Euler product
-takes each root as QScalars to multiply, optionally inverted, times
-q^(n/2) for an integer n, and multiplies it out as one triple, so the
-L-factor modules build no root with QScalar arithmetic.  A Poly keeps one
-denominator d, reduced with its pairs by one gcd per polynomial, so d is
-the lcm of the reduced coefficients' denominators (for each prime p, the
-largest v_p(d) - v_p(g_k) over g_k = gcd(us[k], vs[k], d) is v_p(d) -
-min_k v_p(g_k)).  A Series keeps one unreduced triple per coefficient.
+no gcd in a loop; the ints are this module's alone, but for the roots of an
+Euler product.  It takes each root as QScalars to multiply, optionally
+inverted, times q^(n/2) for an integer n, and reads it as one triple from
+scalars._monomial, so the L-factor modules build no root with QScalar
+arithmetic.  A Poly keeps one denominator d, reduced with its pairs by one
+gcd per polynomial, so d is the lcm of the reduced coefficients'
+denominators (for each prime p, the largest v_p(d) - v_p(g_k) over g_k =
+gcd(us[k], vs[k], d) is v_p(d) - min_k v_p(g_k)).  A Series keeps one
+unreduced triple per coefficient.
 Series division runs on plain ints: with A the numerator's d and D a
 divisor of the denominator's d, found by gcds so that D^j clears the
 denominator of coefficient j, coefficient k is (u_k + v_k*sqrt(q)) /
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import (DivisionByNonUnit, InvalidArgument, InvalidInversion,
-                     require_int)
-from .scalars import QScalar, _reduced, require_q
+from .errors import DivisionByNonUnit, InvalidArgument, require_int
+from .scalars import QScalar, _monomial, _reduced, _scalar, require_q
 
 DEFAULT_ORDER = 12
 
@@ -56,21 +56,11 @@ def _mul(x: tuple[int, int, int], y: tuple[int, int, int],
     return a * c + b * e * q, a * e + b * c, d * f
 
 
-def _scalar(v, q: int) -> QScalar:
-    """v in the ring at q: a QScalar with that q, or a rational value."""
-    if not isinstance(v, QScalar):
-        return QScalar(v, 0, q)
-    if v.q != q:
-        raise InvalidArgument(f"mixed ambient cardinalities: {q} vs {v.q}")
-    return v
-
-
 def _twisted(terms: Iterable[tuple[int, int, int]], unit: QScalar,
              q: int) -> list[tuple[int, int, int]]:
     """terms[k] * unit^k for each k: each triple multiplied once, by unit^k
     carried forward as one triple, no gcd."""
-    unit = _scalar(unit, q)
-    unit, power = (unit.a, unit.b, unit.d), (1, 0, 1)
+    unit, power = _monomial((unit,), q), (1, 0, 1)
     out = []
     for t in terms:
         out.append(_mul(t, power, q))
@@ -151,8 +141,7 @@ class Poly:
     def eval(self, t: QScalar) -> QScalar:
         """p(t) by Horner's rule on one unreduced triple, reduced once."""
         q = self.q
-        t = _scalar(t, q)
-        t, acc = (t.a, t.b, t.d), (0, 0, 1)
+        t, acc = _monomial((t,), q), (0, 0, 1)
         for u, v in zip(reversed(self.us), reversed(self.vs)):
             x, y, e = _mul(acc, t, q)
             acc = (x + u * e, y + v * e, e)
@@ -165,39 +154,20 @@ def euler_product(roots: Iterable[Sequence], q: int, half_power: int = 0,
     x the product of the values xs and -1 the exponent when invert: the
     inverse of an Euler-product L-factor.  step must be an int >= 1.
 
-    Each root is multiplied out as one unreduced triple (a, b, e), with c
-    = (a + b sqrt(q))/e; its inverse is e (a - b sqrt(q)) / (a^2 - q b^2).
-    The product is kept as int pairs over one common denominator D.  Each
-    root multiplies it by e - (a + b sqrt(q)) T^step and D by e, in place
-    from the top down, so the pair at i - step is still the old one when
-    the pair at i reads it.  No gcd is taken until _poly reduces the
-    finished polynomial.
+    Each root c = (a + b sqrt(q))/e is the unreduced triple (a, b, e) of
+    scalars._monomial.  The product is kept as int pairs over one common
+    denominator D.  Each root multiplies it by e - (a + b sqrt(q)) T^step
+    and D by e, in place from the top down, so the pair at i - step is
+    still the old one when the pair at i reads it.  No gcd is taken until
+    _poly reduces the finished polynomial.
     """
     require_q(q)
     require_int("step", step)
     if step < 1:
         raise InvalidArgument(f"step must be >= 1, got {step}")
-    k, odd = divmod(half_power, 2)
-    p = q ** abs(k)
-    num, den = (p, 1) if k >= 0 else (1, p)
     us, vs, D = [1], [0], 1
     for xs in roots:
-        a, b, e = 1, 0, 1
-        for c in xs:
-            c = _scalar(c, q)
-            x, y = c.a, c.b
-            a, b, e = a * x + b * y * q, a * y + b * x, e * c.d
-        if invert:
-            n = a * a - q * b * b
-            if n == 0:
-                raise InvalidInversion(
-                    f"{_reduced(a, b, e, q)!r} has vanishing norm")
-            a, b, e = (a * e, -b * e, n) if n > 0 else (-a * e, b * e, -n)
-        if odd:  # times sqrt(q)
-            a, b = b * q, a
-        a, b, e = a * num, b * num, e * den
-        if not (a or b):
-            continue
+        a, b, e = _monomial(xs, q, half_power, invert)
         bq = b * q
         us += [0] * step
         vs += [0] * step

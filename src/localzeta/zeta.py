@@ -90,8 +90,8 @@ def zeta_series_lhs(inst: LocalInstance) -> Series:
     built by series_twist."""
     rep = inst.rep
     ratio = newform_ratio(rep)  # before any series: UnramifiedPS has none
-    w_unit = (inst.satake.omega_pi * rep.omega_tau_varpi).inverse() \
-        * QScalar.q_half_power(3, inst.q)
+    w_unit = QScalar.monomial((inst.satake.omega_pi, rep.omega_tau_varpi),
+                              inst.q, 3, invert=True)
     return series_twist(bessel_coeffs(inst.satake, inst.bessel, inst.order),
                         w_unit * ratio)
 
@@ -119,8 +119,8 @@ def _y_scale(inst: LocalInstance) -> QScalar:
     if rep.kind not in _Y_SCALE:
         raise UnsupportedCase(f"no H/Q substitution for kind {rep.kind}")
     k, name = _Y_SCALE[rep.kind]
-    return QScalar.q_half_power(k, inst.q) \
-        * (inst.satake.omega_pi * getattr(rep, name)).inverse()
+    return QScalar.monomial((inst.satake.omega_pi, getattr(rep, name)),
+                            inst.q, k, invert=True)
 
 
 def hq_substituted(inst: LocalInstance) -> Series:
@@ -161,7 +161,8 @@ def _beta_units(inst: LocalInstance) -> list[QScalar]:
     rep = inst.rep
     if (rep.kind == RAMIFIED_PS_UNRAM_ALPHA and rep.beta_chi_unramified
             and inst.bessel.legendre == RAMIFIED):
-        return [(inst.satake.omega_pi * rep.beta_varpi).inverse()]
+        return [QScalar.monomial((inst.satake.omega_pi, rep.beta_varpi),
+                                 inst.q, invert=True)]
     return []
 
 
@@ -196,7 +197,8 @@ def zeta_closed_rhs(inst: LocalInstance,
             "verify against hq_substituted instead")
     yf = (y_factor_fn or y_factor)(inst)
     taus = [getattr(rep, name) for name in _UNRAMIFIED_VALUES[rep.kind]]
-    units = [(satake.omega_pi * t).inverse() for t in taus] + _beta_units(inst)
+    units = [QScalar.monomial((satake.omega_pi, t), satake.q, invert=True)
+             for t in taus] + _beta_units(inst)
     triple = euler_triple(inst.bessel, units)
     return RatFn(inst.chi * triple * yf.numer,
                  euler_pairing(satake, taus) * yf.denom)

@@ -182,6 +182,17 @@ def test_bessel_zero_lambda_exit_2(tmp_path):
     assert "lambda_varpi must be invertible" in proc.stderr
 
 
+@pytest.mark.parametrize("gamma", ["2112", {"2": 0, "1": 0, "1 ": 0, "2 ": 0}],
+                         ids=["string", "object"])
+def test_bessel_gamma_not_a_list_exit_2(tmp_path, gamma):
+    path = tmp_path / "bessel.json"
+    path.write_text(json.dumps({"q": 4, "satake": {"gamma": gamma},
+                                "bessel": WORKED_CASE2["bessel"]}))
+    proc = run_cli("bessel", "--params", str(path))
+    _assert_input_error(proc)
+    assert "gamma must be a list" in proc.stderr
+
+
 def _assert_input_error(proc):
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
@@ -390,6 +401,27 @@ def test_arch_verify_non_integer_weight_exit_2(tmp_path, field, value):
     _assert_input_error(run_cli("arch-verify", "--spec", str(path)))
 
 
+@pytest.mark.parametrize("key", ["qexp", "a_plus_", "R"])
+def test_arch_verify_unknown_key_exit_2(tmp_path, key):
+    # a misspelt q_exp was read as absent, that is as q_exp = 0
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(dict(ARCH_SPEC, **{key: 0.4})))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    _assert_input_error(proc)
+    assert f"spec 0: an arch spec has unknown key {key!r}" in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bad_prime", [[2, 0.5]]), ("a_lamda", 2.5), ("class", [])])
+def test_global_constant_unknown_key_exit_2(tmp_path, key, value):
+    # a misspelt bad_primes was read as absent: C came out twice too large
+    path = tmp_path / "global.json"
+    path.write_text(json.dumps({"l": 10, "D": 3, key: value}))
+    proc = run_cli("global-constant", "--spec", str(path))
+    _assert_input_error(proc)
+    assert f"a global spec has unknown key {key!r}" in proc.stderr
+
+
 @pytest.mark.parametrize("field", ["l", "l1"])
 def test_arch_verify_weight_past_the_double_range_exit_2(tmp_path, field):
     # the gate and the Gamma arguments take the weights as doubles
@@ -448,8 +480,12 @@ def test_verify_nonarch_non_integer_order_exit_2(tmp_path, order):
      "not a rational value: True"),
     ("rep", dict(WORKED_CASE2["rep"], alpha={"rat": True}),
      "not a rational value: True"),
+    # each would read as the Satake parameters 2, 1, 1, 2
+    ("satake", {"gamma": "2112"}, "gamma must be a list"),
+    ("satake", {"gamma": {"2": 0, "1": 0, "1 ": 0, "2 ": 0}},
+     "gamma must be a list"),
 ], ids=["flag-string", "legendre-float", "legendre-bool", "scalar-bool",
-        "rat-bool"])
+        "rat-bool", "gamma-string", "gamma-object"])
 def test_verify_nonarch_loose_field_exit_2(tmp_path, key, value, message):
     path = tmp_path / "case2.json"
     path.write_text(json.dumps(dict(WORKED_CASE2, **{key: value})))

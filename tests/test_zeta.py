@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -407,6 +408,19 @@ def test_sweep_plan_reports_are_unchanged_repeat_4():
                      for inst in plan)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         SWEEP_PLAN_0_12_REPEAT_4_SHA256
+
+
+def test_sweep_plan_draws_its_first_instance_in_small_memory():
+    # the kind mix is made as it is drawn: a list of it took about 5.6 KB
+    # per repeat, 11 MB here, before the first instance
+    plan = cli._sweep_plan(0, 12, 2000)
+    tracemalloc.start()
+    try:
+        next(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # sha256 of the (us, vs, d) of y_factor(inst).denom and of the numerator and
