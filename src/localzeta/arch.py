@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,7 +156,12 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
     factor may each leave the double range where their product does not; a
     product that does raises InvalidArgument.  In the integral regime the
     values are accurate relative to the batch's largest x * |W * factor|,
-    which is each x's contribution to a DE sum over x.
+    which is each x's contribution to a DE sum over x.  There the batch is
+    one DE quadrature over t of exp(E - shift), one row per x, run only on
+    the rows and the window of t that _integral_support keeps.  Off them a
+    bound on Re E - shift, separable in x and t, stays below EXP_FLOOR, so
+    each term skipped is the exact 0.0 that exp would underflow to, and
+    the sums are those over every row and node up to their grouping.
 
     The dtype follows the inputs: float64 where kappa, mu and log_factor are
     all real, complex128 where any of them is complex.
@@ -181,19 +187,83 @@ def whittaker_w_array(kappa: complex, mu: complex, xs: np.ndarray,
     if xs.size == 0:
         return np.zeros(xs.shape, dtype=row.dtype)
     col = xs.reshape(-1, 1)
+    a, b = mu - kappa - 0.5, mu + kappa - 0.5
 
-    def expo(t):
-        return (row - t + (mu - kappa - 0.5) * np.log(t)
-                + (mu + kappa - 0.5) * np.log(col + t))
+    def expo(t, row=row, col=col):
+        return row - t + a * np.log(t) + b * np.log(col + t)
 
-    t2 = _nodes(2)[0]  # cached, so the quadrature's level 2 gets this array
-    expo2 = expo(t2)
+    expo2 = expo(_nodes(2)[0])
     shift = expo2.real.max()
-    total = quad_zero_to_inf(
-        lambda t: _guarded_exp((expo2 if t is t2 else expo(t)) - shift),
-        target=1e-12, max_level=11)
+    keep, window = _integral_support(row.real[:, 0] - shift, logx.ravel(),
+                                     a, b)
+    total = np.zeros(xs.size, dtype=expo2.dtype)
+    if keep.any():
+        rows, cols = row[keep], col[keep]
+        total[keep] = quad_zero_to_inf(
+            lambda t: _guarded_exp(expo(t, rows, cols) - shift),
+            target=1e-12, max_level=11, support=window)
     with np.errstate(divide="ignore"):  # log(0) = -inf for rows that underflow
         return _guarded_exp(shift - logx + np.log(total).reshape(xs.shape))
+
+
+@lru_cache(maxsize=None)
+def _bound_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, log t and min(log t, 0) on the nodes of levels 2-4, ascending:
+    the whole grid at step 1/16, from the smallest node of any level to
+    the largest, with t = 1 among them."""
+    t = np.sort(np.concatenate([_nodes(level)[0] for level in (2, 3, 4)]))
+    logt = np.log(t)
+    return t, logt, np.minimum(logt, 0.0)
+
+
+def _integral_support(room: np.ndarray, logx: np.ndarray, a: complex,
+                      b: complex) -> tuple[np.ndarray, tuple[float, float]]:
+    """(keep, (lo, hi)): the rows and the window of t off which the
+    exponent E = row - t + a log t + b log(x + t) has Re E - shift <
+    EXP_FLOOR, one row per x, where room = Re row - shift.
+
+    The bound is separable, Re E - shift <= X(x) + T(t), with beta = Re b:
+    if beta >= 0, since x + t <= 2 max(1, x) max(1, t),
+        X = room + beta (log 2 + max(log x, 0)),
+        T = -t + Re a log t + beta max(log t, 0);
+    if beta < 0, since log(x + t) >= (log x + log t) / 2,
+        X = room + beta/2 log x,  T = -t + (Re a + beta/2) log t.
+    Either way T = -t + c log t, with c = c_lo below t = 1 and c_hi from
+    it on, and each side rises to a peak at t = c or only falls.  So T can
+    turn only at t = 1, a node of _bound_nodes, and at the two peaks, and
+    between two neighbours of those points where T is below a level it is
+    below it too.  The rows kept have X + sup T >= EXP_FLOOR - 1, and
+    [lo, hi] spans the points where (largest kept X) + T >= EXP_FLOOR - 1,
+    widened by one node on each side.  The margin of 1 absorbs rounding.
+    """
+    beta = b.real
+    if beta >= 0:
+        xb = room + beta * (math.log(2.0) + np.maximum(logx, 0.0))
+        c_lo, c_hi = a.real, a.real + beta
+    else:
+        xb = room + beta / 2 * logx
+        c_lo = c_hi = a.real + beta / 2
+    t, logt, log_below = _bound_nodes()
+    tb = c_hi * logt - t + (c_lo - c_hi) * log_below
+    peaks = []
+    for c in (c_lo, c_hi):
+        p = min(max(c, t[0]), t[-1])
+        peaks.append((p, c_hi * math.log(p) - p
+                      + (c_lo - c_hi) * min(math.log(p), 0.0)))
+    floor = EXP_FLOOR - 1.0
+    keep = xb + max(tb.max(), peaks[0][1], peaks[1][1]) >= floor
+    if not keep.any():
+        return keep, (np.inf, 0.0)
+    level = floor - xb[keep].max()
+    inside = np.flatnonzero(tb >= level)
+    first, last = (inside[0], inside[-1]) if inside.size else (t.size, -1)
+    for p, value in peaks:
+        if value >= level:  # its neighbours bound the points around it
+            j = np.searchsorted(t, p)
+            first, last = min(first, j), max(last, j - 1)
+    lo = t[first - 1] if first > 0 else 0.0
+    hi = t[last + 1] if last + 1 < t.size else np.inf
+    return keep, (lo, hi)
 
 
 def whittaker_W(kappa: complex, mu: complex, x: float) -> complex:

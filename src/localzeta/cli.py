@@ -24,7 +24,7 @@ from typing import Iterator
 
 from . import cgamma, globalconst, zeta
 from .bessel import BesselDatum, SatakeParams, bessel_coeffs
-from .errors import LocalZetaError
+from .errors import LocalZetaError, require_object
 from .gl2 import (RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                   STEINBERG_UNRAMIFIED, induced_invariant_dim,
                   newform_space_dim)
@@ -74,9 +74,7 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
 def _cmd_verify_nonarch(args):
     for idx, obj in enumerate(_load_items(args.params)):
         try:
-            if args.order is not None:
-                obj = dict(obj, order=args.order)
-            inst = zeta.LocalInstance.from_json(obj)
+            inst = zeta.LocalInstance.from_json(obj, args.order)
             report = zeta.verify_local(inst)
         except _BAD_INPUT as exc:
             raise _InputError(f"instance {idx}: {exc}")
@@ -86,6 +84,7 @@ def _cmd_verify_nonarch(args):
 def _cmd_bessel(args):
     data = _load_json(args.params)
     try:
+        require_object("an instance", data)
         q = data["q"]
         order = args.order if args.order is not None else data.get("order", DEFAULT_ORDER)
         satake = SatakeParams.from_json(data["satake"], q)

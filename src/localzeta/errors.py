@@ -71,15 +71,23 @@ def require_int(name: str, value) -> None:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
 
 
+def require_object(name: str, obj, error=InvalidArgument) -> None:
+    """Raise error unless obj is a JSON object (a dict), so that a string
+    or a list is not indexed or searched as if it were one."""
+    if not isinstance(obj, dict):
+        raise error(f"{name} must be a JSON object")
+
+
 def require_known_keys(name: str, obj, known, error=InvalidArgument) -> None:
-    """Raise error naming each key of the JSON object obj outside known, so
-    that a misspelt optional key is refused rather than read as absent."""
-    if isinstance(obj, dict):
-        unknown = [key for key in obj if key not in known]
-        if unknown:
-            raise error(f"{name} has unknown key{'s' * (len(unknown) > 1)} "
-                        f"{', '.join(map(repr, unknown))}; it takes "
-                        f"{', '.join(known)}")
+    """Raise error unless obj is a JSON object, and name each of its keys
+    outside known, so that a misspelt optional key is refused rather than
+    read as absent."""
+    require_object(name, obj, error)
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise error(f"{name} has unknown key{'s' * (len(unknown) > 1)} "
+                    f"{', '.join(map(repr, unknown))}; it takes "
+                    f"{', '.join(known)}")
 
 
 def require_complex(name: str, value) -> complex:

@@ -66,8 +66,6 @@ class GlobalSpec:
     def from_json(obj) -> "GlobalSpec":
         """a_lambda is given directly or derived from class_data, not both;
         with neither it is 1."""
-        if not isinstance(obj, dict):
-            raise InvalidArgument("a global spec must be a JSON object")
         require_known_keys("a global spec", obj, ("l", "D", "a_lambda",
                                                   "class_data", "bad_primes"))
         if "class_data" not in obj:

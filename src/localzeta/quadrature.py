@@ -4,7 +4,9 @@ The substitution t = exp((pi/2) sinh(u)) turns integrands with power
 behaviour at 0 and (at least) exponential decay at infinity into
 double-exponentially decaying trapezoid sums; halving the step until two
 successive levels agree gives near-geometric convergence for analytic
-integrands.  Integrands are expected to return 0.0 where they underflow.
+integrands.  Integrands are expected to return 0.0 where they underflow; a
+caller that can bound where they do passes the nodes' support, and the
+sums skip the nodes outside it, which would only add those zeros.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def quad_zero_to_inf(f, *, target: float = 1e-10,
-                     max_level: int = 10) -> complex | np.ndarray:
+def quad_zero_to_inf(f, *, target: float = 1e-10, max_level: int = 10,
+                     support: tuple[float, float] = (0.0, np.inf)
+                     ) -> complex | np.ndarray:
     """Integral of f over (0, inf) for decaying f.
 
     f takes an ndarray of positive nodes and must return finite values,
@@ -48,12 +51,19 @@ def quad_zero_to_inf(f, *, target: float = 1e-10,
     halves the step, evaluates f only on the new odd nodes and adds their
     sum to half the previous total, so no node is evaluated twice.  The
     nodes of each level are computed once per process and cached.
+
+    support = (lo, hi) is for callers whose f is exactly 0.0 off lo <= t
+    <= hi: each level passes f, and sums, only its nodes in that window,
+    and an empty window gives 0.  The default passes every node.
     """
     if max_level < 3:
         raise InvalidArgument("max_level must be >= 3, the first compared level")
     total = None
     for level in range(2, max_level + 1):
-        t, w = _nodes(level)
+        t, w = _nodes(level)  # ascending, so the window is one slice
+        i = np.searchsorted(t, support[0])
+        j = np.searchsorted(t, support[1], side="right")
+        t, w = t[i:j], w[i:j]
         vals = np.asarray(f(t))
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand returned a non-finite value")

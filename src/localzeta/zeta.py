@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 from .bessel import (GIVEN as LAMBDA_GIVEN, RAMIFIED, BesselDatum,
                      SatakeParams, bessel_coeffs, lambda_norm,
                      require_legendre)
-from .errors import InvalidArgument, UnsupportedCase
+from .errors import InvalidArgument, UnsupportedCase, require_object
 from .gl2 import (CONDUCTOR, GIVEN, KINDS, RAMIFIED_OTHER,
                   RAMIFIED_PS_UNRAM_ALPHA, STEINBERG_UNRAMIFIED, UNRAMIFIED_PS,
                   Gl2Local, newform_ratio, require_beta_flag)
@@ -74,13 +74,15 @@ class LocalInstance:
         }
 
     @staticmethod
-    def from_json(obj) -> "LocalInstance":
+    def from_json(obj, order: Optional[int] = None) -> "LocalInstance":
+        """The instance obj encodes; order, if given, replaces its order."""
+        require_object("an instance", obj)
         q = obj["q"]
         return LocalInstance(
             SatakeParams.from_json(obj["satake"], q),
             BesselDatum.from_json(obj["bessel"], q),
             Gl2Local.from_json(obj["rep"], q),
-            order=obj.get("order", DEFAULT_ORDER),
+            order=obj.get("order", DEFAULT_ORDER) if order is None else order,
         )
 
 

@@ -13,12 +13,13 @@ from localzeta.arch import (ArchSpec, arch_zeta_closed,
                             arch_zeta_closed_simplified, arch_zeta_quadrature,
                             mellin_whittaker_check, whittaker_W,
                             whittaker_w_array)
-from localzeta.cgamma import complex_gamma, gamma_selftest, log_gamma
+from localzeta.cgamma import EXP_FLOOR, complex_gamma, gamma_selftest, log_gamma
 from localzeta.errors import (DivergentParameters, InvalidArgument, PoleError,
                               QuadratureError, UnsupportedParameters)
 from localzeta.quadrature import _nodes, quad_zero_to_inf
 
-from oracles import arch_zeta_closed_logderiv, arch_zeta_nested, digamma
+from oracles import (arch_zeta_closed_logderiv, arch_zeta_nested, digamma,
+                     whittaker_exponent, whittaker_w_array_full_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,38 @@ def test_quadrature_nodes_cached_read_only():
                 array[0] = 1.0
 
 
+def test_quadrature_support_window():
+    def f(t):  # exp underflows to exactly 0 off [1e-3, 1600]
+        return np.stack([np.exp(-t - 1 / t), np.exp(-t / 2 - 1 / t)])
+
+    for level in range(2, 12):  # the windows are slices of ascending nodes
+        assert np.all(np.diff(_nodes(level)[0]) > 0), level
+
+    sizes = []
+    whole = quad_zero_to_inf(lambda t: sizes.append(t.size) or f(t),
+                             target=1e-12)
+    total = None  # the nested sum over every node, level by level
+    for level in range(2, len(sizes) + 2):
+        t, w = _nodes(level)
+        new = np.sum(w * f(t), axis=-1)
+        total = new if total is None else total / 2 + new
+    assert np.array_equal(whole, total)
+    assert np.array_equal(
+        quad_zero_to_inf(f, target=1e-12, support=(0.0, 1e300)), whole)
+
+    inner = []
+    windowed = quad_zero_to_inf(lambda t: inner.append(t) or f(t),
+                                target=1e-12, support=(1e-3, 1600.0))
+    assert len(inner) == len(sizes)
+    assert sum(t.size for t in inner) < sum(sizes)
+    assert all(np.all((t >= 1e-3) & (t <= 1600.0)) for t in inner)
+    assert np.all(np.abs(windowed - whole) <= 1e-15 * np.abs(whole))
+
+    empty = quad_zero_to_inf(f, support=(2.0, 1.0))
+    assert empty.shape == (2,) and np.all(empty == 0)
+    assert quad_zero_to_inf(lambda t: np.exp(-t), support=(3.0, 3.0)) == 0
+
+
 def test_whittaker_asymptotics():
     # W ~ e^{-x/2} x^kappa (1 + O(1/x))
     kappa, mu = 0.3, 0.7
@@ -253,7 +286,7 @@ def test_whittaker_unsupported():
 WHITTAKER_XS = np.geomspace(1e-3, 60.0, 40)
 
 
-@pytest.mark.parametrize("kappa, mu, log_factor, dtype", [
+WHITTAKER_DTYPE_CASES = [
     (5.0, 4.5, 0.0, np.float64),
     (5.0, 4.5, 0.7 * np.log(WHITTAKER_XS), np.float64),
     (0.4, 1.1, 0.0, np.float64),
@@ -264,9 +297,14 @@ WHITTAKER_XS = np.geomspace(1e-3, 60.0, 40)
     (0.4 + 0.1j, 1.1, 0.0, np.complex128),
     (0.4, 1.1 + 0.2j, 0.0, np.complex128),
     (0.4, 1.1, np.zeros(40, dtype=complex), np.complex128),
-], ids=["closed", "closed-factor", "integral", "integral-factor",
-        "complex-zero-imag", "closed-complex-factor", "closed-complex-array",
-        "complex-kappa", "complex-mu", "integral-complex-array"])
+]
+
+
+@pytest.mark.parametrize(
+    "kappa, mu, log_factor, dtype", WHITTAKER_DTYPE_CASES,
+    ids=["closed", "closed-factor", "integral", "integral-factor",
+         "complex-zero-imag", "closed-complex-factor", "closed-complex-array",
+         "complex-kappa", "complex-mu", "integral-complex-array"])
 def test_whittaker_dtype_follows_parameters(kappa, mu, log_factor, dtype):
     vals = whittaker_w_array(kappa, mu, WHITTAKER_XS, log_factor=log_factor)
     assert vals.dtype == dtype
@@ -308,27 +346,138 @@ def test_whittaker_float_path_matches_complex_path(rng):
 
 
 # sha256 of whittaker_w_array(kappa, mu, WHITTAKER_XS, log_factor).tobytes()
-# in the integral regime, from the code that evaluated the exponent on the
-# level-2 nodes twice: reusing that array must not move a bit.  numpy's exp
-# and log may round differently on another build, which would move these.
+# in the integral regime, from the batch that sums only the rows and nodes
+# whose exponent can reach EXP_FLOOR.  Against the full-grid batch, whose
+# hashes these were before, the values moved by at most 3.9e-16 of the
+# largest x * |W * factor|: the skipped terms are exact zeros, but the
+# pairwise sums group the rest differently.  numpy's exp and log may round
+# differently on another build, which would move these.
 WHITTAKER_SHA256 = {
+    "real": "7238909de10cef12fbc1e229f7ad7e3d17da355f1bea69c768f2423c674b87ec",
+    "real-factor":
+        "a9d5c2f8b4bde8899b2fe71a5ea802d16588c635be5731d8f3e2270b3a5131d1",
+    "complex":
+        "09f83256835fc2db32bf79632b02b24b70867a9cbb1ee8ea39818d03dbdd4c30",
+}
+# the same for the full-grid oracle: the hashes of the batch it replaced
+FULL_GRID_SHA256 = {
     "real": "c8c1174d1d5bb0d20c8c19ccdf6ecf499200f5b13e68d40d4d52ca0940e51158",
     "real-factor":
         "19085b6a7df47c54a33fbe251269c78a516136fd5c0648e097eb20e2ada10707",
     "complex":
         "dab911b43c267f16e6779b11aedc9e5303c108b615f3988292495e2606d08974",
 }
-
-
-@pytest.mark.parametrize("name, kappa, mu, factor", [
+PINNED_CASES = pytest.mark.parametrize("name, kappa, mu, factor", [
     ("real", 0.4, 1.1, 0.0),
     ("real-factor", -0.3, 0.2, -0.5),
     ("complex", 0.4 + 0.1j, 1.1 - 0.2j, 0.0),
 ])
+
+
+@PINNED_CASES
 def test_whittaker_integral_regime_values_are_pinned(name, kappa, mu, factor):
     vals = whittaker_w_array(kappa, mu, WHITTAKER_XS,
                              factor * np.log(WHITTAKER_XS))
     assert hashlib.sha256(vals.tobytes()).hexdigest() == WHITTAKER_SHA256[name]
+
+
+@PINNED_CASES
+def test_full_grid_oracle_is_the_previous_batch(name, kappa, mu, factor):
+    vals = whittaker_w_array_full_grid(kappa, mu, WHITTAKER_XS,
+                                       factor * np.log(WHITTAKER_XS))
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == FULL_GRID_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# The integral-regime batch skips only exponents that underflow
+# ---------------------------------------------------------------------------
+
+def _criterion_6_draws(n):
+    # (kappa, mu, sigma) drawn as in acceptance criterion 6
+    rng = random.Random(606)
+    draws = []
+    while len(draws) < n:
+        mu = rng.uniform(-1.2, 1.2)
+        kappa = mu + 0.5 - rng.uniform(0.2, 1.6)
+        sigma = abs(mu) - 0.5 + rng.uniform(0.35, 2.5)
+        if sigma + 0.5 - abs(mu) > 0.3:
+            draws.append((kappa, mu, sigma, 0.0))
+    return draws
+
+
+def _arch_mellin(**kw):
+    # (kappa, mu, sigma, log_scale) of the Mellin integral M of a spec
+    spec = ArchSpec(q_exp=0.0, a_plus=1.0, **kw)
+    sigma = arch._narrow(3 * complex(spec.s) - 1.5 + spec.l)
+    log_c0 = math.log(4 * math.pi) + 0.5 * math.log(spec.D)
+    return spec.l1 / 2.0, complex(spec.ir) / 2.0, sigma, -sigma * log_c0
+
+
+# (kappa, mu, sigma, log_scale) of Mellin integrals, whose Whittaker batches
+# are the x nodes of one level with the factor e^(-x/2) x^(sigma-1) scale
+WHITTAKER_MELLIN_PARAMS = {
+    "criterion-6": _criterion_6_draws(50),
+    "ir11+0.5i": [_arch_mellin(l=4, l1=4, D=3, s=1.2, ir=11 + 0.5j)],
+    # mu = 100 - 15i: the t-quadrature does not converge
+    "r30+200i": [_arch_mellin(l=10, l1=10, D=4, s=1.1666, ir=30j - 200)],
+    "large-mu": [(kappa, mu, abs(complex(mu).real) + 1.0, 0.0)
+                 for kappa, mu in [(0.0, 100.0), (10.0, 100.0), (-40.0, 60.0),
+                                   (-40.0, 10.0), (0.3, -100.0),
+                                   (0.0, 100 + 1j), (2.0, 60 + 5j),
+                                   (0.0, 3 + 6j), (-3 + 2j, 100.0),
+                                   (0.5j, 99.0)]],
+    # oscillating so fast that the t-quadrature does not converge
+    "large-mu-oscillating": [(3.0, 60 + 80j, 61.0, 0.0),
+                             (-1.0, 100j, 1.0, 0.0)],
+}
+
+
+def _whittaker_batches(group, levels):
+    """(kappa, mu, xs, log_factor) of each batch of a group."""
+    if group == "dtype-cases":
+        return [(kappa, mu, WHITTAKER_XS, log_factor)
+                for kappa, mu, log_factor, _ in WHITTAKER_DTYPE_CASES
+                if arch._whittaker_params(kappa, mu)[2] == "integral"]
+    batches = []
+    for kappa, mu, sigma, log_scale in WHITTAKER_MELLIN_PARAMS[group]:
+        for level in levels:
+            xs = _nodes(level)[0]
+            batches.append((kappa, mu, xs, -xs / 2.0 + arch._narrow(sigma - 1)
+                            * np.log(xs) + log_scale))
+    return batches
+
+
+@pytest.mark.parametrize("group", ["dtype-cases", *WHITTAKER_MELLIN_PARAMS])
+def test_whittaker_batch_skips_only_exponents_that_underflow(group):
+    for kappa, mu, xs, log_factor in _whittaker_batches(group, (2,)):
+        expo, shift, row = whittaker_exponent(kappa, mu, xs, log_factor)
+        kappa, mu, _ = arch._whittaker_params(kappa, mu)
+        keep, (lo, hi) = arch._integral_support(
+            row.real[:, 0] - shift, np.log(xs), mu - kappa - 0.5,
+            mu + kappa - 0.5)
+        for level in range(2, 12):
+            t = _nodes(level)[0]
+            skipped = ~(keep[:, None] & (t >= lo) & (t <= hi))
+            room = expo(t).real[skipped] - shift
+            assert np.all(room < EXP_FLOOR), (kappa, mu, level, room.max())
+
+
+@pytest.mark.parametrize("group", ["dtype-cases", "criterion-6", "ir11+0.5i",
+                                   "r30+200i", "large-mu"])
+def test_whittaker_batch_matches_full_grid_oracle(group):
+    for kappa, mu, xs, log_factor in _whittaker_batches(group, (2, 3)):
+        try:
+            want = whittaker_w_array_full_grid(kappa, mu, xs, log_factor)
+        except QuadratureError as exc:
+            with pytest.raises(QuadratureError) as info:
+                whittaker_w_array(kappa, mu, xs, log_factor)
+            assert str(info.value) == str(exc)
+            continue
+        got = whittaker_w_array(kappa, mu, xs, log_factor)
+        assert got.dtype == want.dtype
+        # each x's contribution to a DE sum over x is x * W * factor
+        worst = np.max(xs * np.abs(got - want))
+        assert worst <= 1e-11 * np.max(xs * np.abs(want)), (kappa, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +639,9 @@ def test_arch_quadrature_complex_parameters_stay_complex(kw, monkeypatch):
 
 
 def test_arch_quadrature_memory_bound():
-    # M's Whittaker batch of one level, rows (x nodes) x t nodes, sets the
-    # peak: 2.6 MB of float64
+    # M's Whittaker batch of one level, the kept rows (x nodes) x the t
+    # nodes in their window, sets the peak: 1.15 MB of float64 (2.6 MB
+    # when every row ran over every node)
     spec = ArchSpec(l=4, l1=4, D=3, q_exp=0.0, a_plus=1.0, s=7 / 6, ir=4.0)
     tracemalloc.start()
     try:

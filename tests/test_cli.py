@@ -193,6 +193,27 @@ def test_bessel_gamma_not_a_list_exit_2(tmp_path, gamma):
     assert "gamma must be a list" in proc.stderr
 
 
+@pytest.mark.parametrize("command, flag, data, name", [
+    ("bessel", "--params", dict(WORKED_CASE2, satake="abc"), "satake"),
+    ("bessel", "--params", dict(WORKED_CASE2, bessel="abc"), "bessel"),
+    ("verify-nonarch", "--params", dict(WORKED_CASE2, rep="RamifiedOther"),
+     "instance 0: rep"),
+    ("verify-nonarch", "--params", ["abc"], "instance 0: an instance"),
+    ("bessel", "--params", "abc", "an instance"),
+    # "ir" in "abc" was a substring search
+    ("arch-verify", "--spec", ["abc"], "spec 0: an arch spec"),
+], ids=["satake", "bessel", "rep", "instance", "bessel-instance", "arch-spec"])
+def test_non_object_where_an_object_is_required_exit_2(tmp_path, command,
+                                                       flag, data, name):
+    # a string was indexed as if it were an object: "string indices must be
+    # integers", which named no field
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(command, flag, str(path))
+    _assert_input_error(proc)
+    assert proc.stderr == f"input error: {name} must be a JSON object\n"
+
+
 def _assert_input_error(proc):
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: ")
