@@ -8,9 +8,13 @@ The double integral (with u = (zeta^2 + zeta^-2)/2 already substituted) is
             W_{l1/2, ir/2}(4 pi lambda sqrt(D) u) e^(-2 pi lambda sqrt(D) u)
         dlambda/lambda du,
 
-convergent for Re(6s + 2l + l2 - q - 1) > 0, and the closed form is the
-Gamma expression it evaluates to.  All complex powers have positive real
-bases, so principal branches carry no ambiguity.
+and the closed form is the Gamma expression it evaluates to.  It converges
+where Re(6s + 2l + l2 - q - 1) > 0, the gate, and Re z1, Re z2 > 0 for the
+closed form's Gamma arguments z1, z2 = 3s + l - 1 +- ir/2 - q/2 (DLMF
+13.23, at lambda = 0); in the closed regime Gamma(z3) cancels one of them
+and the gate implies the other.  ArchSpec refuses a spec of either regime
+that breaks them with DivergentParameters.  All complex powers have
+positive real bases, so principal branches carry no ambiguity.
 
 The integrand depends on lambda only through x = c0 u lambda, c0 = 4 pi
 sqrt(D), so lambda = x / (c0 u) separates it exactly into c0^(-sigma) M U:
@@ -78,6 +82,19 @@ class ArchSpec:
         if self.gate.real <= 0:
             raise DivergentParameters(
                 f"Re(6s + 2l + l2 - q - 1) = {self.gate.real} <= 0")
+        try:
+            regime = _whittaker_params(self.l1 / 2.0, self.ir / 2.0)[2]
+        except UnsupportedParameters:  # an error row of its own (exit 1)
+            return
+        # M converges at x = 0 where Re z1, Re z2 > 0, z1, z2 = sigma + 1/2
+        # +- mu (DLMF 13.23).  In the closed regime Gamma(z3) cancels one,
+        # and the gate bounds the other: 2 Re z = Re gate + 2 min(l, l1) - 2
+        names = ("3s + l - 1 + ir/2 - q/2", "3s + l - 1 - ir/2 - q/2")
+        for name, z in zip(names, _gamma_args(self)):
+            if regime == "integral" and z.real <= 0:
+                raise DivergentParameters(
+                    f"Re({name}) = {z.real} <= 0: the Mellin integral "
+                    "diverges at x = 0")
 
     @property
     def l2(self) -> int:
@@ -264,11 +281,6 @@ def _integral_support(room: np.ndarray, logx: np.ndarray, a: complex,
     lo = t[first - 1] if first > 0 else 0.0
     hi = t[last + 1] if last + 1 < t.size else np.inf
     return keep, (lo, hi)
-
-
-def whittaker_W(kappa: complex, mu: complex, x: float) -> complex:
-    """Classical Whittaker function W_{kappa,mu}(x), x > 0."""
-    return complex(whittaker_w_array(kappa, mu, np.array([float(x)]))[0])
 
 
 def _mellin_integral(kappa: complex, mu: complex, sigma: complex,

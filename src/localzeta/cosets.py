@@ -52,12 +52,6 @@ def p4_order(p: int) -> int:
     return (p - 1) ** 2 * (p**2 - 1) * (p**2 - p) * p**5
 
 
-def _check_p(p: int) -> None:
-    require_int("p", p)
-    if p not in (2, 3):
-        raise Unsupported(f"only p in {{2, 3}} is supported, got {p}")
-
-
 def _np_mat(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
@@ -243,38 +237,19 @@ def _span_ids(point_of: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
 
 def _coset_flags(gs: np.ndarray, points: np.ndarray, point_of: np.ndarray,
                  p: int) -> np.ndarray:
-    """Point ids (line, covector) of the flag of P4 g for each (N,4,4)
-    matrix g; see flag_of_coset."""
+    """Point ids (line, covector) of the flag (g^-1 <e1>, ker(e3* g)) of
+    P4 g for each (N,4,4) matrix g.  Two matrices lie in one left P4-coset
+    exactly when their flags agree, as P4 is the full stabilizer of
+    (<e1>, <e1,e2,e4>).  The line is the one point that rows 1-3 of g
+    annihilate and row 0 does not.  A singular g has none (rows 1-3 of
+    rank 3, row 0 in their span) or, when rows 1-3 have rank at most 2,
+    none or at least p: InvalidArgument."""
     gs = np.asarray(gs, dtype=np.int64) % p
     zero = gs @ points.T % p == 0
     line = zero[:, 1:].all(axis=1) & ~zero[:, 0]
     if not (line.sum(axis=1) == 1).all():
         raise InvalidArgument("matrix not invertible mod p")
     return np.column_stack([line.argmax(1), _span_ids(point_of, gs[:, 2], p)])
-
-
-def flag_of_coset(g: np.ndarray, p: int) -> tuple:
-    """Invariant of P4 g: the flag (g^-1 <e1>, ker(e3* g)).
-
-    Two matrices lie in the same left P4-coset exactly when these flags
-    agree, because P4 is the full stabilizer of (<e1>, <e1,e2,e4>).  The
-    line is the one point that rows 1-3 of g annihilate and row 0 does
-    not.  A singular g has none (rows 1-3 of rank 3, row 0 in their span)
-    or, when rows 1-3 have rank at most 2, none or at least p.
-    """
-    _check_p(p)
-    try:
-        g = np.asarray(g)
-    except ValueError:  # rows of different lengths
-        raise InvalidArgument("expected a 4x4 matrix, got ragged rows") from None
-    if g.shape != (4, 4):
-        raise InvalidArgument(f"expected a 4x4 matrix, got shape {g.shape}")
-    if g.dtype.kind not in "iu":
-        raise InvalidArgument(f"entries must be integers, got {g.dtype}")
-    points, point_of = _point_table(p)
-    ids = _coset_flags(g[None] % p, points, point_of, p)[0]
-    line, covector = points[ids].tolist()
-    return tuple(line), tuple(covector)
 
 
 def _partition_quotient(p: int) -> CosetReport:
@@ -309,7 +284,9 @@ def _partition_quotient(p: int) -> CosetReport:
 
 def double_coset_partition(p: int, method: str = "full") -> CosetReport:
     """Partition GL4(F_p) under g ~ a g b with a in P4, b in GSp4."""
-    _check_p(p)
+    require_int("p", p)
+    if p not in (2, 3):
+        raise Unsupported(f"only p in {{2, 3}} is supported, got {p}")
     if method == "full":
         return _partition_full(p)
     if method == "quotient":

@@ -33,7 +33,7 @@ class Unsupported(LocalZetaError, ValueError):
 
 
 class Infeasible(LocalZetaError, RuntimeError):
-    """Enumeration would exceed the configured resource limits."""
+    """Work past a documented bound: an enumeration or a series order."""
 
 
 class PoleError(LocalZetaError, ArithmeticError):

@@ -260,6 +260,30 @@ def test_out_of_range_count_exit_2(tmp_path, args):
     _assert_input_error(run_cli(*(a.format(case2=case2) for a in args)))
 
 
+@pytest.mark.parametrize("args", [
+    ("verify-nonarch", "--params", "{huge}"),
+    ("bessel", "--params", "{huge}"),
+    ("verify-nonarch", "--params", "{case2}", "--order", "100000000"),
+    ("bessel", "--params", "{case2}", "--order", "2001"),
+    ("sweep", "--order", "100000000"),
+    ("sweep", "--order", "2001"),
+    ("dims", "--max-r", "100000"),
+    ("dims", "--max-n", "201"),
+], ids=["verify-order-1e40", "bessel-order-1e40", "verify-order-flag-1e8",
+        "bessel-order-flag-2001", "sweep-order-1e8", "sweep-order-2001",
+        "dims-max-r-1e5", "dims-max-n-201"])
+def test_work_past_its_bound_exit_2(tmp_path, args):
+    # an order past MAX_ORDER ran the series division until a MemoryError
+    # (a traceback, exit 1) or past any budget, and dims past
+    # MAX_DIMS_BOUND ran for minutes: now each is refused before any work
+    case2, huge = tmp_path / "case2.json", tmp_path / "huge.json"
+    case2.write_text(json.dumps(WORKED_CASE2))
+    huge.write_text(json.dumps(dict(WORKED_CASE2, order=10**40)))
+    proc = run_cli(*(a.format(case2=case2, huge=huge) for a in args))
+    _assert_input_error(proc)
+    assert "must be at most" in proc.stderr
+
+
 def test_dims_command():
     proc = run_cli("dims", check=True)
     (report,) = _lines(proc)
@@ -713,24 +737,35 @@ def test_arch_verify_small_oscillating_gate_error_row(tmp_path):
     assert "no convergence" in row["error"]
 
 
-def test_arch_verify_oscillating_whittaker_error_row(tmp_path):
-    # ir = -200 + 30i: M does not converge, a typed error row within the
-    # memory bound of test_arch_quadrature_memory_bound
+@pytest.mark.parametrize("key, value", [
+    ("r", [30, 200]), ("ir", 25.01), ("ir", 26), ("ir", 60)],
+    ids=["r30+200i", "ir25.01", "ir26", "ir60"])
+def test_arch_verify_divergent_mellin_integral_exit_2(tmp_path, key, value):
+    # l = l1 = 10, s = 1.1666: Re(3s + l - 1 - ir/2) = 0 at ir = 24.9996,
+    # and at ir = -200 + 30i (mu = 100 - 15i) Re(3s + l - 1 + ir/2) = -87.5.
+    # M = int W(x) e^(-x/2) x^(sigma-1) dx then diverges at x = 0, and the
+    # closed form is an analytic continuation that no quadrature checks;
+    # these were error rows (exit 1), as if the integral existed
     path = tmp_path / "arch.json"
     path.write_text(json.dumps({"l": 10, "l1": 10, "D": 4,
                                 "a_plus": 3.16652e-06, "s": 1.1666,
-                                "r": [30, 200]}))
-    tracemalloc.start()
-    try:
-        proc = run_cli("arch-verify", "--spec", str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert proc.returncode == 1
+                                key: value}))
+    proc = run_cli("arch-verify", "--spec", str(path))
+    _assert_input_error(proc)
+    assert "the Mellin integral diverges at x = 0" in proc.stderr
+
+
+@pytest.mark.parametrize("ir", [24.9, 24.99])
+def test_arch_verify_convergent_mellin_integral_is_checked(tmp_path, ir):
+    # just inside the boundary M converges: 24.9 passes, and at 24.99
+    # (Re(3s + l - 1 - ir/2) = +0.005) its quadrature does not converge
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"l": 10, "l1": 10, "D": 4, "a_plus": 1.0,
+                                "s": 1.1666, "ir": ir}))
+    proc = run_cli("arch-verify", "--spec", str(path))
     (row,) = _lines(proc)
-    assert row["passed"] is False
-    assert "no convergence" in row["error"]
-    assert peak <= 40e6
+    assert proc.returncode == (0 if ir == 24.9 else 1)
+    assert row["passed"] is (ir == 24.9)
 
 
 def test_arch_verify_tolerance_miss_exit_1(tmp_path):

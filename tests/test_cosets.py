@@ -200,23 +200,25 @@ def test_flag_invariant_is_coset_invariant(gl4_2):
     _, mats = gl4_2
     p4_ids = np.nonzero(oracles._in_p4(mats, 2))[0]
     g = mats[12345].astype(np.int64)
-    base = cosets.flag_of_coset(g, 2)
-    for idx in rng.choice(p4_ids, size=20):
-        a = mats[idx].astype(np.int64)
-        assert cosets.flag_of_coset((a @ g) % 2, 2) == base
+    gs = np.concatenate([g[None], mats[rng.choice(p4_ids, size=20)] @ g % 2])
+    ids = cosets._coset_flags(gs, *cosets._point_table(2), 2)
+    assert (ids == ids[0]).all()
 
 
 def test_flag_of_coset_p3():
-    # t1^-1 <e1> = <e2>, and e3* t1 = e3*
-    assert cosets.flag_of_coset(np.asarray(cosets.T1), 3) == (
-        (0, 1, 0, 0), (0, 0, 1, 0))
-    # scaling g scales both vectors; the flag does not change
+    points, point_of = cosets._point_table(3)
     g = np.array([[2, 1, 0, 0], [0, 1, 0, 0], [0, 2, 2, 1], [0, 0, 0, 2]])
-    assert cosets.flag_of_coset(g, 3) == cosets.flag_of_coset(2 * g % 3, 3)
+    ids = cosets._coset_flags(np.stack([np.asarray(cosets.T1), g, 2 * g % 3]),
+                              points, point_of, 3)
+    # t1^-1 <e1> = <e2>, and e3* t1 = e3*
+    assert points[ids[0]].tolist() == [[0, 1, 0, 0], [0, 0, 1, 0]]
+    # scaling g scales both vectors; the flag does not change
+    assert np.array_equal(ids[1], ids[2])
     # g e1 = 2 e1, and the third row (0, 2, 2, 1) is 2 (0, 1, 1, 2) mod 3
-    assert cosets.flag_of_coset(g, 3) == ((1, 0, 0, 0), (0, 1, 1, 2))
+    assert points[ids[1]].tolist() == [[1, 0, 0, 0], [0, 1, 1, 2]]
     with pytest.raises(InvalidArgument):
-        cosets.flag_of_coset(np.zeros((4, 4), dtype=int), 3)
+        cosets._coset_flags(np.zeros((1, 4, 4), dtype=int), points, point_of,
+                            3)
 
 
 def test_report_json():
@@ -262,14 +264,16 @@ def test_line_action_inverts_generators(p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_flag_line_is_sent_to_e1(p):
     rng = np.random.default_rng(11)
+    points, point_of = cosets._point_table(p)
     checked = 0
     while checked < 40:
         g = rng.integers(0, p, size=(4, 4))
         if oracles.det_mod_batch(g[None], p)[0] == 0:
             with pytest.raises(InvalidArgument):
-                cosets.flag_of_coset(g, p)
+                cosets._coset_flags(g[None], points, point_of, p)
             continue
-        line, covector = cosets.flag_of_coset(g, p)
+        line, covector = points[cosets._coset_flags(g[None], points,
+                                                    point_of, p)[0]]
         image = g @ np.array(line) % p
         assert image[0] != 0 and not image[1:].any()
         # (e3* g)(g^-1 e1) = 0: the flag is incident
@@ -303,7 +307,7 @@ def test_coset_lines_are_the_cofactor_lines(p, gl4_2):
 ], ids=["rows-1-3-rank-2", "row-0-in-span"])
 def test_flag_of_coset_refuses_a_singular_matrix(p, g):
     with pytest.raises(InvalidArgument, match="not invertible"):
-        cosets.flag_of_coset(g, p)
+        cosets._coset_flags(np.asarray(g)[None], *cosets._point_table(p), p)
 
 
 def test_full_route_permutations_are_the_products(gl4_2, monkeypatch):
@@ -339,17 +343,6 @@ def test_non_int_p_is_invalid(p, method):
     # 2.0 in (2, 3) holds, so the type is checked before the value
     with pytest.raises(InvalidArgument, match="p must be an integer"):
         cosets.double_coset_partition(p, method=method)
-
-
-@pytest.mark.parametrize("g", [
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-    np.eye(4, dtype=int)[:3],
-    np.eye(4, dtype=int)[None],
-    [1, 0, 0, 0],
-], ids=["3x3", "3x4", "1x4x4", "4"])
-def test_flag_of_coset_needs_a_4x4_matrix(g):
-    with pytest.raises(InvalidArgument, match="4x4"):
-        cosets.flag_of_coset(g, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -412,29 +405,11 @@ def test_p4_generators_are_pinned(p):
         == P4_GENERATORS_SHA256[p]
 
 
-def _eye_with(entry) -> list:
-    """The 4x4 identity as nested lists, entry (0, 1) replaced."""
-    rows = np.eye(4, dtype=int).tolist()
-    rows[0][1] = entry
-    return rows
-
-
-@pytest.mark.parametrize("p, g, error", [
-    (0, _eye_with(0), Unsupported),
-    (-3, _eye_with(0), Unsupported),
-    (2.0, _eye_with(0), InvalidArgument),
-    (4, _eye_with(0), Unsupported),
-    (6, _eye_with(0), Unsupported),
-    (5, _eye_with(0), Unsupported),
-    (3, _eye_with(0.5), InvalidArgument),
-    (3, _eye_with(1e30), InvalidArgument),
-    (2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]],
-     InvalidArgument),
-], ids=["p0", "p-3", "p2.0", "p4", "p6", "p5", "entry0.5", "entry1e30",
-        "ragged"])
-def test_flag_of_coset_checks_p_and_entries(p, g, error):
-    # 0.5 was truncated to 0 and 1e30 overflowed; p = 4 and 6 gave a flag
-    # over a ring that is not a field; a ragged matrix raised numpy's
-    # ValueError
+@pytest.mark.parametrize("p, error", [
+    (0, Unsupported), (-3, Unsupported), (2.0, InvalidArgument),
+    (4, Unsupported), (6, Unsupported), (5, Unsupported),
+], ids=["p0", "p-3", "p2.0", "p4", "p6", "p5"])
+def test_partition_checks_p(p, error):
+    # p = 4 and 6 would partition over a ring that is not a field
     with pytest.raises(error):
-        cosets.flag_of_coset(g, p)
+        cosets.double_coset_partition(p, method="quotient")

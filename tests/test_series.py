@@ -12,7 +12,8 @@ from localzeta import (RAMIFIED, RAMIFIED_OTHER, RAMIFIED_PS_UNRAM_ALPHA,
                        random_local_instance, series_div, series_equal,
                        zeta_closed_rhs)
 from localzeta.gl2 import newform_ratio
-from localzeta.series import euler_product, series_twist
+from localzeta.errors import Infeasible
+from localzeta.series import MAX_ORDER, euler_product, series_twist
 
 from conftest import embed, nonzero_fraction, rq, series_of
 
@@ -57,7 +58,7 @@ def test_division_by_non_unit():
     with pytest.raises(DivisionByNonUnit):
         series_div(Poly.one(q), bad, 1)
     with pytest.raises(DivisionByNonUnit):
-        series_div(Poly.one(q), Poly.zero(q), 1)
+        series_div(Poly.one(q), Poly([], q), 1)
 
 
 def test_series_div_needs_constant_term_one():
@@ -104,6 +105,17 @@ def test_negative_order_rejected():
         f.to_series(-1)
     with pytest.raises(InvalidArgument):
         series_div(f.numer, f.denom, -1)
+
+
+def test_order_past_max_order_is_infeasible():
+    # every order in use (at most 96) is far inside the bound; past it the
+    # division is refused before any coefficient is computed
+    q = 3
+    f = RatFn(Poly([1], q), Poly([1, -1], q))
+    assert len(f.to_series(MAX_ORDER).coeffs) == MAX_ORDER + 1
+    for order in (MAX_ORDER + 1, 10**40):
+        with pytest.raises(Infeasible, match=f"at most {MAX_ORDER}"):
+            f.to_series(order)
 
 
 def _geometric_double_pole(c, order):
@@ -198,7 +210,7 @@ def test_poly_trimming_and_degree():
     assert Poly([], q).degree == -1
     assert Poly([0, 0], q) == Poly([], q)
     # the zero polynomial has one form, however it is reached
-    for zero in (Poly.zero(q), Poly([0, 0], q), Poly([1, 2], q) * Poly([], q)):
+    for zero in (Poly([], q), Poly([0, 0], q), Poly([1, 2], q) * Poly([], q)):
         assert (zero.us, zero.vs, zero.d) == ((), (), 1)
 
 
@@ -614,7 +626,7 @@ def test_euler_product_matches_schoolbook_roots(q):
 def test_constant_term_one_is_read_from_the_ints():
     q = 5
     one = Poly.one(q)
-    for den in (Poly.zero(q), Poly([2], q), Poly([QScalar(0, 1, q)], q)):
+    for den in (Poly([], q), Poly([2], q), Poly([QScalar(0, 1, q)], q)):
         with pytest.raises(InvalidArgument,
                            match="^denominator constant term must be 1$"):
             RatFn(one, den)
@@ -726,4 +738,4 @@ def test_poly_product_checks_its_operand():
         Poly([1, 1], 2) * 3
     one, p = Poly.one(5), Poly([1, Fraction(1, 2)], 5)
     assert p * one == one * p == p
-    assert (p * Poly.zero(5)).degree == -1
+    assert (p * Poly([], 5)).degree == -1
